@@ -5,8 +5,7 @@
 //!
 //! Each `table*` / `fig*` function reproduces one exhibit and returns the
 //! formatted report; the `report` binary prints them
-//! (`cargo run --release -p prima-bench --bin report -- table3`), and the
-//! Criterion benches in `benches/` time the underlying kernels.
+//! (`cargo run --release -p prima-bench --bin report -- table3`).
 //!
 //! Absolute values differ from the paper — the substrate is a synthetic
 //! PDK and a purpose-built simulator — but the *shape* of each exhibit
@@ -22,7 +21,10 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use prima_core::{enumerate_configs, reconcile, route_wire, GlobalRoute, Optimizer, Phase};
+use prima_core::{
+    enumerate_configs, reconcile, route_wire, EvalLedger, Evaluated, GlobalRoute, NoFaults,
+    Optimizer, Phase,
+};
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
     conventional_flow, manual_flow, optimized_flow, optimized_flow_resilient, optimized_flow_with,
@@ -31,7 +33,7 @@ use prima_flow::{
 };
 use prima_layout::{generate, CellConfig, PlacementPattern};
 use prima_pdk::Technology;
-use prima_primitives::{evaluate_all, Bias, ExternalWire, LayoutView, Library};
+use prima_primitives::{evaluate_all, Bias, ExternalWire, LayoutView, Library, PrimitiveDef};
 use prima_techlint::{check_deck, diff_techs};
 
 /// Shared environment for all reports.
@@ -60,6 +62,23 @@ impl Default for Env {
 
 fn dev_pct(sch: f64, lay: f64) -> f64 {
     100.0 * (sch - lay).abs() / sch.abs().max(1e-30)
+}
+
+/// Algorithm 1 step 1 winners: rank 0 of every aspect-ratio bin, in
+/// aspect-ratio order.
+fn bin_winners(
+    opt: &Optimizer,
+    def: &PrimitiveDef,
+    bias: &Bias,
+    configs: &[CellConfig],
+    n_bins: usize,
+) -> Vec<Evaluated> {
+    let mut ledger = EvalLedger::new();
+    let bins = opt.select_bins(def, bias, configs, n_bins, &NoFaults, &mut ledger);
+    bins.expect("selection")
+        .into_iter()
+        .filter_map(|bin| bin.ranked.into_iter().next())
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -570,7 +589,7 @@ pub fn table5(env: &Env) -> String {
         let opt = Optimizer::new(tech);
         let t0 = Instant::now();
         let configs = enumerate_configs(fins, &[2, 4, 8, 12, 16], 6);
-        let picks = opt.select(def, &bias, &configs, 3).expect("selection");
+        let picks = bin_winners(&opt, def, &bias, &configs, 3);
         for p in picks.clone() {
             let _ = opt.tune(def, &bias, p.layout).expect("tuning");
         }
@@ -891,12 +910,8 @@ pub fn ablations(env: &Env) -> String {
         lde.kvth_wpe = 0.0;
     }
     let configs = enumerate_configs(96, &[4, 8], 4);
-    let with = Optimizer::new(tech)
-        .select(dp, &bias, &configs, 3)
-        .expect("selection");
-    let without = Optimizer::new(&tech_nolde)
-        .select(dp, &bias, &configs, 3)
-        .expect("selection");
+    let with = bin_winners(&Optimizer::new(tech), dp, &bias, &configs, 3);
+    let without = bin_winners(&Optimizer::new(&tech_nolde), dp, &bias, &configs, 3);
     writeln!(out, "\nLDE ablation (DP, 96 fins): per-bin winners").unwrap();
     for (w, wo) in with.iter().zip(without.iter()) {
         writeln!(
@@ -923,9 +938,7 @@ pub fn ablations(env: &Env) -> String {
     // -- Bin count sweep ------------------------------------------------------
     writeln!(out, "\nbin-count ablation (DP, 96 fins):").unwrap();
     for n in [1usize, 2, 3, 5] {
-        let picks = Optimizer::new(tech)
-            .select(dp, &bias, &configs, n)
-            .expect("selection");
+        let picks = bin_winners(&Optimizer::new(tech), dp, &bias, &configs, n);
         let best = picks.iter().map(|p| p.cost).fold(f64::INFINITY, f64::min);
         let spread: Vec<f64> = picks.iter().map(|p| p.layout.aspect_ratio()).collect();
         writeln!(
@@ -1079,8 +1092,8 @@ step-contribution ablation (5T OTA, UGF deviation from schematic):"
 // Verification — static DRC / LVS-lite over every flow output
 // ---------------------------------------------------------------------------
 
-/// Per-circuit static verification summary: forces the prima-verify gate
-/// on (even in release builds) for the optimized flow on all four
+/// Per-circuit static verification summary: runs the prima-verify gate
+/// (on by default in every build) for the optimized flow on all four
 /// benchmark circuits plus the conventional baseline on the CS amplifier,
 /// and reports what each gate checked.
 pub fn verify_summary(env: &Env) -> String {
@@ -1098,10 +1111,6 @@ pub fn verify_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let gate_on = FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    };
     let vco = RoVco::small();
     let cases = vec![
         (
@@ -1126,9 +1135,9 @@ pub fn verify_summary(env: &Env) -> String {
         ),
     ];
     for (name, spec, biases) in cases {
-        match optimized_flow_with(tech, lib, &spec, &biases, 11, gate_on.clone()) {
+        match optimized_flow(tech, lib, &spec, &biases, 11) {
             Ok(outcome) => {
-                let r = outcome.verify.expect("gate forced on");
+                let r = outcome.verify.expect("gates are on by default");
                 writeln!(
                     out,
                     "{:<22} {:>8} {:>7} {:>12} {:<30}",
@@ -1146,14 +1155,11 @@ pub fn verify_summary(env: &Env) -> String {
     // The conventional baseline is verified too (placement + connectivity;
     // its flat per-transistor blocks carry no mask geometry).
     match conventional_flow(tech, lib, &CsAmp::spec(), 11) {
-        Ok(outcome) => match outcome.verify {
-            Some(r) => writeln!(out, "\nconventional cs_amp: {}", r.summary()).unwrap(),
-            None => writeln!(
-                out,
-                "\nconventional cs_amp: gate skipped (release build, Auto policy)"
-            )
-            .unwrap(),
-        },
+        Ok(outcome) => {
+            if let Some(r) = outcome.verify {
+                writeln!(out, "\nconventional cs_amp: {}", r.summary()).unwrap();
+            }
+        }
         Err(e) => writeln!(out, "\nconventional cs_amp: GATE FAILED: {e}").unwrap(),
     }
     writeln!(
@@ -1166,7 +1172,7 @@ pub fn verify_summary(env: &Env) -> String {
 }
 
 /// Electrical rule check (prima-erc) summary: every benchmark circuit runs
-/// the optimized flow with the gate forced on, and the table lists what the
+/// the optimized flow with its gates on (the default), and the table lists what the
 /// EM / IR / symmetry / connectivity passes covered. A flow that reaches a
 /// row at all is ERC-clean — violations abort it — so the table doubles as
 /// the paper-level claim that the Algorithm 2 EM clamp makes optimized
@@ -1186,10 +1192,6 @@ pub fn erc_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let gate_on = FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    };
     let vco = RoVco::small();
     let cases = vec![
         (
@@ -1214,9 +1216,9 @@ pub fn erc_summary(env: &Env) -> String {
         ),
     ];
     for (name, spec, biases) in cases {
-        match optimized_flow_with(tech, lib, &spec, &biases, 11, gate_on.clone()) {
+        match optimized_flow(tech, lib, &spec, &biases, 11) {
             Ok(outcome) => {
-                let r = outcome.erc.expect("gate forced on");
+                let r = outcome.erc.expect("gates are on by default");
                 writeln!(
                     out,
                     "{:<22} {:>7} {:>12} {:<40}",
@@ -1234,14 +1236,11 @@ pub fn erc_summary(env: &Env) -> String {
     // to propagate — the baseline has no operating-point data — but IR,
     // well-tap reach, and connectivity hygiene still apply).
     match conventional_flow(tech, lib, &CsAmp::spec(), 11) {
-        Ok(outcome) => match outcome.erc {
-            Some(r) => writeln!(out, "\nconventional cs_amp: {}", r.summary()).unwrap(),
-            None => writeln!(
-                out,
-                "\nconventional cs_amp: gate skipped (release build, Auto policy)"
-            )
-            .unwrap(),
-        },
+        Ok(outcome) => {
+            if let Some(r) = outcome.erc {
+                writeln!(out, "\nconventional cs_amp: {}", r.summary()).unwrap();
+            }
+        }
         Err(e) => writeln!(out, "\nconventional cs_amp: GATE FAILED: {e}").unwrap(),
     }
     writeln!(
@@ -1260,7 +1259,7 @@ pub fn erc_summary(env: &Env) -> String {
 ///   what a clean preflight costs (microseconds — the <10 ms budget the
 ///   flows pay before any layout or simulation work);
 /// * three seeded-defect variants of the CS amplifier go through the
-///   gate-forced-on optimized flow, and each row shows the exact
+///   gated optimized flow, and each row shows the exact
 ///   `SCHEM.*` rule that killed it plus the rejection latency —
 ///   contrasted against one cold optimized run so the fail-fast claim
 ///   ("invalid requests die in microseconds, not after seconds of
@@ -1330,15 +1329,10 @@ pub fn schem_summary(env: &Env) -> String {
     }
 
     // --- seeded defects: rejection latency vs a cold run --------------
-    let gate_on = FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    };
     let base_biases = CsAmp::biases(tech, lib).expect("biases");
 
     let cold_start = Instant::now();
-    optimized_flow_with(tech, lib, &CsAmp::spec(), &base_biases, 11, gate_on.clone())
-        .expect("clean cs_amp flow");
+    optimized_flow(tech, lib, &CsAmp::spec(), &base_biases, 11).expect("clean cs_amp flow");
     let cold = cold_start.elapsed();
 
     let dangling = {
@@ -1368,7 +1362,7 @@ pub fn schem_summary(env: &Env) -> String {
         ("5 V input bias", CsAmp::spec(), overdriven),
     ];
 
-    writeln!(out, "\nseeded cs_amp defects (gate forced on):").unwrap();
+    writeln!(out, "\nseeded cs_amp defects (gates on):").unwrap();
     writeln!(
         out,
         "{:<22} {:<16} {:>14} {:>12}",
@@ -1377,7 +1371,7 @@ pub fn schem_summary(env: &Env) -> String {
     .unwrap();
     for (name, spec, biases) in &defects {
         let t = Instant::now();
-        let result = optimized_flow_with(tech, lib, spec, biases, 11, gate_on.clone());
+        let result = optimized_flow(tech, lib, spec, biases, 11);
         let elapsed = t.elapsed();
         match result {
             Err(FlowError::Verify { first, .. }) => {
@@ -1586,10 +1580,6 @@ pub fn resilience_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let gate_on = FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    };
     let vco = RoVco::small();
     let cases = vec![
         (
@@ -1624,7 +1614,7 @@ pub fn resilience_summary(env: &Env) -> String {
             &spec,
             &biases,
             11,
-            gate_on.clone(),
+            FlowOptions::default(),
             &plan,
             RepairBudgets::default(),
         ) {
@@ -1650,7 +1640,7 @@ pub fn resilience_summary(env: &Env) -> String {
 
     // Control: with no faults, the resilience layer must be invisible —
     // identical output to optimized_flow and a Clean verdict.
-    match optimized_flow_with(tech, lib, &CsAmp::spec(), &cs_biases(env), 11, gate_on) {
+    match optimized_flow(tech, lib, &CsAmp::spec(), &cs_biases(env), 11) {
         Ok(outcome) => writeln!(
             out,
             "\nzero-fault control (cs_amp): {}",

@@ -310,8 +310,15 @@ impl EvalCache {
     /// (temp file + rename) and re-points the live append log at it.
     /// No-op for non-persistent caches. Returns the snapshot size in bytes.
     pub fn save(&self) -> std::io::Result<u64> {
-        let Some(path) = self.path.clone() else {
+        let Some(path) = self.path.as_deref() else {
             return Ok(0);
+        };
+        // Hold the log from the snapshot through the reopen: a record
+        // appended in between would land in the file the rename unlinks,
+        // and concurrent saves would race on the one temp file.
+        let mut log = match self.log.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
         };
         let mut buf = self.header_bytes();
         for shard in &self.shards {
@@ -331,13 +338,10 @@ impl EvalCache {
             f.write_all(&buf)?;
             f.sync_all()?;
         }
-        fs::rename(&tmp, &path)?;
-        let reopened = OpenOptions::new().append(true).open(&path)?;
-        let mut log = match self.log.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *log = Some(reopened);
+        fs::rename(&tmp, path)?;
+        // The old handle points at the unlinked file; never append to it.
+        *log = None;
+        *log = Some(OpenOptions::new().append(true).open(path)?);
         Ok(buf.len() as u64)
     }
 
@@ -840,6 +844,37 @@ mod tests {
         c.save().unwrap();
         let c2 = EvalCache::open(CachePolicy::Persistent(path.clone()), Fingerprint(9, 9), 1);
         assert_eq!(c2.lookup(&key(1)).unwrap(), metrics(1));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_saves_keep_every_key() {
+        let path = temp_path("concurrent");
+        let tech = Fingerprint(9, 9);
+        let c = EvalCache::open(CachePolicy::Persistent(path.clone()), tech, 1);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        c.save().unwrap();
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for seed in 0..400 {
+                    c.store(key(seed), &metrics(seed));
+                }
+            });
+        });
+        drop(c);
+        let c = EvalCache::open(CachePolicy::Persistent(path.clone()), tech, 1);
+        for seed in 0..400 {
+            assert_eq!(c.lookup(&key(seed)), Some(metrics(seed)), "key {seed} lost");
+        }
+        assert!(c.events().is_empty(), "clean load: {:?}", c.events());
         let _ = fs::remove_file(&path);
     }
 

@@ -5,13 +5,11 @@
 //! analysis, including the observation that simulations within a phase are
 //! independent and parallelizable.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-
 /// Optimization phase a simulation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Algorithm 1 step 1: primitive selection.
     Selection,
@@ -40,7 +38,7 @@ impl Phase {
 /// Thread-safe simulation counter, cloneable across worker threads.
 #[derive(Debug, Clone, Default)]
 pub struct SimCounter {
-    counts: Arc<Mutex<[usize; 5]>>,
+    counts: Arc<[AtomicUsize; 5]>,
 }
 
 impl SimCounter {
@@ -51,22 +49,24 @@ impl SimCounter {
 
     /// Records `n` simulations in a phase.
     pub fn record(&self, phase: Phase, n: usize) {
-        self.counts.lock()[phase_index(phase)] += n;
+        self.counts[phase_index(phase)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count for one phase.
     pub fn count(&self, phase: Phase) -> usize {
-        self.counts.lock()[phase_index(phase)]
+        self.counts[phase_index(phase)].load(Ordering::Relaxed)
     }
 
     /// Total across phases.
     pub fn total(&self) -> usize {
-        self.counts.lock().iter().sum()
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Resets all counts to zero.
     pub fn reset(&self) {
-        *self.counts.lock() = [0; 5];
+        for c in self.counts.iter() {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 

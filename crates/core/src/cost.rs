@@ -6,10 +6,9 @@
 //! percent so costs land on the scale Table III reports (a few units).
 
 use prima_primitives::{Metric, MetricValues};
-use serde::{Deserialize, Serialize};
 
 /// Per-metric deviation record within a cost evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostBreakdown {
     /// Metric name.
     pub metric: String,

@@ -11,11 +11,10 @@
 use std::fmt;
 
 use prima_geom::Rect;
-use serde::{Deserialize, Serialize};
 
 /// How bad a finding is. Gates fail on [`Severity::Error`]; warnings and
 /// degradations are surfaced but do not abort a flow.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// Must be fixed; the gate fails.
     #[default]
@@ -40,7 +39,7 @@ impl fmt::Display for Severity {
 }
 
 /// What kind of check produced a violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleKind {
     /// Shape narrower than the layer's minimum width.
     Width,
@@ -116,7 +115,7 @@ impl fmt::Display for RuleKind {
 }
 
 /// One structured diagnostic: which rule failed, where, and by how much.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Stable rule identifier, e.g. `"M2.SPACE"`, `"LVS.OPEN"`,
     /// `"EM.WIDTH"`, `"SYM.MIRROR"`, `"LINT.WEIGHTS"`.
@@ -152,7 +151,7 @@ impl fmt::Display for Violation {
 }
 
 /// Aggregated result of a verification pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
     /// Circuit (or cell) the pass ran on.
     pub circuit: String,
@@ -381,14 +380,5 @@ mod tests {
         assert_eq!(report.violations[0].rule_id, "A.RULE");
         // checks_run keeps its run order; only findings are canonicalized.
         assert_eq!(report.checks_run, vec!["x", "y", "y2"]);
-    }
-
-    #[test]
-    fn diagnostics_are_serializable() {
-        // Compile-time check that the full tree implements Serialize and
-        // Deserialize (the workspace keeps serde formats out of its deps).
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<VerifyReport>();
-        assert_serde::<Violation>();
     }
 }

@@ -16,11 +16,13 @@
 //!   and reconcile constraints across primitives sharing a net.
 //! * **Accounting** ([`accounting`]) — simulation counting per phase, the
 //!   basis of the paper's Table V runtime analysis.
+//! * **Parallel sweeps** ([`par`]) — every independent simulation of a
+//!   phase fans out through one bounded [`par_map`].
 //!
 //! ## Example
 //!
 //! ```no_run
-//! use prima_core::{enumerate_configs, Optimizer};
+//! use prima_core::{enumerate_configs, EvalLedger, NoFaults, Optimizer};
 //! use prima_pdk::Technology;
 //! use prima_primitives::{Bias, Library};
 //!
@@ -30,9 +32,12 @@
 //! let bias = Bias::nominal(&tech, &dp.class);
 //! let opt = Optimizer::new(&tech);
 //! let configs = enumerate_configs(960, &[8, 12, 16, 24], 2);
-//! let picks = opt.select(dp, &bias, &configs, 3).unwrap();
-//! let tuned = opt.tune(dp, &bias, picks[0].layout.clone()).unwrap();
-//! assert!(tuned.cost <= picks[0].cost);
+//! let bins = opt
+//!     .select_bins(dp, &bias, &configs, 3, &NoFaults, &mut EvalLedger::new())
+//!     .unwrap();
+//! let best = &bins[0].ranked[0];
+//! let tuned = opt.tune(dp, &bias, best.layout.clone()).unwrap();
+//! assert!(tuned.cost <= best.cost);
 //! ```
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -41,6 +46,7 @@
 pub mod accounting;
 pub mod cost;
 pub mod diagnostics;
+pub mod par;
 pub mod ports;
 pub mod resilience;
 pub mod selection;
@@ -64,6 +70,7 @@ use prima_spice::{with_solve_ctrl, SolveCtrl};
 pub use accounting::{Phase, SimCounter};
 pub use cost::{cost_of, deviation_percent, CostBreakdown};
 pub use diagnostics::{sort_dedupe, RuleKind, Severity, VerifyReport, Violation};
+pub use par::par_map;
 pub use ports::{
     clamp_to_em_floor, reconcile, route_wire, GlobalRoute, PortConstraint, ReconciledNet,
 };

@@ -9,21 +9,22 @@
 //! cost over the gap range.
 
 use std::collections::HashMap;
+use std::panic::resume_unwind;
 
 use prima_geom::Nm;
 use prima_layout::PrimitiveLayout;
 use prima_pdk::Technology;
 use prima_primitives::{Bias, ExternalWire, LayoutView, PrimitiveDef};
-use serde::{Deserialize, Serialize};
 
 use crate::accounting::Phase;
 use crate::cost::cost_of;
+use crate::par::par_map;
 use crate::tuning::choose_knee;
 use crate::{OptError, Optimizer};
 
 /// Geometry of a global route at a primitive port, as reported by the
 /// global router: the paper's "distance, layer and via information".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalRoute {
     /// Metal layer (1-based) the route runs on.
     pub layer: usize,
@@ -53,7 +54,7 @@ pub fn route_wire(tech: &Technology, route: &GlobalRoute, k: u32) -> ExternalWir
 }
 
 /// Interval constraint produced by one primitive for one net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortConstraint {
     /// Net name (primitive port).
     pub net: String,
@@ -75,7 +76,7 @@ impl PortConstraint {
 }
 
 /// Result of reconciling the constraints on one net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconciledNet {
     /// Net name.
     pub net: String,
@@ -98,10 +99,6 @@ impl<'t> Optimizer<'t> {
     /// # Errors
     ///
     /// Propagates evaluation failures.
-    // The `expect`s re-raise panics out of the crossbeam sweep workers;
-    // a panicked worker has no result to salvage, so propagation is the
-    // only sound behavior.
-    #[allow(clippy::expect_used)]
     pub fn port_constraints(
         &self,
         def: &PrimitiveDef,
@@ -122,6 +119,7 @@ impl<'t> Optimizer<'t> {
             Phase::PortConstraints,
         )?;
 
+        let ks: Vec<u32> = (1..=self.max_port_routes).collect();
         let mut out = Vec::new();
         for (net, route) in routes {
             if !def.ports.contains(net) {
@@ -137,31 +135,20 @@ impl<'t> Optimizer<'t> {
                 .find(|t| t.nets.contains(net))
                 .map(|t| t.nets.clone())
                 .unwrap_or_else(|| vec![net.clone()]);
-            // Parallel-route sweep points are independent simulations.
-            let results: Vec<Result<f64, OptError>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (1..=self.max_port_routes)
-                    .map(|k| {
-                        let group = &group;
-                        let sch = &sch;
-                        scope.spawn(move |_| -> Result<f64, OptError> {
-                            let mut ext = HashMap::new();
-                            for g in group {
-                                ext.insert(g.clone(), route_wire(self.tech(), route, k));
-                            }
-                            let values =
-                                self.eval_values(def, view, bias, &ext, Phase::PortConstraints)?;
-                            let (cost, _) = cost_of(&def.metrics, sch, &values);
-                            Ok(cost)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("port sweep panicked"))
-                    .collect()
+            // Parallel-route sweep points are independent simulations. A
+            // panicked sweep point has no result to salvage, so it re-raises.
+            let costs = par_map(&ks, |&k| -> Result<f64, OptError> {
+                let mut ext = HashMap::new();
+                for g in &group {
+                    ext.insert(g.clone(), route_wire(self.tech(), route, k));
+                }
+                let values = self.eval_values(def, view, bias, &ext, Phase::PortConstraints)?;
+                let (cost, _) = cost_of(&def.metrics, &sch, &values);
+                Ok(cost)
             })
-            .expect("port scope panicked");
-            let costs: Vec<f64> = results.into_iter().collect::<Result<_, _>>()?;
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect::<Result<Vec<f64>, OptError>>()?;
             let (w_min, w_max) = interval_from_costs(&costs);
             out.push(PortConstraint {
                 net: net.clone(),

@@ -24,8 +24,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic 64-bit FNV-1a over a seed, a name, and an index; the
 /// basis of reproducible fault selection (no RNG state to carry around).
 fn fault_hash(seed: u64, name: &str, index: u64) -> u64 {
@@ -47,7 +45,7 @@ fn fault_hash(seed: u64, name: &str, index: u64) -> u64 {
 pub enum EvalFault {
     /// The evaluation reports Newton non-convergence (a typed error).
     NonConvergence,
-    /// The evaluation panics mid-flight (tests the `catch`-at-join path).
+    /// The evaluation panics mid-flight (tests `par_map`'s per-item catch).
     Panic,
 }
 
@@ -79,7 +77,7 @@ impl FaultInjector for NoFaults {}
 /// Which candidate evaluations fail is a pure function of
 /// `(seed, def, candidate)`, so a plan reproduces exactly across runs and
 /// machines; a zero plan (`FaultPlan::none()`) injects nothing at all.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed mixed into the per-candidate hash.
     pub seed: u64,
@@ -165,7 +163,7 @@ impl FaultInjector for FaultPlan {
 }
 
 /// One candidate evaluation that failed during Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// Primitive definition the candidate belonged to.
     pub def: String,
@@ -179,7 +177,7 @@ pub struct LedgerEntry {
 
 /// The record of failed candidate evaluations. Selection writes to it;
 /// the repair loop reads it so no failed candidate is ever re-selected.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalLedger {
     entries: Vec<LedgerEntry>,
 }
@@ -284,7 +282,7 @@ impl RepairCursor {
 }
 
 /// Explicit per-stage attempt limits for the repair loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairBudgets {
     /// Detail-routing attempts per placement (first try + retries with
     /// perturbed net ordering). At least 1.
@@ -304,7 +302,7 @@ impl Default for RepairBudgets {
 }
 
 /// Final health of a flow run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Health {
     /// No degradation of any kind: the result is exactly what a fault-free
     /// run produces.
@@ -328,7 +326,7 @@ impl fmt::Display for Health {
 }
 
 /// One degradation the flow took instead of aborting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {
     /// Stage that degraded: `"selection"`, `"tuning"`, `"routing"`,
     /// `"gate"`, `"erc"`.
@@ -347,7 +345,7 @@ impl fmt::Display for Degradation {
 
 /// Everything a flow run reports about its own resilience: every
 /// degradation taken, retries spent, candidates lost, and the verdict.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
     /// Final health verdict.
     pub health: Health,

@@ -8,6 +8,7 @@ use prima_spice::analysis::AnalysisError;
 
 use crate::accounting::Phase;
 use crate::cost::{cost_of, CostBreakdown};
+use crate::par::par_map;
 use crate::resilience::{EvalFault, EvalLedger, FaultInjector};
 use crate::{OptError, Optimizer};
 
@@ -147,96 +148,25 @@ impl<'t> Optimizer<'t> {
     }
 
     /// Algorithm 1, step 1: generates and evaluates every configuration,
-    /// splits candidates into `n_bins` aspect-ratio bins, and returns the
-    /// minimum-cost candidate of each bin (ordered by aspect ratio).
+    /// splits candidates into `n_bins` aspect-ratio bins (ordered by aspect
+    /// ratio), and keeps the **whole ranked bin**: `ranked[0]` is the bin's
+    /// minimum-cost winner, and the remainder is the fallback order the
+    /// flow's repair loop walks when a winner later fails a sign-off gate.
     ///
-    /// All candidate evaluations are independent and run on worker threads,
-    /// mirroring the paper's parallel-simulation argument (Table V).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptError::NoCandidates`] for an empty config list and
-    /// propagates generation/evaluation failures.
-    // The `expect`s re-raise panics out of the crossbeam evaluation
-    // workers; a panicked candidate has no result to salvage (the
-    // fault-aware sibling `select_bins` is the one that absorbs them).
-    #[allow(clippy::expect_used)]
-    pub fn select(
-        &self,
-        def: &PrimitiveDef,
-        bias: &Bias,
-        configs: &[CellConfig],
-        n_bins: usize,
-    ) -> Result<Vec<Evaluated>, OptError> {
-        if configs.is_empty() || n_bins == 0 {
-            return Err(OptError::NoCandidates {
-                stage: "selection: empty configuration list".to_string(),
-            });
-        }
-        let sch = self.schematic_reference(def, bias, configs[0].total_fins())?;
-
-        // Evaluate candidates in parallel.
-        let results: Vec<Result<Evaluated, OptError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = configs
-                .iter()
-                .map(|cfg| {
-                    let sch = &sch;
-                    scope.spawn(move |_| -> Result<Evaluated, OptError> {
-                        let layout = generate(self.tech(), &def.spec, cfg)?;
-                        self.evaluate_layout(def, bias, layout, sch, Phase::Selection)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate evaluation panicked"))
-                .collect()
-        })
-        .expect("evaluation scope panicked");
-
-        let mut evaluated: Vec<Evaluated> = results.into_iter().collect::<Result<_, _>>()?;
-        evaluated.sort_by(|a, b| a.layout.aspect_ratio().total_cmp(&b.layout.aspect_ratio()));
-
-        // Quantile binning over the aspect-ratio order, then min cost per bin.
-        let n_bins = n_bins.min(evaluated.len());
-        let mut picks: Vec<Evaluated> = Vec::with_capacity(n_bins);
-        let chunk = evaluated.len().div_ceil(n_bins);
-        for bin in evaluated.chunks(chunk) {
-            // `chunks` never yields an empty slice, so a bin always has
-            // a minimum.
-            if let Some(best) = bin.iter().min_by(|a, b| a.cost.total_cmp(&b.cost)) {
-                picks.push(best.clone());
-            }
-        }
-        Ok(picks)
-    }
-
-    /// Fault-aware variant of [`Optimizer::select`] that keeps the **whole
-    /// ranked bin** instead of only its winner, so the flow's repair loop
-    /// can fall back to the next-best candidate of the same aspect-ratio
-    /// bin when a winner later fails a sign-off gate.
-    ///
-    /// Candidate evaluations run on worker threads exactly as in `select`;
-    /// a panicking evaluation is isolated at its join point and a failing
-    /// one returns a typed error — both are recorded in `ledger` and the
-    /// candidate is dropped, never aborting the run. `injector` may force
-    /// either failure mode deterministically (see
-    /// [`crate::resilience::FaultPlan`]).
-    ///
-    /// With [`crate::resilience::NoFaults`] and no organic failures, every
-    /// bin's rank-0 entry is exactly the candidate `select` returns for
-    /// that bin (same ordering, same tie-breaking), so a zero-fault run is
-    /// bit-identical to the classic path.
+    /// All candidate evaluations are independent and run through
+    /// [`par_map`], mirroring the paper's parallel-simulation argument
+    /// (Table V). A panicking evaluation is isolated to its own result and
+    /// a failing one returns a typed error — both are recorded in `ledger`
+    /// and the candidate is dropped, never aborting the run. `injector` may
+    /// force either failure mode deterministically (see
+    /// [`crate::resilience::FaultPlan`]); pass
+    /// [`crate::resilience::NoFaults`] for a plain run.
     ///
     /// # Errors
     ///
     /// Returns [`OptError::NoCandidates`] for an empty config list or when
-    /// every candidate evaluation failed.
-    // Child panics are folded into per-candidate results at the joins;
-    // the one remaining `expect` covers the scope itself, which only
-    // errors if a detached thread leaked past its join — an invariant,
-    // not a recoverable state.
-    #[allow(clippy::expect_used)]
+    /// every candidate evaluation failed, and [`OptError::Cancelled`] when
+    /// the attached cancel token tripped.
     pub fn select_bins(
         &self,
         def: &PrimitiveDef,
@@ -253,82 +183,41 @@ impl<'t> Optimizer<'t> {
         }
         let sch = self.schematic_reference(def, bias, configs[0].total_fins())?;
 
-        // How one candidate went down: cancellation is a control signal that
-        // aborts the whole selection, everything else is ledgered per
-        // candidate so the survivors still rank.
-        enum CandidateFailure {
-            Cancelled(prima_cache::Cancelled),
-            Failed { panicked: bool, reason: String },
-        }
-
-        // Evaluate candidates in parallel; a child panic is captured at the
-        // join and folded into the per-candidate result instead of
-        // propagating.
-        let results: Vec<Result<Evaluated, CandidateFailure>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = configs
-                .iter()
-                .enumerate()
-                .map(|(idx, cfg)| {
-                    let sch = &sch;
-                    scope.spawn(move |_| -> Result<Evaluated, OptError> {
-                        match injector.eval_fault(&def.name, idx) {
-                            Some(EvalFault::Panic) => {
-                                panic!("injected panic: {} candidate {idx}", def.name)
-                            }
-                            Some(EvalFault::NonConvergence) => {
-                                return Err(OptError::Eval(EvalError::Analysis(
-                                    AnalysisError::NoConvergence {
-                                        phase: format!(
-                                            "injected fault: {} candidate {idx}",
-                                            def.name
-                                        ),
-                                        iterations: 0,
-                                    },
-                                )));
-                            }
-                            None => {}
-                        }
-                        let layout = generate(self.tech(), &def.spec, cfg)?;
-                        self.evaluate_layout(def, bias, layout, sch, Phase::Selection)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(ev)) => Ok(ev),
-                    Ok(Err(OptError::Cancelled(c))) => Err(CandidateFailure::Cancelled(c)),
-                    Ok(Err(e)) => Err(CandidateFailure::Failed {
-                        panicked: false,
-                        reason: e.to_string(),
-                    }),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "candidate evaluation panicked".to_string());
-                        Err(CandidateFailure::Failed {
-                            panicked: true,
-                            reason: format!("panic: {msg}"),
-                        })
-                    }
-                })
-                .collect()
-        })
-        .expect("evaluation scope panicked");
+        let indexed: Vec<(usize, &CellConfig)> = configs.iter().enumerate().collect();
+        let results = par_map(&indexed, |&(idx, cfg)| -> Result<Evaluated, OptError> {
+            match injector.eval_fault(&def.name, idx) {
+                Some(EvalFault::Panic) => panic!("injected panic: {} candidate {idx}", def.name),
+                Some(EvalFault::NonConvergence) => {
+                    return Err(OptError::Eval(EvalError::Analysis(
+                        AnalysisError::NoConvergence {
+                            phase: format!("injected fault: {} candidate {idx}", def.name),
+                            iterations: 0,
+                        },
+                    )));
+                }
+                None => {}
+            }
+            let layout = generate(self.tech(), &def.spec, cfg)?;
+            self.evaluate_layout(def, bias, layout, &sch, Phase::Selection)
+        });
 
         let mut evaluated: Vec<(usize, Evaluated)> = Vec::with_capacity(results.len());
         for (idx, result) in results.into_iter().enumerate() {
             match result {
-                Ok(ev) => evaluated.push((idx, ev)),
+                Ok(Ok(ev)) => evaluated.push((idx, ev)),
                 // A cancelled candidate means the request (not the
                 // candidate) is done: propagate without ledgering, so the
                 // untried remainder is not condemned as failed and a later
                 // uncancelled run starts from a clean slate.
-                Err(CandidateFailure::Cancelled(c)) => return Err(OptError::Cancelled(c)),
-                Err(CandidateFailure::Failed { panicked, reason }) => {
-                    ledger.record(&def.name, idx, panicked, reason);
+                Ok(Err(OptError::Cancelled(c))) => return Err(OptError::Cancelled(c)),
+                Ok(Err(e)) => ledger.record(&def.name, idx, false, e.to_string()),
+                Err(payload) => {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "candidate evaluation panicked".to_string());
+                    ledger.record(&def.name, idx, true, format!("panic: {msg}"));
                 }
             }
         }
@@ -342,10 +231,9 @@ impl<'t> Optimizer<'t> {
             });
         }
 
-        // Identical ordering and binning to `select` over the survivors:
-        // stable sort by aspect ratio, quantile chunks, then a stable sort
-        // by cost inside each bin so rank 0 matches `min_by`'s
-        // first-minimal tie-breaking exactly.
+        // Stable sort by aspect ratio, quantile chunks, then a stable sort
+        // by cost inside each bin, so rank 0 is the bin's first-minimal
+        // candidate in aspect-ratio order.
         evaluated.sort_by(|a, b| {
             a.1.layout
                 .aspect_ratio()
@@ -367,8 +255,8 @@ impl<'t> Optimizer<'t> {
 }
 
 /// One aspect-ratio bin with every surviving candidate ranked best-first
-/// (by Eq. 5 cost). `ranked[0]` is the bin winner `select` would return;
-/// the remainder is the fallback order the repair loop walks.
+/// (by Eq. 5 cost). `ranked[0]` is the bin winner; the remainder is the
+/// fallback order the repair loop walks.
 #[derive(Debug, Clone)]
 pub struct BinRanked {
     /// Original candidate indices (into the enumerated config list),
@@ -428,6 +316,7 @@ mod tests {
 
     #[test]
     fn select_returns_binned_options() {
+        use crate::resilience::{EvalLedger, NoFaults};
         let tech = Technology::finfet7();
         let lib = Library::standard();
         let dp = lib.get("dp").unwrap();
@@ -436,46 +325,32 @@ mod tests {
         // A smaller device keeps the test fast: 96 fins.
         let configs = enumerate_configs(96, &[4, 8], 4);
         assert!(configs.len() >= 9);
-        let picks = opt.select(dp, &bias, &configs, 3).unwrap();
-        assert_eq!(picks.len(), 3);
-        // Ordered by aspect ratio.
-        for w in picks.windows(2) {
-            assert!(w[0].layout.aspect_ratio() <= w[1].layout.aspect_ratio());
-        }
-        // Costs are finite and the counter saw every simulation.
-        for p in &picks {
-            assert!(p.cost.is_finite());
-        }
-        let sims = opt.counter().count(crate::Phase::Selection);
-        assert_eq!(sims, (configs.len() + 1) * dp.metrics.len());
-    }
-
-    #[test]
-    fn select_bins_matches_select_without_faults() {
-        use crate::resilience::{EvalLedger, NoFaults};
-        let tech = Technology::finfet7();
-        let lib = Library::standard();
-        let dp = lib.get("dp").unwrap();
-        let bias = Bias::nominal(&tech, &dp.class);
-        let opt = Optimizer::new(&tech);
-        let configs = enumerate_configs(96, &[4, 8], 4);
-        let picks = opt.select(dp, &bias, &configs, 3).unwrap();
         let mut ledger = EvalLedger::new();
         let bins = opt
             .select_bins(dp, &bias, &configs, 3, &NoFaults, &mut ledger)
             .unwrap();
         assert!(ledger.is_empty());
-        assert_eq!(bins.len(), picks.len());
-        for (bin, pick) in bins.iter().zip(&picks) {
+        assert_eq!(bins.len(), 3);
+        // Every candidate lands in exactly one bin.
+        let ranked: usize = bins.iter().map(|b| b.ranked.len()).sum();
+        assert_eq!(ranked, configs.len());
+        // Bins are ordered by aspect ratio.
+        for w in bins.windows(2) {
+            let last = w[0].ranked.iter().map(|e| e.layout.aspect_ratio());
+            let first = w[1].ranked.iter().map(|e| e.layout.aspect_ratio());
+            assert!(last.fold(f64::MIN, f64::max) <= first.fold(f64::MAX, f64::min));
+        }
+        for bin in &bins {
             assert_eq!(bin.ranked.len(), bin.candidates.len());
-            // Bit-identical winner: same config, same cost, same values.
-            assert_eq!(bin.ranked[0].layout.config, pick.layout.config);
-            assert_eq!(bin.ranked[0].cost.to_bits(), pick.cost.to_bits());
-            // Ranked best-first.
+            // Ranked best-first, with finite costs.
             for w in bin.ranked.windows(2) {
                 assert!(w[0].cost <= w[1].cost);
             }
+            assert!(bin.ranked.iter().all(|e| e.cost.is_finite()));
         }
+        // The counter saw every simulation.
+        let sims = opt.counter().count(crate::Phase::Selection);
+        assert_eq!(sims, (configs.len() + 1) * dp.metrics.len());
     }
 
     #[test]
@@ -526,15 +401,58 @@ mod tests {
     }
 
     #[test]
+    fn select_bins_propagates_cancellation_without_ledgering() {
+        use crate::resilience::{EvalLedger, FaultInjector};
+        use crate::CancelToken;
+        // Cancels the request as candidate 0 starts; candidates 2 and 7
+        // would fail on their own.
+        struct CancelFirst(CancelToken);
+        impl FaultInjector for CancelFirst {
+            fn eval_fault(&self, _def: &str, candidate: usize) -> Option<EvalFault> {
+                match candidate {
+                    0 => {
+                        self.0.cancel();
+                        None
+                    }
+                    2 | 7 => Some(EvalFault::NonConvergence),
+                    _ => None,
+                }
+            }
+        }
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let dp = lib.get("dp").unwrap();
+        let bias = Bias::nominal(&tech, &dp.class);
+        let token = CancelToken::new();
+        let mut opt = Optimizer::new(&tech);
+        opt.set_cancel(token.clone());
+        let configs = enumerate_configs(96, &[4, 8], 4);
+        let mut ledger = EvalLedger::new();
+        let result = opt.select_bins(dp, &bias, &configs, 3, &CancelFirst(token), &mut ledger);
+        assert!(matches!(result, Err(OptError::Cancelled(_))));
+        // The request was cancelled, not the candidates: nothing is
+        // condemned, not even the ones that failed on their own.
+        assert!(ledger.is_empty());
+    }
+
+    #[test]
     fn select_rejects_empty_inputs() {
+        use crate::resilience::{EvalLedger, NoFaults};
         let tech = Technology::finfet7();
         let lib = Library::standard();
         let dp = lib.get("dp").unwrap();
         let bias = Bias::nominal(&tech, &dp.class);
         let opt = Optimizer::new(&tech);
-        assert!(matches!(
-            opt.select(dp, &bias, &[], 3),
-            Err(OptError::NoCandidates { .. })
-        ));
+        let configs = enumerate_configs(96, &[4, 8], 4);
+        let mut ledger = EvalLedger::new();
+        for (cfgs, n_bins) in [(&[][..], 3), (&configs[..], 0)] {
+            assert!(matches!(
+                opt.select_bins(dp, &bias, cfgs, n_bins, &NoFaults, &mut ledger),
+                Err(OptError::NoCandidates { .. })
+            ));
+        }
+        // Rejected before any simulation.
+        assert_eq!(opt.counter().total(), 0);
+        assert!(ledger.is_empty());
     }
 }

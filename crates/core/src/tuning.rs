@@ -3,10 +3,13 @@
 //! or, on a monotonically decreasing curve, stop at the point of maximum
 //! curvature (diminishing returns).
 
+use std::panic::resume_unwind;
+
 use prima_layout::PrimitiveLayout;
 use prima_primitives::{Bias, PrimitiveDef, TuningTerminal};
 
 use crate::accounting::Phase;
+use crate::par::par_map;
 use crate::selection::Evaluated;
 use crate::{OptError, Optimizer};
 
@@ -92,9 +95,6 @@ impl<'t> Optimizer<'t> {
     }
 
     /// Sweeps one terminal independently and applies the knee point.
-    // The `expect`s re-raise panics out of the crossbeam sweep workers; a
-    // panicked sweep point has no result to salvage.
-    #[allow(clippy::expect_used)]
     fn tune_single(
         &self,
         def: &PrimitiveDef,
@@ -103,29 +103,21 @@ impl<'t> Optimizer<'t> {
         terminal: &TuningTerminal,
         sch: &prima_primitives::MetricValues,
     ) -> Result<PrimitiveLayout, OptError> {
-        // Every sweep point is an independent simulation (Table V).
-        let results: Vec<Result<f64, OptError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (1..=self.max_tuning_wires)
-                .map(|k| {
-                    let layout = &layout;
-                    scope.spawn(move |_| -> Result<f64, OptError> {
-                        let mut cand = layout.clone();
-                        for net in &terminal.nets {
-                            cand.set_parallel_wires(net, k)?;
-                        }
-                        Ok(self
-                            .evaluate_layout(def, bias, cand, sch, Phase::Tuning)?
-                            .cost)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tuning sweep panicked"))
-                .collect()
+        // Every sweep point is an independent simulation (Table V). A
+        // panicked sweep point has no result to salvage, so it re-raises.
+        let ks: Vec<u32> = (1..=self.max_tuning_wires).collect();
+        let costs = par_map(&ks, |&k| -> Result<f64, OptError> {
+            let mut cand = layout.clone();
+            for net in &terminal.nets {
+                cand.set_parallel_wires(net, k)?;
+            }
+            Ok(self
+                .evaluate_layout(def, bias, cand, sch, Phase::Tuning)?
+                .cost)
         })
-        .expect("tuning scope panicked");
-        let costs: Vec<f64> = results.into_iter().collect::<Result<_, _>>()?;
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect::<Result<Vec<f64>, OptError>>()?;
         let k_star = choose_knee(&costs) as u32 + 1;
         let mut out = layout;
         for net in &terminal.nets {

@@ -39,14 +39,13 @@ use prima_cache::{Fingerprint, FpHasher};
 use prima_core::diagnostics::Violation;
 use prima_pdk::{CornerSpec, Technology};
 use prima_primitives::Bias;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Policy
 // ---------------------------------------------------------------------------
 
 /// Whether (and how) a flow evaluates variation scenarios.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum CornerPolicy {
     /// No corner or mismatch evaluation: the flow is bit-identical to the
     /// nominal-only flow.
@@ -65,7 +64,7 @@ impl CornerPolicy {
 }
 
 /// Tuning knobs for a corner sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CornerOptions {
     /// Names of deck corners to evaluate, in this order; `None` sweeps the
     /// deck's full table. Unknown names are reported as `CORNER.UNKNOWN`
@@ -119,7 +118,7 @@ impl CornerOptions {
 /// One per-instance mismatch draw: standard-normal deviates for threshold
 /// and mobility. The flow scales them by the deck's Pelgrom sigma for the
 /// instance geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MismatchDraw {
     /// Standard-normal deviate for the threshold shift.
     pub z_vth: f64,
@@ -133,7 +132,7 @@ pub struct MismatchDraw {
 /// index)` through a splitmix64 chain and a Box–Muller transform — no
 /// internal state advances, so shuffling the order instances are sampled
 /// in (or sampling them from different threads) changes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MismatchSampler {
     seed: u64,
 }
@@ -250,7 +249,7 @@ pub fn corner_bias(tech: &Technology, bias: &Bias, spec: &CornerSpec) -> Bias {
 // ---------------------------------------------------------------------------
 
 /// One corner's evaluation of one primitive instance's chosen candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CornerMeasure {
     /// Corner name.
     pub corner: String,
@@ -265,7 +264,7 @@ pub struct CornerMeasure {
 }
 
 /// Corner results for one primitive instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceCorners {
     /// Circuit instance name.
     pub instance: String,
@@ -287,7 +286,7 @@ pub struct InstanceCorners {
 }
 
 /// Monte-Carlo yield estimate for a circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McYield {
     /// Sampler seed (replay key).
     pub seed: u64,
@@ -308,7 +307,7 @@ impl McYield {
 }
 
 /// The variation section of a flow outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CornerReport {
     /// Corner names evaluated, in sweep order.
     pub corners: Vec<String>,

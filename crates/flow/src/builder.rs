@@ -13,12 +13,11 @@ use prima_layout::PrimitiveLayout;
 use prima_pdk::Technology;
 use prima_primitives::{as_subcircuit, ExternalWire, LayoutView, Library};
 use prima_spice::netlist::Circuit;
-use serde::{Deserialize, Serialize};
 
 use crate::FlowError;
 
 /// One primitive instance in a circuit: library key, sizing, connections.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrimitiveInst {
     /// Instance name (also the layout block name).
     pub name: String,

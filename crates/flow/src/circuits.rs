@@ -15,7 +15,6 @@ use prima_pdk::Technology;
 use prima_primitives::{Library, PrimitiveDef};
 use prima_spice::analysis::dc::OperatingPoint;
 use prima_spice::netlist::{Circuit, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::{build_circuit, PrimitiveInst, Realization, VDD_EXT};
 use crate::FlowError;
@@ -31,7 +30,7 @@ pub use strongarm::{StrongArm, StrongArmMetrics};
 pub use vco::{RoVco, VcoMetrics};
 
 /// A circuit's primitive-level structure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitSpec {
     /// Circuit name.
     pub name: String,

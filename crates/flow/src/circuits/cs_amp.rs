@@ -11,14 +11,13 @@ use prima_spice::analysis::ac::{AcSolver, FrequencySweep};
 use prima_spice::analysis::dc::DcSolver;
 use prima_spice::measure;
 use prima_spice::netlist::Circuit;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::{bisect_bias, node, powered_circuit, prim, supply_current, CircuitSpec};
 use crate::FlowError;
 
 /// Circuit-level metrics of the common-source amplifier (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CsAmpMetrics {
     /// Low-frequency gain (dB).
     pub gain_db: f64,

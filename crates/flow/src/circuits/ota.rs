@@ -11,14 +11,13 @@ use prima_spice::analysis::ac::{AcSolver, FrequencySweep};
 use prima_spice::analysis::dc::DcSolver;
 use prima_spice::measure;
 use prima_spice::netlist::Circuit;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::{node, powered_circuit, prim, supply_current, CircuitSpec};
 use crate::FlowError;
 
 /// Circuit-level metrics of the 5T OTA (Table VI rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OtaMetrics {
     /// Total supply current (µA).
     pub current_ua: f64,

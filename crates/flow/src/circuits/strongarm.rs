@@ -10,14 +10,13 @@ use prima_primitives::{Bias, Library};
 use prima_spice::analysis::tran::TranSolver;
 use prima_spice::measure::{self, Edge};
 use prima_spice::netlist::{Circuit, Waveform};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::{node, powered_circuit, prim, CircuitSpec};
 use crate::FlowError;
 
 /// Circuit-level metrics of the StrongARM comparator (Table VI rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrongArmMetrics {
     /// Clock-to-output decision delay (ps).
     pub delay_ps: f64,

@@ -11,14 +11,13 @@ use prima_primitives::{Bias, Library};
 use prima_spice::analysis::tran::{InitialState, TranSolver};
 use prima_spice::measure;
 use prima_spice::netlist::Circuit;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::{node, powered_circuit, CircuitSpec};
 use crate::FlowError;
 
 /// VCO tuning-curve metrics (Table VII rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcoMetrics {
     /// Maximum oscillation frequency over the control range (GHz).
     pub f_max_ghz: f64,

@@ -27,7 +27,6 @@ use prima_route::power::{synthesize, PowerGridSpec, PowerReport};
 use prima_route::{GlobalRouter, NetRoute, RoutingProblem, RoutingResult};
 use prima_verify::lints::{LintInputs, PortInterval};
 use prima_verify::{check_flow, CellArtifact, FlowArtifacts, VerifyReport};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::Realization;
 use crate::circuits::CircuitSpec;
@@ -36,7 +35,7 @@ use crate::preflight;
 use crate::FlowError;
 
 /// Which flow produced a result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowKind {
     /// This work: primitive selection → tuning → place/route → port
     /// optimization.
@@ -49,33 +48,27 @@ pub enum FlowKind {
     Manual,
 }
 
-/// When the static verification gate (prima-verify) runs after a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Whether the static gates (techlint, schem, DRC/LVS, ERC) run in a flow.
+/// Release and debug builds behave the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifyPolicy {
-    /// Verify in debug builds (the default for tests); skip in release so
-    /// benchmarking measures the flow alone. Opt in with [`VerifyPolicy::On`].
+    /// Always verify (the default); any violation fails the flow.
     #[default]
-    Auto,
-    /// Always verify; any violation fails the flow.
     On,
     /// Never verify.
     Off,
 }
 
 impl VerifyPolicy {
-    /// Whether the gate runs under this policy in the current build.
+    /// Whether the gates run under this policy.
     pub fn enabled(self) -> bool {
-        match self {
-            VerifyPolicy::Auto => cfg!(debug_assertions),
-            VerifyPolicy::On => true,
-            VerifyPolicy::Off => false,
-        }
+        matches!(self, VerifyPolicy::On)
     }
 }
 
 /// Whether the flow streams the finished layout out as a binary GDS-II
 /// library (prima-gds) and attaches it to the outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GdsPolicy {
     /// No stream-out (the default): the flow is bit-identical to a build
     /// without the GDS subsystem.
@@ -414,9 +407,13 @@ pub fn manual_flow(
 /// hierarchical flow's. Device-local parasitics are approximated by the
 /// default (squarest, dummy-less, untuned) cell generation.
 ///
+/// It takes no options: the four static gates (techlint, schem, DRC/LVS,
+/// ERC) always run.
+///
 /// # Errors
 ///
-/// Propagates placement/routing/generation failures.
+/// Propagates placement/routing/generation failures, and gate
+/// violations as [`FlowError::Verify`].
 pub fn conventional_flow(
     tech: &Technology,
     lib: &Library,
@@ -427,20 +424,12 @@ pub fn conventional_flow(
 
     // Zeroth gate: the deck itself must be self-consistent and able to
     // carry the primitive library before any request-specific checking.
-    let techlint = if FlowOptions::default().verify.enabled() {
-        Some(gate(preflight::techlint_preflight(tech, lib))?)
-    } else {
-        None
-    };
+    let techlint = Some(gate(preflight::techlint_preflight(tech, lib))?);
 
     // Schematic preflight: reject malformed requests before generating any
     // geometry. The baseline has no bias records; nominal per-class biases
     // are library invariants and need no re-check.
-    let schem = if FlowOptions::default().verify.enabled() {
-        Some(gate(preflight::schem_preflight(tech, lib, spec, None))?)
-    } else {
-        None
-    };
+    let schem = Some(gate(preflight::schem_preflight(tech, lib, spec, None))?);
 
     // Default layouts: squarest blocked configuration, untuned.
     let mut layouts: HashMap<String, PrimitiveLayout> = HashMap::new();
@@ -495,50 +484,41 @@ pub fn conventional_flow(
     // Verification gate: the flat flow has no rendered cell masks (blocks
     // are abstract per-transistor footprints), so the pass covers
     // placement legality, routing DRC, and connectivity.
-    let verify = if FlowOptions::default().verify.enabled() {
-        let mut artifacts = FlowArtifacts::new(&spec.name, tech);
-        artifacts.cells = placed
-            .rects
-            .iter()
-            .map(|(name, r)| CellArtifact {
-                instance: name.clone(),
-                outline: *r,
-                geometry: None,
-            })
-            .collect();
-        artifacts.pins = placed.pins.clone();
-        artifacts.routing = Some(&placed.routing);
-        artifacts.detailed = Some(&detailed);
-        artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
-        Some(gate(check_flow(&artifacts))?)
-    } else {
-        None
-    };
+    let mut artifacts = FlowArtifacts::new(&spec.name, tech);
+    artifacts.cells = placed
+        .rects
+        .iter()
+        .map(|(name, r)| CellArtifact {
+            instance: name.clone(),
+            outline: *r,
+            geometry: None,
+        })
+        .collect();
+    artifacts.pins = placed.pins.clone();
+    artifacts.routing = Some(&placed.routing);
+    artifacts.detailed = Some(&detailed);
+    artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
+    let verify = Some(gate(check_flow(&artifacts))?);
 
     // Electrical gate. The baseline has no operating-point data (the
     // paper's conventional flow "performs no optimizations for
     // parasitics"), so the EM pass has no currents to propagate and the
     // flat placement makes no symmetry claims; IR, well-tap reach, and
     // connectivity hygiene still apply.
-    let erc = if FlowOptions::default().verify.enabled() {
-        let report = electrical::erc_report(&ErcBuild {
-            tech,
-            lib,
-            spec,
-            biases: None,
-            routing: Some(&placed.routing),
-            widths: &HashMap::new(),
-            pins: &placed.pins,
-            rects: &placed.rects,
-            layouts: &layouts,
-            power: power.as_ref(),
-            with_currents: false,
-            with_symmetry: false,
-        });
-        Some(gate(report)?)
-    } else {
-        None
-    };
+    let erc = Some(gate(electrical::erc_report(&ErcBuild {
+        tech,
+        lib,
+        spec,
+        biases: None,
+        routing: Some(&placed.routing),
+        widths: &HashMap::new(),
+        pins: &placed.pins,
+        rects: &placed.rects,
+        layouts: &layouts,
+        power: power.as_ref(),
+        with_currents: false,
+        with_symmetry: false,
+    }))?);
 
     Ok(FlowOutcome {
         kind: FlowKind::Conventional,
@@ -1681,6 +1661,18 @@ mod tests {
         assert!(out.realization.net_wires.contains_key("vout"));
         assert!(out.realization.net_wires["vout"].r_ohm > 0.0);
         assert!(out.area_um2 > 0.0);
+        // The baseline takes no options: all four gates ran and passed.
+        assert!(out.techlint.is_some_and(|r| r.is_passing()));
+        assert!(out.schem.is_some_and(|r| r.is_passing()));
+        assert!(out.verify.is_some_and(|r| r.is_passing()));
+        assert!(out.erc.is_some_and(|r| r.is_passing()));
+    }
+
+    #[test]
+    fn gates_are_on_by_default_in_every_build() {
+        assert_eq!(FlowOptions::default().verify, VerifyPolicy::On);
+        assert!(VerifyPolicy::default().enabled());
+        assert!(!VerifyPolicy::Off.enabled());
     }
 
     #[test]
@@ -1810,7 +1802,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.pattern, PlacementPattern::Aabb);
         assert_eq!(a.total_fins(), 96);
-        // Near-square: the geometric criterion rules out strip cells.
+        // Near-square: the geometric test rules out strip cells.
         let l = generate(&tech, &dp.spec, &a).unwrap();
         let ar = l.aspect_ratio();
         assert!(ar > 0.2 && ar < 5.0, "aspect ratio {ar}");

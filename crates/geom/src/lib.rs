@@ -19,7 +19,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Nanometres, the base distance unit of the workspace.
@@ -38,9 +37,7 @@ pub fn um_to_nm(um: f64) -> Nm {
 }
 
 /// A point on the layout grid.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Point {
     /// Horizontal coordinate (nm).
     pub x: Nm,
@@ -75,7 +72,7 @@ impl fmt::Display for Point {
 }
 
 /// An axis-aligned rectangle with `lo ≤ hi` on both axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     /// Lower-left corner.
     pub lo: Point,
@@ -207,7 +204,7 @@ impl fmt::Display for Rect {
 }
 
 /// Eight layout orientations (rotations and mirrors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Orientation {
     /// No transformation.
     #[default]
@@ -248,7 +245,7 @@ impl Orientation {
 }
 
 /// A uniform placement grid (e.g. the poly or fin grid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     /// Grid pitch in nm (> 0).
     pub pitch: Nm,

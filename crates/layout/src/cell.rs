@@ -7,7 +7,6 @@ use std::fmt;
 use prima_geom::{Nm, Point, Rect};
 use prima_pdk::Technology;
 use prima_spice::devices::FetPolarity;
-use serde::{Deserialize, Serialize};
 
 use crate::extract::{NetAttachment, NetWiring};
 
@@ -38,7 +37,7 @@ impl fmt::Display for LayoutError {
 impl std::error::Error for LayoutError {}
 
 /// One transistor of a primitive: polarity and terminal net names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceSpec {
     /// Instance name (used for the generated FET instance).
     pub name: String,
@@ -85,7 +84,7 @@ impl DeviceSpec {
 }
 
 /// A primitive's electrical template: the devices to tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrimitiveSpec {
     /// Primitive name.
     pub name: String,
@@ -117,7 +116,7 @@ impl PrimitiveSpec {
 }
 
 /// Placement pattern of device fingers within a row (Fig. 5 / Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPattern {
     /// Common-centroid `A…B…B…A` — cancels a linear process gradient.
     Abba,
@@ -149,7 +148,7 @@ impl fmt::Display for PlacementPattern {
 }
 
 /// A layout configuration: the knobs of Fig. 5(b) plus pattern and dummies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellConfig {
     /// Fins per finger.
     pub nfin: u32,
@@ -189,7 +188,7 @@ impl CellConfig {
 }
 
 /// Per-device geometry extracted from the generated layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceGeometry {
     /// Device name from the spec.
     pub name: String,
@@ -213,7 +212,7 @@ pub struct DeviceGeometry {
 }
 
 /// A generated primitive layout with extracted parasitics and LDE data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimitiveLayout {
     /// Name of the primitive this was generated from.
     pub primitive: String,

@@ -8,10 +8,9 @@
 //! wires: resistance divides by `k`, wire capacitance grows by ≈ `0.9·k`.
 
 use prima_geom::Nm;
-use serde::{Deserialize, Serialize};
 
 /// How device terminals attach to the net.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct NetAttachment {
     /// Number of parallel attachment stubs (fingers/regions × rows).
     pub count: u32,
@@ -20,7 +19,7 @@ pub(crate) struct NetAttachment {
 }
 
 /// Internal wiring description of one net (pre-reduction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NetWiring {
     /// Net name.
     pub net: String,
@@ -104,7 +103,7 @@ impl NetWiring {
 }
 
 /// Lumped parasitics of a net under a given tuning state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetParasitics {
     /// Net name.
     pub net: String,

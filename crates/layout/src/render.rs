@@ -8,12 +8,11 @@
 
 use prima_geom::{Nm, Point, Rect};
 use prima_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 use crate::cell::{arrange, CellConfig, LayoutError, PrimitiveSpec};
 
 /// Drawn mask layers of a rendered cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaskLayer {
     /// Active diffusion region.
     Diffusion,
@@ -32,7 +31,7 @@ pub enum MaskLayer {
 }
 
 /// A rendered cell: rectangles per mask layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellGeometry {
     /// Cell bounding box.
     pub bbox: Rect,

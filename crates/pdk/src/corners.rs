@@ -19,14 +19,13 @@
 //! [`Technology::apply_corner`]: crate::Technology::apply_corner
 
 use prima_cache::{Fingerprintable, FpHasher};
-use serde::{Deserialize, Serialize};
 
 /// One named PVT point, expressed as deltas from the nominal deck.
 ///
 /// The identity corner (all shifts zero, all scales one, no temperature
 /// override) is conventionally named `tt`; [`CornerSpec::is_identity`]
 /// recognizes it structurally regardless of name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CornerSpec {
     /// Corner name (`"ss"`, `"ff"`, `"vdd_low"`, …). Unique within a set.
     pub name: String,
@@ -74,7 +73,7 @@ impl CornerSpec {
 /// the corner table so preflight can reject an implausible corner (a vdd
 /// collapse, a 1 V threshold shift) as a data error rather than
 /// discovering it as a solver non-convergence mid-flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CornerBounds {
     /// Largest allowed |vth shift| for either polarity (V).
     pub max_vth_shift_v: f64,
@@ -100,7 +99,7 @@ impl Default for CornerBounds {
 /// A technology's corner table: the named PVT points plus the declared
 /// bounds they must respect. An empty set (the `Default`) means the deck
 /// ships no corners; flows treat that the same as `CornerPolicy::Off`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CornerSet {
     /// Named corners, `tt` first by convention.
     pub corners: Vec<CornerSpec>,

@@ -12,12 +12,11 @@
 //! layer map cannot carry its own stack is refused before any simulation.
 
 use prima_cache::{Fingerprintable, FpHasher};
-use serde::{Deserialize, Serialize};
 
 use crate::MetalLayer;
 
 /// One drawn stack layer's GDS number assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GdsLayerEntry {
     /// Stack-layer name (`"diff"`, `"poly"`, a metal's name, ...).
     pub name: String,
@@ -29,7 +28,7 @@ pub struct GdsLayerEntry {
 
 /// The deck's GDS-II stream-out table: unit sizes plus one
 /// [`GdsLayerEntry`] per drawn layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GdsLayerMap {
     /// Size of one database unit in user units (`1e-3` = the user unit is
     /// a micron when the database unit is a nanometre).
@@ -42,9 +41,8 @@ pub struct GdsLayerMap {
 }
 
 impl Default for GdsLayerMap {
-    /// An *empty* map on the standard nanometre grid. This is what older
-    /// serialized decks deserialize to; techlint's `TECH.GDS.COVERAGE`
-    /// flags it before any stream-out is attempted.
+    /// An *empty* map on the standard nanometre grid; techlint's
+    /// `TECH.GDS.COVERAGE` flags it before any stream-out is attempted.
     fn default() -> Self {
         GdsLayerMap {
             unit_in_user: 1e-3,

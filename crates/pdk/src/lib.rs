@@ -16,7 +16,7 @@
 //!   mobility shifts, and
 //! * compact-model cards for the NMOS/PMOS flavors.
 //!
-//! Everything is plain serializable data: an alternate node is a different
+//! Everything is plain data: an alternate node is a different
 //! `Technology` value, not different code.
 //!
 //! ## Example
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 use prima_spice::devices::{FetModel, FetPolarity};
-use serde::{Deserialize, Serialize};
 
 pub mod corners;
 pub mod gdsmap;
@@ -82,7 +81,7 @@ impl std::fmt::Display for RuleError {
 impl std::error::Error for RuleError {}
 
 /// Fin-grid and gate-grid geometry of the node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FinGeometry {
     /// Vertical pitch between fins (nm).
     pub fin_pitch: Nm,
@@ -124,7 +123,7 @@ impl FinGeometry {
 }
 
 /// Preferred routing direction of a metal layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDir {
     /// Horizontal tracks.
     Horizontal,
@@ -133,7 +132,7 @@ pub enum RouteDir {
 }
 
 /// Electrical and geometric description of one metal layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetalLayer {
     /// Layer name (`M1` …).
     pub name: String,
@@ -179,7 +178,7 @@ impl MetalLayer {
 /// edges; WPE (well-proximity effect) shifts V_th as a function of the
 /// distance `SC` to the well edge. Forms follow the standard BSIM
 /// `1/(SA+L/2)`-style expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LdeParams {
     /// LOD threshold coefficient (V·nm).
     pub kvth_lod: f64,
@@ -220,7 +219,7 @@ impl LdeParams {
 }
 
 /// Process-variation description used for mismatch/offset analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationParams {
     /// Pelgrom coefficient for V_th mismatch (V·√m): σ(ΔVth) = avth/√(WL).
     pub avth: f64,
@@ -242,7 +241,7 @@ impl VariationParams {
 }
 
 /// Width/space/area rules of one drawn layer (nm, nm, nm²).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerRule {
     /// Layer name (`"diff"`, `"fin"`, `"poly"`, `"M1"` …).
     pub layer: String,
@@ -255,7 +254,7 @@ pub struct LayerRule {
 }
 
 /// Cut size and metal enclosure of the via level above one metal layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViaRule {
     /// Via name (`"V1"` = M1→M2 …).
     pub name: String,
@@ -267,7 +266,7 @@ pub struct ViaRule {
 
 /// A layer whose shapes must sit on a fixed pitch grid *within a cell*
 /// (coordinates are taken relative to the cell origin).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridRule {
     /// Layer name the rule applies to.
     pub layer: String,
@@ -295,7 +294,7 @@ pub struct GridRule {
 /// let poly = tech.rules.grid("poly").unwrap();
 /// assert_eq!(poly.pitch, tech.fin.poly_pitch);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignRules {
     /// Manufacturing grid (nm); every drawn coordinate must be a multiple.
     pub grid_nm: Nm,
@@ -460,7 +459,7 @@ impl DesignRules {
 /// swap changes the limits without touching any checker code. Wire EM
 /// limits follow the usual mA-per-µm-of-width form (so wider layers carry
 /// proportionally more); via limits are per cut.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElectricalRules {
     /// Electromigration limit of drawn wire, mA of DC current per µm of
     /// wire width. A minimum-width wire on layer `l` may carry
@@ -480,7 +479,7 @@ pub struct ElectricalRules {
 }
 
 /// The full technology description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Node name.
     pub name: String,
@@ -510,16 +509,12 @@ pub struct Technology {
     pub rules: DesignRules,
     /// Electrical sign-off limits (EM, IR, symmetry, well taps).
     pub electrical: ElectricalRules,
-    /// Named PVT corner table (may be empty on decks without corner data;
-    /// older serialized decks deserialize with an empty table).
-    #[serde(default)]
+    /// Named PVT corner table (may be empty on decks without corner data).
     pub corners: CornerSet,
     /// GDS-II stream-out layer mapping: unit sizes plus the layer/datatype
     /// pair for every drawn stack layer. Part of the deck fingerprint —
-    /// editing it invalidates cached evaluations. Older serialized decks
-    /// deserialize with an empty map, which techlint's `TECH.GDS.COVERAGE`
-    /// rejects before any stream-out.
-    #[serde(default)]
+    /// editing it invalidates cached evaluations. An empty map is rejected
+    /// by techlint's `TECH.GDS.COVERAGE` before any stream-out.
     pub gds: GdsLayerMap,
 }
 
@@ -1458,14 +1453,6 @@ mod tests {
             // The stub grid is named after the deck's bottom routing layer.
             assert!(rules.grid(&tech.metals[0].name).is_some());
         }
-    }
-
-    #[test]
-    fn technology_is_serializable() {
-        // Compile-time check that the full tree implements Serialize and
-        // Deserialize (the workspace keeps serde formats out of its deps).
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<Technology>();
     }
 
     #[test]

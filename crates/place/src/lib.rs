@@ -30,7 +30,6 @@
 use prima_geom::{Nm, Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from placement.
@@ -63,7 +62,7 @@ impl fmt::Display for PlaceError {
 impl std::error::Error for PlaceError {}
 
 /// A placeable block with one or more size variants (w, h) in nm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Block name.
     pub name: String,
@@ -91,7 +90,7 @@ impl Block {
 }
 
 /// A net connecting block pins (block centers in this coarse model).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     /// Net name.
     pub name: String,
@@ -173,7 +172,7 @@ impl PlacementProblem {
 }
 
 /// A finished placement: position and chosen variant per block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// Lower-left corner per block.
     pub positions: Vec<Point>,

@@ -7,12 +7,11 @@
 use std::collections::HashMap;
 
 use prima_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 use crate::library::PrimitiveClass;
 
 /// DC bias conditions for a primitive testbench.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bias {
     /// Supply voltage (V).
     pub vdd: f64,

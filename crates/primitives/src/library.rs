@@ -3,12 +3,11 @@
 
 use prima_layout::{DeviceSpec, PrimitiveSpec};
 use prima_spice::devices::FetPolarity;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{Metric, MetricKind};
 
 /// Functional class of a primitive; selects the testbench recipes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PrimitiveClass {
     /// Matched differential pair (tail-biased).
     DifferentialPair,
@@ -43,7 +42,7 @@ pub enum PrimitiveClass {
 
 /// A tuning terminal: the nets whose trunk wiring may be widened, and
 /// whether its optimum depends on another terminal's.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuningTerminal {
     /// Terminal label used in reports (e.g. `"source"`).
     pub name: String,
@@ -72,7 +71,7 @@ impl TuningTerminal {
 }
 
 /// A complete library entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimitiveDef {
     /// Library key (e.g. `"dp"`).
     pub name: String,

@@ -1,10 +1,9 @@
 //! Primitive performance metrics and their measured values.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a metric measures; determines which testbench runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Effective transconductance (A/V), differential or single-ended per
     /// class.
@@ -35,7 +34,7 @@ pub enum MetricKind {
 }
 
 /// One entry of a primitive's metric list: kind plus importance weight α.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Short name used in reports (e.g. `"Gm"`).
     pub name: String,

@@ -13,7 +13,6 @@ use std::collections::HashMap;
 
 use prima_geom::Nm;
 use prima_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 use crate::{NetRoute, Segment};
 
@@ -86,7 +85,7 @@ impl From<prima_cache::Cancelled> for DetailError {
 impl std::error::Error for DetailError {}
 
 /// One segment's track assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackAssignment {
     /// Net name.
     pub net: String,
@@ -99,7 +98,7 @@ pub struct TrackAssignment {
 }
 
 /// The detailed-routing result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DetailedResult {
     /// All assignments, in routing order.
     pub assignments: Vec<TrackAssignment>,

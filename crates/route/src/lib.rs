@@ -35,7 +35,6 @@ use std::fmt;
 
 use prima_geom::{Nm, Point};
 use prima_pdk::{RouteDir, Technology};
-use serde::{Deserialize, Serialize};
 
 /// Errors from global routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +91,7 @@ impl RoutingProblem {
 }
 
 /// One routed segment: a straight run on a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// 1-based metal layer.
     pub layer: usize,
@@ -110,7 +109,7 @@ impl Segment {
 }
 
 /// The routed geometry of one net.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetRoute {
     /// Net name.
     pub net: String,
@@ -148,7 +147,7 @@ impl NetRoute {
 }
 
 /// The full routing result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingResult {
     routes: Vec<NetRoute>,
     /// Congestion: routed length per grid cell (cell size in nm).

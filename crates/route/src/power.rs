@@ -9,10 +9,9 @@
 
 use prima_geom::{Nm, Rect};
 use prima_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// Power-grid construction parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowerGridSpec {
     /// Strap metal layer (1-based; typically a thick upper layer).
     pub layer: usize,
@@ -46,7 +45,7 @@ impl PowerGridSpec {
 }
 
 /// Result of synthesizing a power grid over a placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// Number of horizontal straps drawn.
     pub strap_count: usize,

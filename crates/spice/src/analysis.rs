@@ -13,7 +13,6 @@ use crate::num::LinearError;
 
 pub mod ac;
 pub mod dc;
-pub mod sweep;
 pub mod tran;
 
 /// Error from an analysis run.

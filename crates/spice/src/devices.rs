@@ -12,15 +12,13 @@
 //!   perimeter, so diffusion sharing between fingers genuinely lowers
 //!   `C_out` exactly as in the paper's Fig. 5 discussion.
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::NodeId;
 
 /// Thermal voltage at room temperature, in volts.
 pub const VT_THERMAL: f64 = 0.02585;
 
 /// Channel polarity of a FET.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetPolarity {
     /// N-channel device.
     Nmos,
@@ -42,7 +40,7 @@ impl FetPolarity {
 /// Compact-model card for a FET flavor (the `.model` contents).
 ///
 /// All quantities are in SI units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FetModel {
     /// Channel polarity.
     pub polarity: FetPolarity,

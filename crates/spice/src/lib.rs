@@ -55,7 +55,6 @@ pub mod report;
 
 pub use analysis::ac::{AcResult, AcSolver, FrequencySweep};
 pub use analysis::dc::{DcSolver, OperatingPoint};
-pub use analysis::sweep::DcSweep;
 pub use analysis::tran::{TranResult, TranSolver};
 pub use ctrl::{current_solve_ctrl, with_solve_ctrl, SolveCtrl, SolverLimits};
 pub use devices::{FetInstance, FetModel, FetPolarity};

@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn empty_layer_map_is_rejected() {
-        // What an older serialized deck deserializes to via serde(default).
+        // A deck built without a layer map.
         let mut tech = Technology::sky130ish();
         tech.gds = GdsLayerMap::default();
         let report = check_tech(&tech);

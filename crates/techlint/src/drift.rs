@@ -17,10 +17,9 @@
 
 use prima_cache::Fingerprintable;
 use prima_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// One changed field between two decks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DriftEntry {
     /// Dotted field path, e.g. `"metals[2].pitch"`.
     pub field: String,
@@ -34,7 +33,7 @@ pub struct DriftEntry {
 }
 
 /// Field-level diff of two [`Technology`] values.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TechDrift {
     /// Every changed field, in declaration order.
     pub entries: Vec<DriftEntry>,
@@ -248,14 +247,5 @@ mod tests {
         let d = diff_techs(&before, &after);
         assert!(!d.layout_compatible());
         assert!(d.entries.iter().any(|e| e.field == "rules.metal"));
-    }
-
-    #[test]
-    fn drift_is_serializable() {
-        // Compile-time check that the tree implements Serialize/Deserialize
-        // (the workspace keeps serde formats out of its dependency set).
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<TechDrift>();
-        assert_serde::<DriftEntry>();
     }
 }

@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use prima_core::{enumerate_configs, Optimizer, Phase};
+use prima_core::{enumerate_configs, EvalLedger, NoFaults, Optimizer, Phase};
 use prima_flow::circuits::CsAmp;
 use prima_flow::{optimized_flow_with, FlowOptions, GdsPolicy};
 use prima_pdk::Technology;
@@ -28,9 +28,13 @@ fn main() {
         configs.len()
     );
 
-    let picks = opt
-        .select(dp, &bias, &configs, 3)
-        .expect("selection succeeds");
+    // Rank 0 of each aspect-ratio bin is that bin's winner.
+    let picks: Vec<_> = opt
+        .select_bins(dp, &bias, &configs, 3, &NoFaults, &mut EvalLedger::new())
+        .expect("selection succeeds")
+        .into_iter()
+        .filter_map(|bin| bin.ranked.into_iter().next())
+        .collect();
     println!("\n== selected per aspect-ratio bin ==");
     for (i, pick) in picks.iter().enumerate() {
         let cfg = pick.layout.config;

@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use prima_cache::{CacheStats, EvalCache, EvalKey, Fingerprint, KEY_BYTES};
 use prima_core::Severity;
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{optimized_flow_with, CachePolicy, FlowOptions, FlowOutcome, VerifyPolicy};
+use prima_flow::{
+    optimized_flow, optimized_flow_with, CachePolicy, FlowOptions, FlowOutcome, VerifyPolicy,
+};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use proptest::prelude::*;
@@ -33,13 +35,6 @@ fn temp_path(tag: &str) -> PathBuf {
         "prima-cache-it-{}-{tag}-{n}.bin",
         std::process::id()
     ))
-}
-
-fn gate_on() -> FlowOptions {
-    FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    }
 }
 
 fn cached(path: &std::path::Path) -> FlowOptions {
@@ -112,7 +107,7 @@ fn warm_cache_is_bit_identical_and_skips_reevaluation_on_all_circuits() {
     for (name, spec, biases) in benchmark_circuits(&tech, &lib) {
         let path = temp_path(name);
 
-        let plain = optimized_flow_with(&tech, &lib, &spec, &biases, SEED, gate_on())
+        let plain = optimized_flow(&tech, &lib, &spec, &biases, SEED)
             .unwrap_or_else(|e| panic!("{name}: uncached flow failed: {e}"));
         assert!(plain.cache.is_none(), "{name}: cache stats with cache off");
 

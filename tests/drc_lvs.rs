@@ -27,8 +27,8 @@ fn pt(x: i64, y: i64) -> Point {
 }
 
 // ---------------------------------------------------------------------
-// Clean flows: the verification gate runs inside every debug-build flow
-// (VerifyPolicy::Auto) and must pass on all four benchmark circuits.
+// Clean flows: the verification gate runs inside every flow by default
+// (VerifyPolicy::On) and must pass on all four benchmark circuits.
 // ---------------------------------------------------------------------
 
 #[test]

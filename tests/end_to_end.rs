@@ -174,7 +174,7 @@ fn detailed_routing_honors_port_widths() {
 /// the bulk planar node (the paper's claimed extension).
 #[test]
 fn flow_runs_on_bulk_node() {
-    use prima_core::{enumerate_configs, Optimizer};
+    use prima_core::{enumerate_configs, EvalLedger, NoFaults, Optimizer};
     use prima_primitives::Bias;
     let bulk = prima_pdk::Technology::bulk16();
     let lib = Library::standard();
@@ -182,11 +182,14 @@ fn flow_runs_on_bulk_node() {
     let bias = Bias::nominal(&bulk, &dp.class);
     let opt = Optimizer::new(&bulk);
     let configs = enumerate_configs(64, &[2, 4, 8], 4);
-    let picks = opt.select(dp, &bias, &configs, 2).unwrap();
-    assert!(!picks.is_empty());
-    let tuned = opt.tune(dp, &bias, picks[0].layout.clone()).unwrap();
+    let bins = opt
+        .select_bins(dp, &bias, &configs, 2, &NoFaults, &mut EvalLedger::new())
+        .unwrap();
+    assert!(!bins.is_empty());
+    let best = &bins[0].ranked[0];
+    let tuned = opt.tune(dp, &bias, best.layout.clone()).unwrap();
     assert!(tuned.cost.is_finite());
-    assert!(tuned.cost <= picks[0].cost + 1e-9);
+    assert!(tuned.cost <= best.cost + 1e-9);
 }
 
 /// The conventional baseline is non-hierarchical: its flat transistor-level

@@ -11,21 +11,13 @@ use std::collections::HashMap;
 use prima_core::{EvalLedger, RepairCursor};
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
-    optimized_flow_resilient, optimized_flow_with, FaultPlan, FlowOptions, Health, RepairBudgets,
-    VerifyPolicy,
+    optimized_flow, optimized_flow_resilient, FaultPlan, FlowOptions, Health, RepairBudgets,
 };
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use proptest::prelude::*;
 
 const SEED: u64 = 11;
-
-fn gate_on() -> FlowOptions {
-    FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    }
-}
 
 fn benchmark_circuits(
     tech: &Technology,
@@ -59,7 +51,7 @@ fn faulted_flows_complete_with_clean_gates_on_all_four_circuits() {
     for (name, spec, biases) in benchmark_circuits(&tech, &lib) {
         // Discover a net the detail router actually routes, so the forced
         // failure is guaranteed to be hit (and retried).
-        let base = optimized_flow_with(&tech, &lib, &spec, &biases, SEED, gate_on())
+        let base = optimized_flow(&tech, &lib, &spec, &biases, SEED)
             .unwrap_or_else(|e| panic!("{name}: baseline flow failed: {e}"));
         let routed_net = base
             .detailed
@@ -77,18 +69,18 @@ fn faulted_flows_complete_with_clean_gates_on_all_four_circuits() {
             &spec,
             &biases,
             SEED,
-            gate_on(),
+            FlowOptions::default(),
             &plan,
             RepairBudgets::default(),
         )
         .unwrap_or_else(|e| panic!("{name}: faulted flow failed: {e}"));
 
-        let verify = outcome.verify.expect("gate forced on");
+        let verify = outcome.verify.expect("gates are on by default");
         assert!(
             verify.is_passing(),
             "{name}: verify gate dirty under faults"
         );
-        let erc = outcome.erc.expect("gate forced on");
+        let erc = outcome.erc.expect("gates are on by default");
         assert!(erc.is_passing(), "{name}: erc gate dirty under faults");
 
         let r = &outcome.resilience;
@@ -124,7 +116,7 @@ fn candidate_panic_is_isolated_and_ledgered() {
         &spec,
         &biases,
         SEED,
-        gate_on(),
+        FlowOptions::default(),
         &plan,
         RepairBudgets::default(),
     )
@@ -143,7 +135,7 @@ fn zero_fault_plan_is_bit_identical_to_the_plain_flow() {
     let tech = Technology::finfet7();
     let lib = Library::standard();
     for (name, spec, biases) in benchmark_circuits(&tech, &lib) {
-        let plain = optimized_flow_with(&tech, &lib, &spec, &biases, SEED, gate_on()).unwrap();
+        let plain = optimized_flow(&tech, &lib, &spec, &biases, SEED).unwrap();
         let plan = FaultPlan::none();
         assert!(plan.is_zero());
         let resilient = optimized_flow_resilient(
@@ -152,7 +144,7 @@ fn zero_fault_plan_is_bit_identical_to_the_plain_flow() {
             &spec,
             &biases,
             SEED,
-            gate_on(),
+            FlowOptions::default(),
             &plan,
             RepairBudgets::default(),
         )

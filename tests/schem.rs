@@ -21,9 +21,7 @@ use std::time::Instant;
 use proptest::prelude::*;
 
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{
-    conventional_flow, optimized_flow_with, schem_preflight, FlowError, FlowOptions, VerifyPolicy,
-};
+use prima_flow::{conventional_flow, optimized_flow, schem_preflight, FlowError};
 use prima_layout::{DeviceSpec, PrimitiveSpec};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
@@ -105,31 +103,19 @@ fn all_four_benchmark_circuits_pass_with_zero_diagnostics() {
     }
 }
 
-/// Flow options with the static gates forced on, so the suite behaves
-/// identically in debug and release builds (`Auto` is off under release).
-fn gate_on() -> FlowOptions {
-    FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    }
-}
-
 #[test]
 fn flows_carry_a_passing_schem_report() {
     let (tech, lib) = env();
     let spec = CsAmp::spec();
     let biases = CsAmp::biases(&tech, &lib).unwrap();
-    let out = optimized_flow_with(&tech, &lib, &spec, &biases, 11, gate_on()).unwrap();
-    let report = out.schem.expect("schem preflight forced on");
+    let out = optimized_flow(&tech, &lib, &spec, &biases, 11).unwrap();
+    let report = out.schem.expect("schem preflight is on by default");
     assert!(report.is_passing() && report.violations.is_empty());
 
-    // The conventional baseline has no options variant; its preflight
-    // follows the Auto policy, so assert only where Auto is on.
+    // The conventional baseline always runs its preflight.
     let out = conventional_flow(&tech, &lib, &spec, 11).unwrap();
-    if cfg!(debug_assertions) {
-        let report = out.schem.expect("schem preflight is on in debug builds");
-        assert!(report.is_passing() && report.violations.is_empty());
-    }
+    let report = out.schem.expect("conventional schem preflight");
+    assert!(report.is_passing() && report.violations.is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -148,7 +134,7 @@ fn assert_flow_rejects(
     rule: &str,
 ) {
     let start = Instant::now();
-    let err = optimized_flow_with(tech, lib, spec, biases, 11, gate_on()).unwrap_err();
+    let err = optimized_flow(tech, lib, spec, biases, 11).unwrap_err();
     let elapsed = start.elapsed();
     match err {
         FlowError::Verify { first, .. } => {
