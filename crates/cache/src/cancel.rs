@@ -151,11 +151,6 @@ impl CancelToken {
         Self::with_deadline_opt(Some(Instant::now() + budget))
     }
 
-    /// A token that auto-cancels at an absolute instant.
-    pub fn deadline_at(deadline: Instant) -> Self {
-        Self::with_deadline_opt(Some(deadline))
-    }
-
     /// Deterministic test hook: a token whose `n`-th [`CancelToken::check`]
     /// call trips it, independent of wall-clock time. `n == 0` trips on the
     /// very first check.

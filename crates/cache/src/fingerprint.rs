@@ -139,12 +139,6 @@ impl FpHasher {
         self.push_raw(s.as_bytes());
     }
 
-    /// Length-prefixed raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.write_u64(bytes.len() as u64);
-        self.push_raw(bytes);
-    }
-
     /// Domain-separation tag: marks struct/enum boundaries so differently
     /// shaped values never produce the same byte stream.
     pub fn write_tag(&mut self, tag: &str) {

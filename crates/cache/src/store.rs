@@ -236,11 +236,6 @@ impl EvalCache {
         }
     }
 
-    /// Fingerprint of the technology this cache is keyed under.
-    pub fn tech_fingerprint(&self) -> Fingerprint {
-        self.tech_fp
-    }
-
     /// `false` for a [`CachePolicy::Off`] cache (lookups always miss-free
     /// no-ops and nothing is stored).
     pub fn is_enabled(&self) -> bool {

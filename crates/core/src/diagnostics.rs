@@ -191,15 +191,6 @@ impl VerifyReport {
         self.error_count() == 0
     }
 
-    /// Number of [`Severity::Degraded`] findings (checks that ran in a
-    /// conservative fallback mode).
-    pub fn degraded_count(&self) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| v.severity == Severity::Degraded)
-            .count()
-    }
-
     /// `true` if some violation carries the given rule id.
     pub fn has_rule(&self, rule_id: &str) -> bool {
         self.violations.iter().any(|v| v.rule_id == rule_id)

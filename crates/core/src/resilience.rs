@@ -248,11 +248,6 @@ impl RepairCursor {
         self.next_rank.get(bin).copied().unwrap_or(0)
     }
 
-    /// `true` when `bin` still has an untried candidate below `bin_len`.
-    pub fn has_fallback(&self, bin: usize, bin_len: usize) -> bool {
-        self.current(bin) + 1 < bin_len
-    }
-
     /// Advances `bin` to its next candidate that is not recorded as failed
     /// in `ledger`, returning the new rank. `candidates` lists the bin's
     /// members best-first as `(def, candidate index)`. Returns `None` when
@@ -311,8 +306,6 @@ pub enum Health {
     /// The flow completed and passed its gates, but took at least one
     /// documented degradation (lost candidates, retries, fallbacks).
     Degraded,
-    /// The flow could not complete within its budgets.
-    Failed,
 }
 
 impl fmt::Display for Health {
@@ -320,7 +313,6 @@ impl fmt::Display for Health {
         f.write_str(match self {
             Health::Clean => "clean",
             Health::Degraded => "degraded",
-            Health::Failed => "failed",
         })
     }
 }
@@ -368,23 +360,21 @@ impl ResilienceReport {
     }
 
     /// Records a degradation and downgrades health to
-    /// [`Health::Degraded`] (unless already [`Health::Failed`]).
+    /// [`Health::Degraded`].
     pub fn record(&mut self, stage: &str, scope: &str, action: String) {
         self.degradations.push(Degradation {
             stage: stage.to_string(),
             scope: scope.to_string(),
             action,
         });
-        if self.health == Health::Clean {
-            self.health = Health::Degraded;
-        }
+        self.health = Health::Degraded;
     }
 
     /// Folds the ledger's losses into the report (and the verdict).
     pub fn absorb_ledger(&mut self, ledger: &EvalLedger) {
         self.candidates_lost = ledger.len();
         self.candidate_panics = ledger.panics();
-        if self.candidates_lost > 0 && self.health == Health::Clean {
+        if self.candidates_lost > 0 {
             self.health = Health::Degraded;
         }
     }

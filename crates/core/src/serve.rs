@@ -67,7 +67,9 @@ pub struct RequestReport {
     pub health: Option<Health>,
     /// Serialized GDS-II stream of the finished layout, when the server
     /// was configured to stream out and the flow completed. Raw bytes —
-    /// this crate stays format-agnostic; prima-gds re-parses them.
+    /// this crate stays format-agnostic; prima-gds re-parses them. Only the
+    /// submitter's copy carries them: the record in
+    /// [`ServeReport::requests`] is always `None` here.
     pub gds: Option<Vec<u8>>,
 }
 
@@ -84,7 +86,8 @@ impl RequestReport {
 /// Batch-level accounting across one server's lifetime (or one drain).
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
-    /// Every resolved request, in completion order.
+    /// Every resolved request, in completion order, without its GDS bytes
+    /// (those go to the submitter only).
     pub requests: Vec<RequestReport>,
     /// Requests refused by admission control (also present in `requests`
     /// with [`ServeOutcome::Rejected`]).

@@ -33,8 +33,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
-
 use prima_cache::{Fingerprint, FpHasher};
 use prima_core::diagnostics::Violation;
 use prima_pdk::{CornerSpec, Technology};
@@ -340,24 +338,12 @@ impl CornerReport {
     pub fn instance(&self, name: &str) -> Option<&InstanceCorners> {
         self.instances.iter().find(|i| i.instance == name)
     }
-
-    /// Per-corner worst margin across instances, keyed by corner name.
-    pub fn margins_by_corner(&self) -> HashMap<String, f64> {
-        let mut out: HashMap<String, f64> = HashMap::new();
-        for inst in &self.instances {
-            for m in &inst.measures {
-                let e = out.entry(m.corner.clone()).or_insert(f64::INFINITY);
-                if m.margin < *e {
-                    *e = m.margin;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]

@@ -41,7 +41,7 @@ use prima_layout::PrimitiveLayout;
 use prima_pdk::{CornerSpec, Technology};
 use prima_primitives::{Bias, Library, MetricValues, PrimitiveDef};
 
-use crate::flows::{checkpoint, tuned_candidate, InstState};
+use crate::flows::{checkpoint, Fallback, InstState};
 use crate::FlowError;
 
 /// Relative 1-sigma of the Monte-Carlo mobility (kp) scale. The decks
@@ -300,68 +300,38 @@ pub(crate) fn corner_stage(
                     break;
                 }
                 // Ledger the failing candidate and fall back.
-                let cur = st.cursor.current(bin);
-                if let Some(&cand) = st.bins[bin].candidates.get(cur) {
-                    if !ledger.is_failed(&st.def, cand) {
-                        ledger.record(
-                            &st.def,
-                            cand,
-                            false,
-                            format!("failed corner gate at {fail_corner:?}"),
-                        );
-                    }
+                let why = Fallback {
+                    opt: ctx.opt,
+                    def,
+                    tuning: ctx.tuning,
+                    stage: "corners",
+                    inst: &name,
+                    cause: format!("corner gate failed at {fail_corner:?}"),
+                    note: format!("failed corner gate at {fail_corner:?}"),
+                };
+                if st.fall_back(bin, &why, ledger, resilience).is_some() {
+                    attempts += 1;
+                    inst_fallbacks += 1;
+                    continue;
                 }
-                let pairs = st.bins[bin].id_pairs(&st.def);
-                match st.cursor.demote(bin, &pairs, ledger) {
-                    Some(rank) => {
-                        if let Some(pick) = st.bins[bin].ranked.get(rank) {
-                            st.active[bin] = tuned_candidate(
-                                ctx.opt, def, &st.bias, pick, ctx.tuning, resilience, &name,
-                            );
-                        }
-                        attempts += 1;
-                        inst_fallbacks += 1;
-                        resilience.record(
-                            "corners",
-                            &name,
-                            format!(
-                                "corner gate failed at {fail_corner:?}; \
-                                 bin {bin} fell back to rank {rank}"
-                            ),
-                        );
+                // Bin exhausted. Drop it if the instance keeps another live
+                // bin; otherwise restore and degrade.
+                if !st.drop_bin(bin, &why, resilience) {
+                    if let Some((_, cand, _)) = &best {
+                        st.active[bin] = cand.clone();
                     }
-                    None => {
-                        // Bin exhausted. Drop it if the instance keeps
-                        // another live bin; otherwise restore and degrade.
-                        let other_live = st.dead.iter().enumerate().any(|(i, d)| !d && i != bin);
-                        if other_live {
-                            st.dead[bin] = true;
-                            resilience.record(
-                                "corners",
-                                &name,
-                                format!(
-                                    "corner gate failed at {fail_corner:?}; \
-                                     bin {bin} exhausted, dropped"
-                                ),
-                            );
-                        } else {
-                            if let Some((_, cand, _)) = &best {
-                                st.active[bin] = cand.clone();
-                            }
-                            let v = corner_violation(
-                                "CORNER.EXHAUSTED",
-                                &name,
-                                format!(
-                                    "all candidates in the last live bin {bin} fail at \
-                                     corner {fail_corner:?}; keeping best worst-case candidate"
-                                ),
-                            );
-                            resilience.record("corners", &v.rule_id, v.message.clone());
-                            diagnostics.push(v);
-                        }
-                        break;
-                    }
+                    let v = corner_violation(
+                        "CORNER.EXHAUSTED",
+                        &name,
+                        format!(
+                            "all candidates in the last live bin {bin} fail at \
+                             corner {fail_corner:?}; keeping best worst-case candidate"
+                        ),
+                    );
+                    resilience.record("corners", &v.rule_id, v.message.clone());
+                    diagnostics.push(v);
                 }
+                break;
             }
             if !st.dead[bin] {
                 if let Some((_, _, sweep)) = best {

@@ -676,9 +676,81 @@ pub(crate) struct InstState {
     pub(crate) dead: Vec<bool>,
 }
 
+/// Why a repair loop replaces an instance's candidate, and what it needs
+/// to re-tune the replacement.
+pub(crate) struct Fallback<'a> {
+    /// Optimizer the replacement is re-tuned with.
+    pub(crate) opt: &'a Optimizer<'a>,
+    /// The instance's primitive definition.
+    pub(crate) def: &'a PrimitiveDef,
+    /// Whether the flow tunes selected candidates.
+    pub(crate) tuning: bool,
+    /// Degradation stage the repair is recorded under.
+    pub(crate) stage: &'static str,
+    /// The instance under repair (the degradation scope).
+    pub(crate) inst: &'a str,
+    /// What failed; prefixes every degradation message.
+    pub(crate) cause: String,
+    /// The reason the failed candidate is ledgered with.
+    pub(crate) note: String,
+}
+
+impl InstState {
+    /// Replaces the candidate `bin` fields: ledgers it as failed (unless it
+    /// already is), demotes the bin to its next candidate not ledgered as
+    /// failed, re-tunes that pick and records the fallback. Returns the new
+    /// rank, or `None` when the bin is exhausted.
+    pub(crate) fn fall_back(
+        &mut self,
+        bin: usize,
+        why: &Fallback<'_>,
+        ledger: &mut EvalLedger,
+        resilience: &mut ResilienceReport,
+    ) -> Option<usize> {
+        let cur = self.cursor.current(bin);
+        if let Some(&cand) = self.bins[bin].candidates.get(cur) {
+            if !ledger.is_failed(&self.def, cand) {
+                ledger.record(&self.def, cand, false, why.note.clone());
+            }
+        }
+        let pairs = self.bins[bin].id_pairs(&self.def);
+        let rank = self.cursor.demote(bin, &pairs, ledger)?;
+        let pick = self.bins[bin].ranked.get(rank)?;
+        self.active[bin] = tuned_candidate(
+            why.opt, why.def, &self.bias, pick, why.tuning, resilience, why.inst,
+        );
+        resilience.record(
+            why.stage,
+            why.inst,
+            format!("{}; bin {bin} fell back to rank {rank}", why.cause),
+        );
+        Some(rank)
+    }
+
+    /// Drops exhausted `bin` so the placer stops choosing it, as long as
+    /// the instance keeps another live bin. Returns whether it was dropped.
+    pub(crate) fn drop_bin(
+        &mut self,
+        bin: usize,
+        why: &Fallback<'_>,
+        resilience: &mut ResilienceReport,
+    ) -> bool {
+        let other_live = self.dead.iter().enumerate().any(|(i, d)| !d && i != bin);
+        if other_live {
+            self.dead[bin] = true;
+            resilience.record(
+                why.stage,
+                why.inst,
+                format!("{}; bin {bin} exhausted, dropped", why.cause),
+            );
+        }
+        other_live
+    }
+}
+
 /// Tunes one selected candidate when tuning is enabled; a tuning failure
 /// degrades to the untuned candidate instead of aborting the flow.
-pub(crate) fn tuned_candidate(
+fn tuned_candidate(
     opt: &Optimizer,
     def: &PrimitiveDef,
     bias: &Bias,
@@ -1300,7 +1372,7 @@ fn run_flow(
         }
 
         let mut repaired = false;
-        'victims: for name in uniq {
+        for name in uniq {
             let Some((_, st)) = states.iter_mut().find(|(n, _)| *n == name) else {
                 continue;
             };
@@ -1312,56 +1384,22 @@ fn run_flow(
             else {
                 continue;
             };
-            // Record the failing candidate so no cursor re-selects it.
-            let cur = st.cursor.current(bin);
-            if let Some(&cand) = st.bins[bin].candidates.get(cur) {
-                if !ledger.is_failed(&st.def, cand) {
-                    ledger.record(
-                        &st.def,
-                        cand,
-                        false,
-                        format!("failed {gate_name} gate: {first}"),
-                    );
-                }
-            }
-            let pairs = st.bins[bin].id_pairs(&st.def);
-            if let Some(rank) = st.cursor.demote(bin, &pairs, &ledger) {
-                let def = lib.get(&st.def).ok_or(FlowError::UnknownPrimitive {
-                    name: st.def.clone(),
-                })?;
-                if let Some(pick) = st.bins[bin].ranked.get(rank) {
-                    st.active[bin] = tuned_candidate(
-                        &opt,
-                        def,
-                        &st.bias,
-                        pick,
-                        options.tuning,
-                        &mut resilience,
-                        &name,
-                    );
-                    resilience.record(
-                        "gate",
-                        &name,
-                        format!(
-                            "{gate_name} gate failed ({first}); \
-                             bin {bin} fell back to rank {rank}"
-                        ),
-                    );
-                    repaired = true;
-                    break 'victims;
-                }
-            }
-            // Bin exhausted: drop it so the placer stops choosing it, as
-            // long as the instance keeps at least one live bin.
-            if st.dead.iter().enumerate().any(|(i, d)| !d && i != bin) {
-                st.dead[bin] = true;
-                resilience.record(
-                    "gate",
-                    &name,
-                    format!("{gate_name} gate failed ({first}); bin {bin} exhausted, dropped"),
-                );
+            let def = lib.get(&st.def).ok_or(FlowError::UnknownPrimitive {
+                name: st.def.clone(),
+            })?;
+            let why = Fallback {
+                opt: &opt,
+                def,
+                tuning: options.tuning,
+                stage: "gate",
+                inst: &name,
+                cause: format!("{gate_name} gate failed ({first})"),
+                note: format!("failed {gate_name} gate: {first}"),
+            };
+            let fell_back = st.fall_back(bin, &why, &mut ledger, &mut resilience);
+            if fell_back.is_some() || st.drop_bin(bin, &why, &mut resilience) {
                 repaired = true;
-                break 'victims;
+                break;
             }
         }
         if !repaired {

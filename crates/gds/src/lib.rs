@@ -17,7 +17,7 @@
 //!   polygons, SREF placements, and TEXT port labels. [`GdsLibrary::to_bytes`]
 //!   serializes, [`GdsLibrary::from_bytes`] strictly re-parses (unknown
 //!   records, bad lengths, and truncation are errors, not skips), and
-//!   [`diff`] reports any geometric disagreement — the round-trip
+//!   [`diff()`] reports any geometric disagreement — the round-trip
 //!   `write → re-parse → diff` must come back empty.
 //! * **Emission** ([`GdsDesign`] / [`stream_out`]) — maps prima's
 //!   `Rect`-based cell geometry, placements, routed tracks, and pin labels

@@ -169,35 +169,6 @@ impl GdsLibrary {
     pub fn structure(&self, name: &str) -> Option<&GdsStructure> {
         self.structures.iter().find(|s| s.name == name)
     }
-
-    /// Total element count across all structures.
-    pub fn element_count(&self) -> usize {
-        self.structures.iter().map(|s| s.elements.len()).sum()
-    }
-
-    /// Counts elements matching a predicate across all structures.
-    fn count_matching(&self, pred: impl Fn(&GdsElement) -> bool) -> usize {
-        self.structures
-            .iter()
-            .flat_map(|s| s.elements.iter())
-            .filter(|e| pred(e))
-            .count()
-    }
-
-    /// Number of BOUNDARY elements across all structures.
-    pub fn boundary_count(&self) -> usize {
-        self.count_matching(|e| matches!(e, GdsElement::Boundary { .. }))
-    }
-
-    /// Number of SREF elements across all structures.
-    pub fn sref_count(&self) -> usize {
-        self.count_matching(|e| matches!(e, GdsElement::Sref { .. }))
-    }
-
-    /// Number of TEXT elements across all structures.
-    pub fn text_count(&self) -> usize {
-        self.count_matching(|e| matches!(e, GdsElement::Text { .. }))
-    }
 }
 
 fn write_element(out: &mut Vec<u8>, el: &GdsElement) -> Result<(), GdsError> {

@@ -2,7 +2,8 @@
 //! the symmetry lints that cross-check a circuit's declared matching
 //! constraints against what its structure actually supports.
 //!
-//! Recognition works on the *template* devices of a [`PrimitiveDef`] (net
+//! Recognition works on the *template* devices of a
+//! [`PrimitiveDef`](prima_primitives::PrimitiveDef) (net
 //! names local to the primitive): a differential pair is two same-polarity
 //! devices sharing a source with distinct gates and drains; a current
 //! mirror is a diode-connected device plus a partner sharing gate and
@@ -14,7 +15,7 @@ use std::collections::BTreeSet;
 
 use prima_core::diagnostics::{RuleKind, Severity, Violation};
 use prima_layout::DeviceSpec;
-use prima_primitives::{Library, PrimitiveClass, PrimitiveDef};
+use prima_primitives::{Library, PrimitiveClass};
 
 use crate::{violation, SchemCircuit, SchemInstance};
 
@@ -262,9 +263,4 @@ pub fn check_symmetry(lib: &Library, circuit: &SchemCircuit) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Recognized topologies of a definition, exposed for reporting.
-pub fn def_topologies(def: &PrimitiveDef) -> Vec<Topology> {
-    recognize(&def.spec.devices)
 }

@@ -347,9 +347,12 @@ struct Inner {
 
 impl Inner {
     /// Resolves a request: exactly one report, recorded in completion order
-    /// and delivered to the ticket.
-    fn resolve(&self, slot: &Slot, report: RequestReport) {
+    /// and delivered to the ticket. The GDS bytes go to the ticket only, so
+    /// the batch record does not hold every payload until `finish()`.
+    fn resolve(&self, slot: &Slot, mut report: RequestReport) {
+        let gds = report.gds.take();
         lock(&self.resolved).push(report.clone());
+        report.gds = gds;
         slot.resolve(report);
     }
 }
@@ -754,7 +757,7 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
                 let health = out.resilience.health;
                 let (outcome, detail) = match health {
                     Health::Clean => (ServeOutcome::Completed, String::new()),
-                    _ => (
+                    Health::Degraded => (
                         ServeOutcome::Degraded,
                         format!(
                             "completed with {} degradation(s)",

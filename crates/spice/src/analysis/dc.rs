@@ -75,41 +75,40 @@ impl OperatingPoint {
     }
 }
 
-/// Newton-based DC solver. Create with [`DcSolver::new`], adjust limits with
-/// the builder-style setters, then call [`DcSolver::solve`].
+/// Absolute node-voltage convergence tolerance of a Newton solve (V).
+const VTOL: f64 = 1e-9;
+/// Largest node-voltage change one Newton iteration may take (V).
+const DAMPING: f64 = 0.3;
+
+/// Newton-based DC solver. Create with [`DcSolver::new`], then call
+/// [`DcSolver::solve`].
 ///
 /// [`DcSolver::new`] snapshots the ambient [`SolveCtrl`] scope (iteration
 /// limits + cancel token), so deeply-nested testbench code honors the
-/// flow's solver budget and deadline without any signature changes.
+/// flow's solver budget and deadline without any signature changes. The
+/// scope is the only way to bound or cancel a solve.
 ///
 /// [`SolveCtrl`]: crate::ctrl::SolveCtrl
 #[derive(Debug, Clone)]
 pub struct DcSolver {
     max_iterations: usize,
-    vtol: f64,
-    damping: f64,
     gmin_ladder: Vec<f64>,
     source_steps: usize,
     cancel: Option<prima_cache::CancelToken>,
 }
 
 impl Default for DcSolver {
-    /// The historical hard-coded limits, ignoring any ambient scope.
     fn default() -> Self {
-        DcSolver {
-            max_iterations: 200,
-            vtol: 1e-9,
-            damping: 0.3,
-            gmin_ladder: vec![1e-3, 1e-5, 1e-7, 1e-9, 1e-12],
-            source_steps: 10,
-            cancel: None,
-        }
+        Self::new()
     }
 }
 
 impl DcSolver {
     /// Creates a solver from the ambient [`SolveCtrl`](crate::ctrl::SolveCtrl)
-    /// scope (falls back to the historical defaults outside any scope).
+    /// scope (outside any scope, the [`SolverLimits`] defaults and no
+    /// cancel token).
+    ///
+    /// [`SolverLimits`]: crate::ctrl::SolverLimits
     pub fn new() -> Self {
         let ctrl = crate::ctrl::current_solve_ctrl();
         DcSolver {
@@ -117,38 +116,7 @@ impl DcSolver {
             gmin_ladder: ctrl.limits.dc_gmin_ladder,
             source_steps: ctrl.limits.dc_source_steps,
             cancel: ctrl.cancel,
-            ..Self::default()
         }
-    }
-
-    /// Sets the maximum Newton iterations per strategy rung.
-    pub fn max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    /// Sets the absolute voltage convergence tolerance (V).
-    pub fn vtol(mut self, v: f64) -> Self {
-        self.vtol = v;
-        self
-    }
-
-    /// Overrides the gmin continuation ladder.
-    pub fn gmin_ladder(mut self, ladder: Vec<f64>) -> Self {
-        self.gmin_ladder = ladder;
-        self
-    }
-
-    /// Overrides the source-stepping point count.
-    pub fn source_steps(mut self, n: usize) -> Self {
-        self.source_steps = n.max(1);
-        self
-    }
-
-    /// Attaches (or detaches) a cooperative cancel token.
-    pub fn cancel_token(mut self, token: Option<prima_cache::CancelToken>) -> Self {
-        self.cancel = token;
-        self
     }
 
     /// Solves for the DC operating point.
@@ -255,13 +223,13 @@ impl DcSolver {
             // Damped update on voltages; currents take the full step.
             for i in 0..dim {
                 if i < topo.node_unknowns() {
-                    let dv = (x_new[i] - x[i]).clamp(-self.damping, self.damping);
+                    let dv = (x_new[i] - x[i]).clamp(-DAMPING, DAMPING);
                     x[i] += dv;
                 } else {
                     x[i] = x_new[i];
                 }
             }
-            if max_dv < self.vtol {
+            if max_dv < VTOL {
                 return Ok(x);
             }
         }
@@ -602,6 +570,7 @@ mod tests {
 
     #[test]
     fn cancelled_token_aborts_solve() {
+        use crate::ctrl::{with_solve_ctrl, SolveCtrl};
         use prima_cache::{CancelReason, CancelToken};
         let mut c = Circuit::new();
         let vin = c.node("vin");
@@ -609,21 +578,23 @@ mod tests {
         c.vsource("V1", vin, Circuit::GROUND, 2.0);
         c.resistor("R1", vin, mid, 1e3).unwrap();
         c.resistor("R2", mid, Circuit::GROUND, 3e3).unwrap();
+        let scoped = |token: CancelToken| {
+            with_solve_ctrl(
+                SolveCtrl {
+                    cancel: Some(token),
+                    ..SolveCtrl::default()
+                },
+                || DcSolver::new().solve(&c),
+            )
+        };
         let token = CancelToken::new();
         token.cancel();
-        let err = DcSolver::new()
-            .cancel_token(Some(token))
-            .solve(&c)
-            .unwrap_err();
-        match err {
-            AnalysisError::Cancelled(c) => assert_eq!(c.reason, CancelReason::Explicit),
+        match scoped(token) {
+            Err(AnalysisError::Cancelled(e)) => assert_eq!(e.reason, CancelReason::Explicit),
             other => panic!("expected Cancelled, got {other:?}"),
         }
         // An untripped token changes nothing.
-        let ok = DcSolver::new()
-            .cancel_token(Some(CancelToken::new()))
-            .solve(&c);
-        assert!(ok.is_ok());
+        assert!(scoped(CancelToken::new()).is_ok());
     }
 
     #[test]

@@ -63,17 +63,15 @@ impl TranResult {
             .collect()
     }
 
-    /// Voltage of `node` at timepoint `i`.
-    pub fn voltage_at(&self, node: NodeId, i: usize) -> f64 {
-        self.topo.voltage_in(&self.data[i], node)
-    }
-
     /// Branch-current waveform of a voltage-defined element.
     pub fn branch_current(&self, name: &str) -> Option<Vec<f64>> {
         let ix = self.topo.branch_ix_by_name(name)?;
         Some(self.data.iter().map(|x| x[ix]).collect())
     }
 }
+
+/// Per-step Newton convergence tolerance on node voltages (V).
+const VTOL: f64 = 1e-7;
 
 /// Fixed-step transient solver. Like [`DcSolver`], construction snapshots
 /// the ambient [`SolveCtrl`](crate::ctrl::SolveCtrl) scope for its Newton
@@ -84,7 +82,6 @@ pub struct TranSolver {
     t_stop: f64,
     initial: InitialState,
     max_newton: usize,
-    vtol: f64,
     cancel: Option<prima_cache::CancelToken>,
 }
 
@@ -97,7 +94,6 @@ impl TranSolver {
             t_stop,
             initial: InitialState::OperatingPoint,
             max_newton: ctrl.limits.tran_max_newton,
-            vtol: 1e-7,
             cancel: ctrl.cancel,
         }
     }
@@ -105,12 +101,6 @@ impl TranSolver {
     /// Sets the initialization strategy.
     pub fn initial(mut self, initial: InitialState) -> Self {
         self.initial = initial;
-        self
-    }
-
-    /// Sets the per-step Newton voltage tolerance.
-    pub fn vtol(mut self, vtol: f64) -> Self {
-        self.vtol = vtol;
         self
     }
 
@@ -246,7 +236,6 @@ impl TranSolver {
 
     /// Newton iteration for one timestep.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn newton_step(
         &self,
         circuit: &Circuit,
@@ -279,7 +268,7 @@ impl TranSolver {
                     *xi = x_new[i];
                 }
             }
-            if max_dv < self.vtol {
+            if max_dv < VTOL {
                 return Ok(x);
             }
         }

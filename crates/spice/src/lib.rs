@@ -23,8 +23,8 @@
 //! layout-dependent effects (LDEs) and junction capacitances proportional to
 //! drain/source diffusion geometry.
 //!
-//! Circuits can be built programmatically with [`netlist::Circuit`] or parsed
-//! from a SPICE-like text deck with [`netlist::parse`].
+//! Circuits are built programmatically with [`netlist::Circuit`]; nested
+//! blocks are flattened into it with [`netlist::Circuit::instantiate`].
 //!
 //! ## Example
 //!
@@ -51,7 +51,6 @@ pub mod devices;
 pub mod measure;
 pub mod netlist;
 pub mod num;
-pub mod report;
 
 pub use analysis::ac::{AcResult, AcSolver, FrequencySweep};
 pub use analysis::dc::{DcSolver, OperatingPoint};

@@ -97,18 +97,6 @@ pub fn db(mag: f64) -> f64 {
     20.0 * mag.log10()
 }
 
-/// Magnitude of a node response at the sweep point nearest `freq`.
-///
-/// # Errors
-///
-/// [`MeasureError::EmptySweep`] when the AC result holds no points.
-pub fn mag_near(ac: &AcResult, node: NodeId, freq: f64) -> Result<f64, MeasureError> {
-    let idx = nearest_index(ac.frequencies(), freq).ok_or_else(|| MeasureError::EmptySweep {
-        what: "magnitude near frequency".to_string(),
-    })?;
-    Ok(ac.phasor(node, idx).norm())
-}
-
 /// Low-frequency (first sweep point) gain magnitude of a node.
 ///
 /// # Errors

@@ -1,17 +1,13 @@
-//! Circuit netlist representation and a SPICE-like text parser.
+//! Circuit netlist representation.
 //!
 //! A [`Circuit`] is a flat bag of elements over interned nodes. Hierarchy
-//! (subcircuits / primitives) is flattened at construction time, either by
-//! the parser ([`parse`]) expanding `X` instances or programmatically via
+//! (subcircuits / primitives) is flattened at construction time via
 //! [`Circuit::instantiate`].
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::devices::{FetInstance, FetModel};
-
-mod parser;
-pub use parser::parse;
+use crate::devices::FetInstance;
 
 /// Identifier of a circuit node. `NodeId(0)` is always ground (`0` / `gnd`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,7 +33,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Errors produced while building or parsing a netlist.
+/// Errors produced while building a netlist.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpiceError {
     /// A numeric element value was out of range (e.g. non-positive resistance).
@@ -47,23 +43,6 @@ pub enum SpiceError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// Text-deck parse failure.
-    Parse {
-        /// 1-based line number in the deck.
-        line: usize,
-        /// Description of the failure.
-        reason: String,
-    },
-    /// An `X` instance referenced an unknown `.subckt`.
-    UnknownSubcircuit {
-        /// The missing subcircuit name.
-        name: String,
-    },
-    /// An `M` instance referenced an unknown `.model`.
-    UnknownModel {
-        /// The missing model name.
-        name: String,
-    },
 }
 
 impl fmt::Display for SpiceError {
@@ -72,9 +51,6 @@ impl fmt::Display for SpiceError {
             SpiceError::InvalidValue { element, reason } => {
                 write!(f, "invalid value for element {element}: {reason}")
             }
-            SpiceError::Parse { line, reason } => write!(f, "parse error at line {line}: {reason}"),
-            SpiceError::UnknownSubcircuit { name } => write!(f, "unknown subcircuit {name}"),
-            SpiceError::UnknownModel { name } => write!(f, "unknown model {name}"),
         }
     }
 }
@@ -103,19 +79,6 @@ pub enum Waveform {
         /// Repetition period (`f64::INFINITY` for one-shot).
         period: f64,
     },
-    /// SPICE `SIN(offset amplitude freq delay phase_deg)`.
-    Sin {
-        /// DC offset.
-        offset: f64,
-        /// Amplitude.
-        amplitude: f64,
-        /// Frequency in Hz.
-        freq: f64,
-        /// Start delay.
-        delay: f64,
-        /// Phase in degrees.
-        phase_deg: f64,
-    },
     /// Piecewise-linear `(time, value)` points; constant extrapolation.
     Pwl(Vec<(f64, f64)>),
 }
@@ -126,19 +89,6 @@ impl Waveform {
         match self {
             Waveform::Dc(v) => *v,
             Waveform::Pulse { v1, .. } => *v1,
-            Waveform::Sin {
-                offset,
-                amplitude,
-                freq,
-                delay,
-                phase_deg,
-            } => {
-                if *delay > 0.0 {
-                    *offset
-                } else {
-                    offset + amplitude * (phase_deg.to_radians()).sin() * freq.signum().abs()
-                }
-            }
             Waveform::Pwl(points) => points.first().map_or(0.0, |&(_, v)| v),
         }
     }
@@ -173,23 +123,6 @@ impl Waveform {
                     v2 + (v1 - v2) * (tau - rise - width) / fall
                 } else {
                     *v1
-                }
-            }
-            Waveform::Sin {
-                offset,
-                amplitude,
-                freq,
-                delay,
-                phase_deg,
-            } => {
-                if t < *delay {
-                    *offset
-                } else {
-                    offset
-                        + amplitude
-                            * (2.0 * std::f64::consts::PI * freq * (t - delay)
-                                + phase_deg.to_radians())
-                            .sin()
                 }
             }
             Waveform::Pwl(points) => {
@@ -340,8 +273,7 @@ pub struct Circuit {
 }
 
 impl Circuit {
-    /// The ground node, named `"0"` (aliases `gnd`, `vss!` resolve to it in
-    /// the parser).
+    /// The ground node, named `"0"` (`gnd` resolves to it too).
     pub const GROUND: NodeId = NodeId(0);
 
     /// Creates an empty circuit containing only the ground node.
@@ -703,33 +635,10 @@ impl Circuit {
     }
 }
 
-/// Model library used by the parser to resolve `.model` references.
-#[derive(Debug, Clone, Default)]
-pub struct ModelLibrary {
-    models: HashMap<String, FetModel>,
-}
-
-impl ModelLibrary {
-    /// Creates an empty library.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a model under `name` (case-insensitive).
-    pub fn insert(&mut self, name: &str, model: FetModel) {
-        self.models.insert(name.to_ascii_lowercase(), model);
-    }
-
-    /// Looks up a model by name.
-    pub fn get(&self, name: &str) -> Option<&FetModel> {
-        self.models.get(&name.to_ascii_lowercase())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::FetPolarity;
+    use crate::devices::{FetModel, FetPolarity};
 
     #[test]
     fn ground_aliases() {
@@ -802,19 +711,6 @@ mod tests {
         assert_eq!(w.value_at(1.25e-9), 1.0);
         // Second period, low phase.
         assert_eq!(w.value_at(1.75e-9), 0.0);
-    }
-
-    #[test]
-    fn sin_waveform() {
-        let w = Waveform::Sin {
-            offset: 0.5,
-            amplitude: 0.1,
-            freq: 1e9,
-            delay: 0.0,
-            phase_deg: 0.0,
-        };
-        assert!((w.value_at(0.0) - 0.5).abs() < 1e-12);
-        assert!((w.value_at(0.25e-9) - 0.6).abs() < 1e-9);
     }
 
     #[test]

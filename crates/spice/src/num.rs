@@ -53,12 +53,6 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
-    /// Squared magnitude `|z|²`.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Phase angle in radians, in `(-π, π]`.
     #[inline]
     pub fn arg(self) -> f64 {

@@ -9,7 +9,7 @@ use prima_spice::analysis::dc::DcSolver;
 use prima_spice::analysis::tran::{InitialState, TranSolver};
 use prima_spice::devices::{FetInstance, FetModel, FetPolarity};
 use prima_spice::measure;
-use prima_spice::netlist::{parse, Circuit, ModelLibrary, Waveform};
+use prima_spice::netlist::{Circuit, Waveform};
 
 /// A bistable cross-coupled latch: Newton from zero finds *a* solution
 /// through the gmin ladder; the Kick initial state then steers a transient
@@ -102,26 +102,6 @@ fn high_gain_stack_converges() {
     }
 }
 
-#[test]
-fn parser_edge_cases() {
-    let lib = ModelLibrary::new();
-    // Empty deck parses to an empty circuit.
-    let c = parse("", &lib).unwrap();
-    assert_eq!(c.elements().len(), 0);
-    // Comment-only deck.
-    let c = parse("* nothing here\n* at all\n", &lib).unwrap();
-    assert_eq!(c.elements().len(), 0);
-    // .ends without .subckt is an error.
-    assert!(parse(".ends\n", &lib).is_err());
-    // Unterminated .subckt is an error.
-    assert!(parse(".subckt foo a b\nR1 a b 1k\n", &lib).is_err());
-    // Continuation line with nothing before it is a parse error.
-    assert!(parse("+ 1k\nR1 a 0 2k\n", &lib).is_err());
-    // Everything after .end is ignored.
-    let c = parse("R1 a 0 1k\n.end\nGARBAGE THAT WOULD FAIL\n", &lib).unwrap();
-    assert_eq!(c.elements().len(), 1);
-}
-
 /// PWL-driven source integrates exactly through a transient.
 #[test]
 fn pwl_ramp_through_rc() {
@@ -197,20 +177,4 @@ fn temperature_moves_current_correctly() {
         i_hot_on < i_cold_on,
         "hot drive {i_hot_on} vs cold {i_cold_on}"
     );
-}
-
-/// The `.model` card accepts a temperature parameter.
-#[test]
-fn parser_accepts_temperature() {
-    let lib = ModelLibrary::new();
-    let deck = "\
-.model hotfet nmos (vth0=0.25 temp=85)
-VD d 0 0.8
-VG g 0 0.5
-M1 d g 0 0 hotfet w=1u l=50n
-";
-    let c = parse(deck, &lib).unwrap();
-    assert_eq!(c.fets().next().unwrap().model.temp_c, 85.0);
-    let op = DcSolver::new().solve(&c).unwrap();
-    assert!(op.fet_op("M1").unwrap().id > 0.0);
 }

@@ -7,6 +7,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::fmt::Write as _;
+
 use prima_flow::circuits::StrongArm;
 use prima_flow::{build_circuit, optimized_flow};
 use prima_layout::render;
@@ -14,7 +16,6 @@ use prima_pdk::Technology;
 use prima_primitives::Library;
 use prima_spice::analysis::tran::TranSolver;
 use prima_spice::netlist::{Circuit, Waveform};
-use prima_spice::report;
 
 fn main() {
     let tech = Technology::finfet7();
@@ -56,7 +57,20 @@ fn main() {
         .solve(&c)
         .expect("transient");
     let nodes = ["clk", "outp", "outn", "xa", "xb"].map(|n| c.find_node(n).expect("net exists"));
-    let csv = report::tran_csv(&c, &res, &nodes);
+    // CSV: `time` followed by one `v(<node>)` column per node.
+    let mut csv = String::from("time");
+    for &n in &nodes {
+        write!(csv, ",v({})", c.node_name(n)).unwrap();
+    }
+    csv.push('\n');
+    let waves = nodes.map(|n| res.voltage(n));
+    for (i, t) in res.times().iter().enumerate() {
+        write!(csv, "{t:e}").unwrap();
+        for w in &waves {
+            write!(csv, ",{:e}", w[i]).unwrap();
+        }
+        csv.push('\n');
+    }
     std::fs::write("strongarm_waves.csv", &csv).expect("write csv");
     println!(
         "wrote strongarm_waves.csv ({} samples × {} signals)",

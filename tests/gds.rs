@@ -119,7 +119,8 @@ fn off_policy_attaches_no_artifact() {
 }
 
 /// A serve-layer server configured with `gds: true` returns the stream as
-/// an optional response artifact; the default configuration does not.
+/// an optional response artifact, to the submitter only: the batch record
+/// keeps no copy. The default configuration attaches nothing.
 #[test]
 fn serve_attaches_gds_bytes_when_configured() {
     use prima_serve::{BatchServer, ServeConfig, ServeRequest};
@@ -147,7 +148,12 @@ fn serve_attaches_gds_bytes_when_configured() {
     let bytes = report.gds.expect("configured server attaches gds bytes");
     let parsed = GdsLibrary::from_bytes(&bytes).unwrap();
     assert!(parsed.structure(&format!("{}_top", parsed.name)).is_some());
-    server.finish();
+    let batch = server.finish();
+    assert_eq!(batch.requests.len(), 1);
+    assert!(
+        batch.requests.iter().all(|r| r.gds.is_none()),
+        "the batch record must not retain the payload the ticket carried"
+    );
 
     let server = BatchServer::try_new(tech, lib, ServeConfig::default()).unwrap();
     let ticket = server

@@ -1,5 +1,6 @@
-//! Integration tests for the SPICE text front end: decks that exercise the
-//! parser, the PDK model cards, and all three analyses together.
+//! Integration tests for whole circuits on the PDK's device flavors: an
+//! inverter, the paper's 5T OTA, a ring oscillator and an RC ladder, built
+//! with the `Circuit` builder and run through all three analyses.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -7,63 +8,62 @@ use prima_pdk::Technology;
 use prima_spice::analysis::ac::{AcSolver, FrequencySweep};
 use prima_spice::analysis::dc::DcSolver;
 use prima_spice::analysis::tran::TranSolver;
+use prima_spice::devices::{FetInstance, FetModel};
 use prima_spice::measure;
-use prima_spice::netlist::{parse, ModelLibrary};
+use prima_spice::netlist::{Circuit, NodeId, Waveform};
 
-/// Registers the PDK's device flavors under SPICE-style names.
-fn pdk_models() -> ModelLibrary {
-    let tech = Technology::finfet7();
-    let mut lib = ModelLibrary::new();
-    lib.insert("nfet", tech.nmos.clone());
-    lib.insert("pfet", tech.pmos.clone());
-    lib
+const GND: NodeId = Circuit::GROUND;
+
+/// Adds a 14 nm FET of the PDK flavor `model` with terminals
+/// `[drain, gate, source, bulk]` and width `w` (m).
+fn fet(c: &mut Circuit, name: &str, [d, g, s, b]: [NodeId; 4], model: &FetModel, w: f64) {
+    c.fet(FetInstance::new(name, d, g, s, b, model.clone(), w, 14e-9))
+        .unwrap();
 }
 
 #[test]
 fn inverter_deck_dc_transfer() {
-    let deck = "\
-* CMOS inverter from the PDK flavors
-VDD vdd 0 0.8
-VIN in 0 0.2
-MN out in 0 0 nfet w=0.5u l=14n
-MP out in vdd vdd pfet w=1u l=14n
-.end
-";
-    let c = parse(deck, &pdk_models()).unwrap();
+    let tech = Technology::finfet7();
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let vin = c.node("in");
+    let out = c.node("out");
+    c.vsource("VDD", vdd, GND, 0.8);
+    c.vsource("VIN", vin, GND, 0.2);
+    fet(&mut c, "MN", [out, vin, GND, GND], &tech.nmos, 0.5e-6);
+    fet(&mut c, "MP", [out, vin, vdd, vdd], &tech.pmos, 1e-6);
     let op = DcSolver::new().solve(&c).unwrap();
-    let out = c.find_node("out").unwrap();
     assert!(op.voltage(out) > 0.6, "low input gives high output");
 }
 
 #[test]
 fn five_transistor_ota_deck() {
-    // The paper's 5T OTA, written as a plain SPICE deck with subcircuits.
-    let deck = "\
-.subckt dp da db ga gb s
-MA da ga s 0 nfet w=4.6u l=14n
-MB db gb s 0 nfet w=4.6u l=14n
-.ends
-.subckt cmn in out
-MREF in in 0 0 nfet w=1.2u l=14n
-MOUT out in 0 0 nfet w=2.4u l=14n
-.ends
-.subckt cmp in out vdd
-MREF in in vdd vdd pfet w=1.8u l=14n
-MOUT out in vdd vdd pfet w=1.8u l=14n
-.ends
-VDD vdd 0 0.8
-VINP vinp 0 DC 0.44 AC 0.5
-VINN vinn 0 DC 0.44 AC -0.5
-IB 0 n1 350u
-X1 n4 n5 vinp vinn n3 dp
-X2 n1 n3 cmn
-X3 n4 n5 vdd cmp
-CL n5 0 60f
-.end
-";
-    let c = parse(deck, &pdk_models()).unwrap();
+    // The paper's 5T OTA. Its three blocks (input pair X1, NMOS tail
+    // mirror X2, PMOS load mirror X3) are flattened under their instance
+    // names.
+    let tech = Technology::finfet7();
+    let (n, p) = (&tech.nmos, &tech.pmos);
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let vinp = c.node("vinp");
+    let vinn = c.node("vinn");
+    let n1 = c.node("n1");
+    let n4 = c.node("n4");
+    let n5 = c.node("n5");
+    let n3 = c.node("n3");
+    c.vsource("VDD", vdd, GND, 0.8);
+    c.vsource_ac("VINP", vinp, GND, 0.44, 0.5);
+    c.vsource_ac("VINN", vinn, GND, 0.44, -0.5);
+    c.isource("IB", GND, n1, 350e-6);
+    fet(&mut c, "X1.MA", [n4, vinp, n3, GND], n, 4.6e-6);
+    fet(&mut c, "X1.MB", [n5, vinn, n3, GND], n, 4.6e-6);
+    fet(&mut c, "X2.MREF", [n1, n1, GND, GND], n, 1.2e-6);
+    fet(&mut c, "X2.MOUT", [n3, n1, GND, GND], n, 2.4e-6);
+    fet(&mut c, "X3.MREF", [n4, n4, vdd, vdd], p, 1.8e-6);
+    fet(&mut c, "X3.MOUT", [n5, n4, vdd, vdd], p, 1.8e-6);
+    c.capacitor("CL", n5, GND, 60e-15).unwrap();
+
     let op = DcSolver::new().solve(&c).unwrap();
-    let n5 = c.find_node("n5").unwrap();
     let vout = op.voltage(n5);
     assert!(vout > 0.1 && vout < 0.79, "output in range: {vout}");
 
@@ -85,23 +85,29 @@ CL n5 0 60f
 
 #[test]
 fn ring_oscillator_deck_transient() {
-    // Three-inverter ring with a PWL kick, from text.
-    let deck = "\
-.subckt inv in out vdd
-MN out in 0 0 nfet w=0.3u l=14n
-MP out in vdd vdd pfet w=0.6u l=14n
-C1 out 0 1f
-.ends
-VDD vdd 0 0.8
-X1 a b vdd inv
-X2 b c vdd inv
-X3 c a vdd inv
-IKICK 0 a PWL(0 0 10p 100u 60p 100u 70p 0)
-.end
-";
-    let c = parse(deck, &pdk_models()).unwrap();
+    // Three-inverter ring with a PWL current kick.
+    let tech = Technology::finfet7();
+    let (n, p) = (&tech.nmos, &tech.pmos);
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let a = c.node("a");
+    let b = c.node("b");
+    let cn = c.node("c");
+    c.vsource("VDD", vdd, GND, 0.8);
+    for (x, inp, out) in [("X1", a, b), ("X2", b, cn), ("X3", cn, a)] {
+        fet(&mut c, &format!("{x}.MN"), [out, inp, GND, GND], n, 0.3e-6);
+        fet(&mut c, &format!("{x}.MP"), [out, inp, vdd, vdd], p, 0.6e-6);
+        c.capacitor(&format!("{x}.C1"), out, GND, 1e-15).unwrap();
+    }
+    let kick = vec![
+        (0.0, 0.0),
+        (10e-12, 100e-6),
+        (60e-12, 100e-6),
+        (70e-12, 0.0),
+    ];
+    c.isource_wave("IKICK", GND, a, Waveform::Pwl(kick), 0.0);
+
     let res = TranSolver::new(0.5e-12, 3e-9).solve(&c).unwrap();
-    let a = c.find_node("a").unwrap();
     let wave = res.voltage(a);
     let t = res.times().to_vec();
     let swing = measure::settled_peak_to_peak(&wave).unwrap();
@@ -112,15 +118,15 @@ IKICK 0 a PWL(0 0 10p 100u 60p 100u 70p 0)
 
 #[test]
 fn rc_ladder_deck_matches_analytic_bandwidth() {
-    let deck = "\
-VIN in 0 DC 0 AC 1
-R1 in m1 1k
-C1 m1 0 100f
-R2 m1 out 1k
-C2 out 0 100f
-.end
-";
-    let c = parse(deck, &pdk_models()).unwrap();
+    let mut c = Circuit::new();
+    let vin = c.node("in");
+    let m1 = c.node("m1");
+    let out = c.node("out");
+    c.vsource_ac("VIN", vin, GND, 0.0, 1.0);
+    c.resistor("R1", vin, m1, 1e3).unwrap();
+    c.capacitor("C1", m1, GND, 100e-15).unwrap();
+    c.resistor("R2", m1, out, 1e3).unwrap();
+    c.capacitor("C2", out, GND, 100e-15).unwrap();
     let ac = AcSolver::new()
         .solve(
             &c,
@@ -131,7 +137,6 @@ C2 out 0 100f
             },
         )
         .unwrap();
-    let out = c.find_node("out").unwrap();
     let f3 = measure::bw_3db(&ac, out).unwrap();
     // Two-section ladder: f3dB ≈ 0.374/(2πRC) for equal sections.
     let rc = 1e3 * 100e-15;
@@ -140,19 +145,4 @@ C2 out 0 100f
         (f3 - expect).abs() / expect < 0.05,
         "ladder f3dB {f3} vs {expect}"
     );
-}
-
-#[test]
-fn malformed_decks_are_rejected_cleanly() {
-    let bad = [
-        "R1 a 0 notanumber\n",
-        "M1 d g s b missingmodel w=1u l=14n\n",
-        "X1 a b nosub\n",
-    ];
-    for deck in bad {
-        assert!(
-            parse(deck, &pdk_models()).is_err(),
-            "deck should fail: {deck}"
-        );
-    }
 }
