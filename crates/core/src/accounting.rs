@@ -61,13 +61,6 @@ impl SimCounter {
     pub fn total(&self) -> usize {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
-
-    /// Resets all counts to zero.
-    pub fn reset(&self) {
-        for c in self.counts.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 fn phase_index(phase: Phase) -> usize {
@@ -94,8 +87,6 @@ mod tests {
         assert_eq!(c.count(Phase::Selection), 61);
         assert_eq!(c.count(Phase::Tuning), 21);
         assert_eq!(c.total(), 114);
-        c.reset();
-        assert_eq!(c.total(), 0);
     }
 
     #[test]

@@ -54,13 +54,6 @@ pub enum CornerPolicy {
     Sweep(CornerOptions),
 }
 
-impl CornerPolicy {
-    /// True when any variation evaluation is enabled.
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, CornerPolicy::Sweep(_))
-    }
-}
-
 /// Tuning knobs for a corner sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CornerOptions {

@@ -8,7 +8,7 @@ use std::fmt;
 
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
-use prima_spice::analysis::tran::{InitialState, TranSolver};
+use prima_spice::analysis::tran::TranSolver;
 use prima_spice::measure;
 use prima_spice::netlist::Circuit;
 
@@ -214,9 +214,7 @@ impl RoVco {
         // Layout realizations run slower than the schematic estimate; keep
         // a 2× sampling margin.
         let dt = (period / 110.0).clamp(0.7e-12, 25e-12);
-        let res = TranSolver::new(dt, t_stop)
-            .initial(InitialState::OperatingPoint)
-            .solve(&c)?;
+        let res = TranSolver::new(dt, t_stop).solve(&c)?;
         let t = res.times().to_vec();
         let vp = res.voltage(p0);
         let vn = res.voltage(n0);

@@ -4,7 +4,7 @@
 //! Runs only under [`crate::GdsPolicy::On`], strictly after the verify and
 //! ERC gates pass — the stream a caller receives is always gate-clean. Each
 //! placed instance becomes its own GDS structure (re-rendered mask geometry
-//! via [`prima_layout::render`], the same drawn rectangles the DRC pass
+//! via [`prima_layout::render()`], the same drawn rectangles the DRC pass
 //! checked), referenced from a top structure that also carries the routed
 //! track rectangles, the design outline, and one TEXT pin label per routed
 //! net so layout viewers show named pins.

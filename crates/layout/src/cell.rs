@@ -239,13 +239,6 @@ impl PrimitiveLayout {
         self.bbox.area() as f64 * 1e-6
     }
 
-    /// Net names present in the layout.
-    pub fn net_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.nets.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Geometry record of a device by name.
     pub fn device(&self, name: &str) -> Option<&DeviceGeometry> {
         self.devices.iter().find(|d| d.name == name)
@@ -477,11 +470,8 @@ pub fn generate(
         };
         let centroid_x = centroid_sum / n;
         let lde = tech.lde(d.polarity);
-        let dvth_lod = lde.kvth_lod * (inv_sa_mean - lde.inv_sa_ref);
-        let mobility = {
-            let shift = lde.kmu_lod * (inv_sa_mean - lde.inv_sa_ref);
-            (1.0 - shift).clamp(0.5, 1.5)
-        };
+        let dvth_lod = lde.dvth_lod(inv_sa_mean);
+        let mobility = lde.mobility_lod(inv_sa_mean);
         let dvth_wpe = lde.dvth_wpe(sc_mean);
         let dvth_gradient = tech.variation.gradient_vth(centroid_x);
         let w_m = fin.weff_m(cfg.nfin * cfg.nf * cfg.m * d.ratio);

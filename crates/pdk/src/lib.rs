@@ -200,14 +200,16 @@ impl LdeParams {
         1.0 / (sa_nm + l_nm / 2.0) + 1.0 / (sb_nm + l_nm / 2.0)
     }
 
-    /// LOD-induced threshold shift (V), relative to the reference layout.
-    pub fn dvth_lod(&self, sa_nm: f64, sb_nm: f64, l_nm: f64) -> f64 {
-        self.kvth_lod * (self.inv_sa(sa_nm, sb_nm, l_nm) - self.inv_sa_ref)
+    /// LOD-induced threshold shift (V) at stress measure `inv_sa` (see
+    /// [`LdeParams::inv_sa`]), relative to the reference layout.
+    pub fn dvth_lod(&self, inv_sa: f64) -> f64 {
+        self.kvth_lod * (inv_sa - self.inv_sa_ref)
     }
 
-    /// LOD-induced mobility multiplier (1.0 at the reference layout).
-    pub fn mobility_lod(&self, sa_nm: f64, sb_nm: f64, l_nm: f64) -> f64 {
-        let shift = self.kmu_lod * (self.inv_sa(sa_nm, sb_nm, l_nm) - self.inv_sa_ref);
+    /// LOD-induced mobility multiplier at stress measure `inv_sa` (1.0 at
+    /// the reference layout).
+    pub fn mobility_lod(&self, inv_sa: f64) -> f64 {
+        let shift = self.kmu_lod * (inv_sa - self.inv_sa_ref);
         (1.0 - shift).clamp(0.5, 1.5)
     }
 
@@ -1303,11 +1305,12 @@ mod tests {
     #[test]
     fn lod_shift_decreases_with_distance() {
         let t = Technology::finfet7();
-        let near = t.lde_n.dvth_lod(30.0, 30.0, 14.0);
-        let far = t.lde_n.dvth_lod(300.0, 300.0, 14.0);
+        let lde = &t.lde_n;
+        let near = lde.dvth_lod(lde.inv_sa(30.0, 30.0, 14.0));
+        let far = lde.dvth_lod(lde.inv_sa(300.0, 300.0, 14.0));
         assert!(near > far, "stress relaxes with distance: {near} vs {far}");
         // At the reference layout the shift is zero by construction.
-        let at_ref = t.lde_n.dvth_lod(60.0, 60.0, 14.0);
+        let at_ref = lde.dvth_lod(lde.inv_sa(60.0, 60.0, 14.0));
         assert!(at_ref.abs() < 1e-6, "reference shift {at_ref}");
     }
 
@@ -1331,7 +1334,7 @@ mod tests {
             sc_offset: 1.0,
             inv_sa_ref: 0.0,
         };
-        assert_eq!(lde.mobility_lod(1.0, 1.0, 14.0), 0.5);
+        assert_eq!(lde.mobility_lod(lde.inv_sa(1.0, 1.0, 14.0)), 0.5);
     }
 
     #[test]

@@ -164,11 +164,6 @@ impl PlacementProblem {
     pub fn nets(&self) -> &[Net] {
         &self.nets
     }
-
-    /// The symmetry pairs.
-    pub fn symmetry(&self) -> &[(usize, usize)] {
-        &self.symmetry
-    }
 }
 
 /// A finished placement: position and chosen variant per block.

@@ -150,20 +150,13 @@ impl NetRoute {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingResult {
     routes: Vec<NetRoute>,
-    /// Congestion: routed length per grid cell (cell size in nm).
-    pub cell_size_nm: Nm,
-    congestion: HashMap<(Nm, Nm), Nm>,
 }
 
 impl RoutingResult {
     /// Assembles a result from pre-built routes — for fixtures and for
     /// tools that import routed geometry rather than running the router.
     pub fn from_routes(routes: Vec<NetRoute>) -> Self {
-        RoutingResult {
-            routes,
-            cell_size_nm: 500,
-            congestion: HashMap::new(),
-        }
+        RoutingResult { routes }
     }
 
     /// Route of a net by name.
@@ -179,11 +172,6 @@ impl RoutingResult {
     /// Total wirelength over all nets (nm).
     pub fn total_wirelength(&self) -> Nm {
         self.routes.iter().map(|r| r.total_len_nm()).sum()
-    }
-
-    /// Maximum routed length through any one congestion cell (nm).
-    pub fn peak_congestion(&self) -> Nm {
-        self.congestion.values().copied().max().unwrap_or(0)
     }
 }
 
@@ -285,11 +273,7 @@ impl<'t> GlobalRouter<'t> {
                 via_count: vias,
             });
         }
-        Ok(RoutingResult {
-            routes,
-            cell_size_nm: self.cell_size_nm,
-            congestion,
-        })
+        Ok(RoutingResult { routes })
     }
 
     /// Routes one two-pin edge as the less congested of the two L-shapes.
@@ -455,6 +439,5 @@ mod tests {
         let res = GlobalRouter::new(&t).route(&p).unwrap();
         assert_eq!(res.routes().len(), 2);
         assert!(res.total_wirelength() == 8000);
-        assert!(res.peak_congestion() > 0);
     }
 }

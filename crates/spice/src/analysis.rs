@@ -2,14 +2,19 @@
 //!
 //! All three share one modified-nodal-analysis unknown layout, built by
 //! [`Topology`]: the voltages of every non-ground node followed by one branch
-//! current per voltage-defined element (independent V sources, VCVS, and
-//! inductors).
+//! current per independent voltage source. They also share one set of
+//! element stamps, written here once for real and complex matrices. DC and
+//! transient assemble the same real-valued system and solve it with the same
+//! damped Newton loop; AC builds its complex system from the same stamps.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::netlist::{Circuit, Element, NodeId};
-use crate::num::LinearError;
+use prima_cache::CancelToken;
+
+use crate::devices::{FetCaps, FetEval, FetInstance};
+use crate::netlist::{Circuit, Element, NodeId, Waveform};
+use crate::num::{LinearError, Matrix, Scalar};
 
 pub mod ac;
 pub mod dc;
@@ -32,7 +37,7 @@ pub enum AnalysisError {
         /// Description of the violated constraint.
         reason: String,
     },
-    /// The ambient [`CancelToken`](prima_cache::CancelToken) tripped
+    /// The ambient [`CancelToken`] tripped
     /// (explicit cancel or deadline); the solve was abandoned mid-iteration.
     Cancelled(prima_cache::Cancelled),
 }
@@ -64,25 +69,13 @@ impl From<prima_cache::Cancelled> for AnalysisError {
     }
 }
 
-/// Kind of MNA branch (current unknown) an element introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchKind {
-    /// Independent voltage source.
-    VSource,
-    /// Voltage-controlled voltage source.
-    Vcvs,
-    /// Inductor (short in DC, integrated in transient).
-    Inductor,
-}
-
 /// The MNA unknown layout of a circuit.
 ///
-/// Unknown vector `x` is `[v(node 1), …, v(node N), i(branch 0), …]`.
+/// Unknown vector `x` is `[v(node 1), …, v(node N), i(branch 0), …]`, with
+/// one branch per independent voltage source, in element order.
 #[derive(Debug, Clone)]
 pub struct Topology {
     n_nodes: usize,
-    /// (element index, kind) per branch, in element order.
-    branches: Vec<(usize, BranchKind)>,
     /// element index -> branch ordinal.
     branch_of_element: HashMap<usize, usize>,
     /// element name -> branch ordinal (for current measurements).
@@ -93,26 +86,17 @@ impl Topology {
     /// Builds the unknown layout for a circuit.
     pub fn build(circuit: &Circuit) -> Self {
         let n_nodes = circuit.node_count() - 1;
-        let mut branches = Vec::new();
         let mut branch_of_element = HashMap::new();
         let mut branch_by_name = HashMap::new();
         for (idx, el) in circuit.elements().iter().enumerate() {
-            let kind = match el {
-                Element::VSource { .. } => Some(BranchKind::VSource),
-                Element::Vcvs { .. } => Some(BranchKind::Vcvs),
-                Element::Inductor { .. } => Some(BranchKind::Inductor),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                let ordinal = branches.len();
-                branches.push((idx, kind));
+            if let Element::VSource { name, .. } = el {
+                let ordinal = branch_of_element.len();
                 branch_of_element.insert(idx, ordinal);
-                branch_by_name.insert(el.name().to_ascii_lowercase(), ordinal);
+                branch_by_name.insert(name.to_ascii_lowercase(), ordinal);
             }
         }
         Topology {
             n_nodes,
-            branches,
             branch_of_element,
             branch_by_name,
         }
@@ -124,16 +108,10 @@ impl Topology {
         self.n_nodes
     }
 
-    /// Number of branch-current unknowns.
-    #[inline]
-    pub fn branch_unknowns(&self) -> usize {
-        self.branches.len()
-    }
-
     /// Total MNA dimension.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.n_nodes + self.branches.len()
+        self.n_nodes + self.branch_of_element.len()
     }
 
     /// Unknown index of a node voltage (`None` for ground).
@@ -154,18 +132,13 @@ impl Topology {
             .map(|&b| self.n_nodes + b)
     }
 
-    /// Unknown index of the branch current of the element named `name`
-    /// (case-insensitive). Only voltage-defined elements have branches.
+    /// Unknown index of the branch current of the voltage source named
+    /// `name` (case-insensitive).
     #[inline]
     pub fn branch_ix_by_name(&self, name: &str) -> Option<usize> {
         self.branch_by_name
             .get(&name.to_ascii_lowercase())
             .map(|&b| self.n_nodes + b)
-    }
-
-    /// The branches in element order: `(element index, kind)`.
-    pub fn branches(&self) -> &[(usize, BranchKind)] {
-        &self.branches
     }
 
     /// Voltage of `node` given a solution vector (0 for ground).
@@ -176,6 +149,225 @@ impl Topology {
             None => 0.0,
         }
     }
+
+    /// Drain, gate, source and bulk voltages of `fet` in `x`.
+    pub(crate) fn fet_voltages(&self, x: &[f64], fet: &FetInstance) -> [f64; 4] {
+        [fet.d, fet.g, fet.s, fet.b].map(|node| self.voltage_in(x, node))
+    }
+}
+
+/// Stamps a two-terminal admittance `y` between nodes `a` and `b`: a
+/// conductance in DC and transient, `g + jωC` in AC.
+pub(crate) fn stamp_two_terminal<T: Scalar>(
+    mat: &mut Matrix<T>,
+    topo: &Topology,
+    a: NodeId,
+    b: NodeId,
+    y: T,
+) {
+    let ia = topo.vix(a);
+    let ib = topo.vix(b);
+    if let Some(i) = ia {
+        mat.stamp(i, i, y);
+    }
+    if let Some(j) = ib {
+        mat.stamp(j, j, y);
+    }
+    if let (Some(i), Some(j)) = (ia, ib) {
+        mat.stamp(i, j, -y);
+        mat.stamp(j, i, -y);
+    }
+}
+
+/// Stamps an independent voltage source whose branch current is unknown
+/// `k`: the current leaves node `pos` into the source and returns at `neg`,
+/// and branch row `k` holds `v(pos) − v(neg) = value`.
+pub(crate) fn stamp_vsource<T: Scalar>(
+    mat: &mut Matrix<T>,
+    rhs: &mut [T],
+    topo: &Topology,
+    pos: NodeId,
+    neg: NodeId,
+    k: usize,
+    value: T,
+) {
+    let ip = topo.vix(pos);
+    let in_ = topo.vix(neg);
+    if let Some(i) = ip {
+        mat.stamp(i, k, T::ONE);
+    }
+    if let Some(i) = in_ {
+        mat.stamp(i, k, -T::ONE);
+    }
+    if let Some(i) = ip {
+        mat.stamp(k, i, T::ONE);
+    }
+    if let Some(i) = in_ {
+        mat.stamp(k, i, -T::ONE);
+    }
+    rhs[k] += value;
+}
+
+/// Stamps a current `i` that leaves node `pos`, flows through the element,
+/// and enters node `neg`: an independent current source, or the current
+/// term of a linearized FET or a capacitor companion model.
+pub(crate) fn stamp_isource<T: Scalar>(
+    rhs: &mut [T],
+    topo: &Topology,
+    pos: NodeId,
+    neg: NodeId,
+    i: T,
+) {
+    if let Some(ip) = topo.vix(pos) {
+        rhs[ip] -= i;
+    }
+    if let Some(in_) = topo.vix(neg) {
+        rhs[in_] += i;
+    }
+}
+
+/// Stamps a FET's drain-current partials `∂id/∂v` of its drain, gate,
+/// source and bulk voltages into the drain row, and their negation into
+/// the source row.
+pub(crate) fn stamp_fet_partials<T: Scalar>(
+    mat: &mut Matrix<T>,
+    topo: &Topology,
+    fet: &FetInstance,
+    e: &FetEval,
+) {
+    let partials = [
+        (fet.d, e.did_dvd),
+        (fet.g, e.did_dvg),
+        (fet.s, e.did_dvs),
+        (fet.b, e.did_dvb),
+    ];
+    for (row, sign) in [(fet.d, 1.0), (fet.s, -1.0)] {
+        if let Some(r) = topo.vix(row) {
+            for (node, dp) in partials {
+                if let Some(col) = topo.vix(node) {
+                    mat.stamp(r, col, T::from(sign * dp));
+                }
+            }
+        }
+    }
+}
+
+/// A FET's five capacitances as `(a, b, farads)` terminal pairs, in the
+/// order gs, gd, gb, db, sb.
+pub(crate) fn fet_cap_pairs(fet: &FetInstance, caps: &FetCaps) -> [(NodeId, NodeId, f64); 5] {
+    [
+        (fet.g, fet.s, caps.cgs),
+        (fet.g, fet.d, caps.cgd),
+        (fet.g, fet.b, caps.cgb),
+        (fet.d, fet.b, caps.cdb),
+        (fet.s, fet.b, caps.csb),
+    ]
+}
+
+/// Assembles the real-valued MNA Jacobian and right-hand side linearized at
+/// `x`, for DC and transient alike.
+///
+/// Every node row gets `gmin` to ground; then each element is stamped in
+/// element order. Capacitors conduct nothing here, and `source` values each
+/// independent source's waveform. After each element, `storage` stamps that
+/// element's charge storage, given its index; DC stores no charge. Keep this
+/// order: each matrix entry is a floating-point sum, so reordering the
+/// stamps changes results in the last bits.
+// The topology is derived from the very circuit being stamped, so every
+// voltage source has a branch row; `expect` documents that invariant rather
+// than a recoverable condition.
+#[allow(clippy::expect_used, clippy::too_many_arguments)]
+pub(crate) fn assemble_real(
+    circuit: &Circuit,
+    topo: &Topology,
+    x: &[f64],
+    gmin: f64,
+    source: impl Fn(&Waveform) -> f64,
+    mut storage: impl FnMut(usize, &mut Matrix<f64>, &mut [f64]),
+    mat: &mut Matrix<f64>,
+    rhs: &mut [f64],
+) {
+    for i in 0..topo.node_unknowns() {
+        mat.stamp(i, i, gmin);
+    }
+    for (idx, el) in circuit.elements().iter().enumerate() {
+        match el {
+            Element::Resistor { a, b, ohms, .. } => {
+                stamp_two_terminal(mat, topo, *a, *b, 1.0 / ohms);
+            }
+            Element::Capacitor { .. } => {}
+            Element::VSource { pos, neg, wave, .. } => {
+                let k = topo.branch_ix(idx).expect("vsource branch");
+                stamp_vsource(mat, rhs, topo, *pos, *neg, k, source(wave));
+            }
+            Element::ISource { pos, neg, wave, .. } => {
+                stamp_isource(rhs, topo, *pos, *neg, source(wave));
+            }
+            Element::Fet(fet) => {
+                let [vd, vg, vs, vb] = topo.fet_voltages(x, fet);
+                let e = fet.eval(vd, vg, vs, vb);
+                stamp_fet_partials(mat, topo, fet, &e);
+                let ieq =
+                    e.id_raw - (e.did_dvd * vd + e.did_dvg * vg + e.did_dvs * vs + e.did_dvb * vb);
+                stamp_isource(rhs, topo, fet.d, fet.s, ieq);
+            }
+        }
+        storage(idx, mat, rhs);
+    }
+}
+
+/// Largest node-voltage change one Newton iteration may take (V).
+const DAMPING: f64 = 0.3;
+
+/// Damped Newton–Raphson from `x0`, shared by DC and transient.
+///
+/// Each iteration clears `mat` and `rhs`, lets `assemble` stamp the system
+/// linearized at the current iterate, and solves it. Node voltages move by
+/// at most 0.3 V per iteration; branch currents take the full step. The
+/// solve has converged once no node moves by `vtol` or more. `Ok(None)`
+/// means `max_iterations` ran out; the caller reports that in its own
+/// terms.
+///
+/// # Errors
+///
+/// [`AnalysisError::Linear`] for a singular or non-finite system, and
+/// [`AnalysisError::Cancelled`] once `cancel` trips.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn newton(
+    topo: &Topology,
+    x0: &[f64],
+    vtol: f64,
+    max_iterations: usize,
+    cancel: Option<&CancelToken>,
+    mat: &mut Matrix<f64>,
+    rhs: &mut [f64],
+    mut assemble: impl FnMut(&[f64], &mut Matrix<f64>, &mut [f64]),
+) -> Result<Option<Vec<f64>>, AnalysisError> {
+    let mut x = x0.to_vec();
+    for _ in 0..max_iterations {
+        if let Some(token) = cancel {
+            token.check()?;
+        }
+        mat.clear();
+        rhs.iter_mut().for_each(|v| *v = 0.0);
+        assemble(&x, mat, rhs);
+        let x_new = mat.solve(rhs)?;
+        let mut max_dv: f64 = 0.0;
+        for i in 0..topo.node_unknowns() {
+            max_dv = max_dv.max((x_new[i] - x[i]).abs());
+        }
+        for (i, xi) in x.iter_mut().enumerate() {
+            if i < topo.node_unknowns() {
+                *xi += (x_new[i] - *xi).clamp(-DAMPING, DAMPING);
+            } else {
+                *xi = x_new[i];
+            }
+        }
+        if max_dv < vtol {
+            return Ok(Some(x));
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -189,17 +381,17 @@ mod tests {
         let b = c.node("b");
         c.vsource("V1", a, Circuit::GROUND, 1.0);
         c.resistor("R1", a, b, 1e3).unwrap();
-        c.inductor("L1", b, Circuit::GROUND, 1e-9).unwrap();
-        c.vcvs("E1", b, Circuit::GROUND, a, Circuit::GROUND, 2.0);
+        c.isource("I1", b, Circuit::GROUND, 1e-3);
+        c.vsource("V2", b, Circuit::GROUND, 2.0);
         let t = Topology::build(&c);
         assert_eq!(t.node_unknowns(), 2);
-        assert_eq!(t.branch_unknowns(), 3);
-        assert_eq!(t.dim(), 5);
+        assert_eq!(t.dim(), 4);
         assert_eq!(t.vix(Circuit::GROUND), None);
         assert_eq!(t.vix(a), Some(0));
         assert_eq!(t.branch_ix_by_name("v1"), Some(2));
-        assert_eq!(t.branch_ix_by_name("L1"), Some(3));
-        assert_eq!(t.branch_ix_by_name("E1"), Some(4));
+        assert_eq!(t.branch_ix_by_name("V2"), Some(3));
+        assert_eq!(t.branch_ix(0), Some(2));
+        assert_eq!(t.branch_ix_by_name("I1"), None);
         assert_eq!(t.branch_ix_by_name("R1"), None);
     }
 }

@@ -4,7 +4,10 @@ use crate::netlist::{Circuit, Element, NodeId};
 use crate::num::{Complex, Matrix};
 
 use super::dc::{DcSolver, OperatingPoint};
-use super::{AnalysisError, Topology};
+use super::{
+    fet_cap_pairs, stamp_fet_partials, stamp_isource, stamp_two_terminal, stamp_vsource,
+    AnalysisError, Topology,
+};
 
 /// Frequency grid specification for an AC sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,15 +21,6 @@ pub enum FrequencySweep {
         stop: f64,
         /// Points per decade (≥ 1).
         points_per_decade: usize,
-    },
-    /// Linear sweep with `points` samples from `start` to `stop` (Hz).
-    Linear {
-        /// Start frequency in Hz (> 0).
-        start: f64,
-        /// Stop frequency in Hz (≥ start).
-        stop: f64,
-        /// Number of samples (≥ 2).
-        points: usize,
     },
     /// An explicit list of frequencies in Hz.
     List(Vec<f64>),
@@ -68,22 +62,6 @@ impl FrequencySweep {
                 }
                 Ok(out)
             }
-            FrequencySweep::Linear {
-                start,
-                stop,
-                points,
-            } => {
-                if !(*start > 0.0 && stop >= start && *points >= 2) {
-                    return Err(AnalysisError::BadParameters {
-                        reason: format!(
-                            "linear sweep requires 0 < start <= stop, points >= 2; got {start}..{stop} x{points}"
-                        ),
-                    });
-                }
-                Ok((0..*points)
-                    .map(|i| start + (stop - start) * i as f64 / (*points as f64 - 1.0))
-                    .collect())
-            }
             FrequencySweep::List(fs) => {
                 if fs.is_empty() || fs.iter().any(|f| !(f.is_finite() && *f > 0.0)) {
                     return Err(AnalysisError::BadParameters {
@@ -118,7 +96,7 @@ impl AcResult {
         }
     }
 
-    /// Complex branch current of a voltage-defined element at `fidx`.
+    /// Complex branch current of an independent voltage source at `fidx`.
     pub fn branch_phasor(&self, name: &str, fidx: usize) -> Option<Complex> {
         self.topo
             .branch_ix_by_name(name)
@@ -129,13 +107,6 @@ impl AcResult {
     pub fn magnitude(&self, node: NodeId) -> Vec<f64> {
         (0..self.freqs.len())
             .map(|i| self.phasor(node, i).norm())
-            .collect()
-    }
-
-    /// Phase response (radians, unwrapped naive) of a node across the sweep.
-    pub fn phase(&self, node: NodeId) -> Vec<f64> {
-        (0..self.freqs.len())
-            .map(|i| self.phasor(node, i).arg())
             .collect()
     }
 }
@@ -202,23 +173,8 @@ impl AcSolver {
     }
 }
 
-fn stamp_admittance(mat: &mut Matrix<Complex>, topo: &Topology, a: NodeId, b: NodeId, y: Complex) {
-    let ia = topo.vix(a);
-    let ib = topo.vix(b);
-    if let Some(i) = ia {
-        mat.stamp(i, i, y);
-    }
-    if let Some(j) = ib {
-        mat.stamp(j, j, y);
-    }
-    if let (Some(i), Some(j)) = (ia, ib) {
-        mat.stamp(i, j, -y);
-        mat.stamp(j, i, -y);
-    }
-}
-
 // The topology is derived from the very circuit being stamped, so every
-// branch element has a branch row and the operating point covers every FET;
+// voltage source has a branch row and the operating point covers every FET;
 // `expect` documents that invariant rather than a recoverable condition.
 #[allow(clippy::expect_used)]
 fn assemble_ac(
@@ -236,68 +192,21 @@ fn assemble_ac(
     for (idx, el) in circuit.elements().iter().enumerate() {
         match el {
             Element::Resistor { a, b, ohms, .. } => {
-                stamp_admittance(mat, topo, *a, *b, Complex::from_re(1.0 / ohms));
+                stamp_two_terminal(mat, topo, *a, *b, Complex::from_re(1.0 / ohms));
             }
             Element::Capacitor { a, b, farads, .. } => {
-                stamp_admittance(mat, topo, *a, *b, Complex::new(0.0, omega * farads));
-            }
-            Element::Inductor { a, b, henries, .. } => {
-                let k = topo.branch_ix(idx).expect("inductor branch");
-                stamp_branch_kcl_c(mat, topo, *a, *b, k);
-                if let Some(ia) = topo.vix(*a) {
-                    mat.stamp(k, ia, Complex::ONE);
-                }
-                if let Some(ib) = topo.vix(*b) {
-                    mat.stamp(k, ib, -Complex::ONE);
-                }
-                mat.stamp(k, k, Complex::new(0.0, -omega * henries));
+                stamp_two_terminal(mat, topo, *a, *b, Complex::new(0.0, omega * farads));
             }
             Element::VSource {
                 pos, neg, ac_mag, ..
             } => {
                 let k = topo.branch_ix(idx).expect("vsource branch");
-                stamp_branch_kcl_c(mat, topo, *pos, *neg, k);
-                if let Some(ip) = topo.vix(*pos) {
-                    mat.stamp(k, ip, Complex::ONE);
-                }
-                if let Some(in_) = topo.vix(*neg) {
-                    mat.stamp(k, in_, -Complex::ONE);
-                }
-                rhs[k] += Complex::from_re(*ac_mag);
+                stamp_vsource(mat, rhs, topo, *pos, *neg, k, Complex::from_re(*ac_mag));
             }
             Element::ISource {
                 pos, neg, ac_mag, ..
             } => {
-                if let Some(ip) = topo.vix(*pos) {
-                    rhs[ip] -= Complex::from_re(*ac_mag);
-                }
-                if let Some(in_) = topo.vix(*neg) {
-                    rhs[in_] += Complex::from_re(*ac_mag);
-                }
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let k = topo.branch_ix(idx).expect("vcvs branch");
-                stamp_branch_kcl_c(mat, topo, *p, *n, k);
-                for (node, sign) in [(*p, 1.0), (*n, -1.0), (*cp, -gain), (*cn, *gain)] {
-                    if let Some(i) = topo.vix(node) {
-                        mat.stamp(k, i, Complex::from_re(sign));
-                    }
-                }
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => {
-                for (row, rsign) in [(*p, 1.0), (*n, -1.0)] {
-                    if let Some(r) = topo.vix(row) {
-                        for (col, csign) in [(*cp, 1.0), (*cn, -1.0)] {
-                            if let Some(cix) = topo.vix(col) {
-                                mat.stamp(r, cix, Complex::from_re(gm * rsign * csign));
-                            }
-                        }
-                    }
-                }
+                stamp_isource(rhs, topo, *pos, *neg, Complex::from_re(*ac_mag));
             }
             Element::Fet(fet) => {
                 let fop = op
@@ -308,57 +217,15 @@ fn assemble_ac(
                 let vg = op.voltage(fet.g);
                 let vs = op.voltage(fet.s);
                 let vb = op.voltage(fet.b);
-                let e = fet.eval(vd, vg, vs, vb);
-                let partials = [
-                    (fet.d, e.did_dvd),
-                    (fet.g, e.did_dvg),
-                    (fet.s, e.did_dvs),
-                    (fet.b, e.did_dvb),
-                ];
-                if let Some(id_) = topo.vix(fet.d) {
-                    for (node, dp) in partials {
-                        if let Some(col) = topo.vix(node) {
-                            mat.stamp(id_, col, Complex::from_re(dp));
-                        }
-                    }
-                }
-                if let Some(is_) = topo.vix(fet.s) {
-                    for (node, dp) in partials {
-                        if let Some(col) = topo.vix(node) {
-                            mat.stamp(is_, col, Complex::from_re(-dp));
-                        }
-                    }
-                }
+                stamp_fet_partials(mat, topo, fet, &fet.eval(vd, vg, vs, vb));
                 // Bias-dependent capacitances.
-                let caps = fop.caps;
-                for (a, b, c) in [
-                    (fet.g, fet.s, caps.cgs),
-                    (fet.g, fet.d, caps.cgd),
-                    (fet.g, fet.b, caps.cgb),
-                    (fet.d, fet.b, caps.cdb),
-                    (fet.s, fet.b, caps.csb),
-                ] {
+                for (a, b, c) in fet_cap_pairs(fet, &fop.caps) {
                     if c > 0.0 {
-                        stamp_admittance(mat, topo, a, b, Complex::new(0.0, omega * c));
+                        stamp_two_terminal(mat, topo, a, b, Complex::new(0.0, omega * c));
                     }
                 }
             }
         }
-    }
-}
-
-fn stamp_branch_kcl_c(
-    mat: &mut Matrix<Complex>,
-    topo: &Topology,
-    pos: NodeId,
-    neg: NodeId,
-    k: usize,
-) {
-    if let Some(ip) = topo.vix(pos) {
-        mat.stamp(ip, k, Complex::ONE);
-    }
-    if let Some(in_) = topo.vix(neg) {
-        mat.stamp(in_, k, -Complex::ONE);
     }
 }
 
@@ -413,30 +280,8 @@ mod tests {
         assert!((mags[1] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
         assert!(mags[2] < 0.02);
         // Phase at the pole is −45°.
-        let ph = res.phase(out)[1];
+        let ph = res.phasor(out, 1).arg();
         assert!((ph + std::f64::consts::FRAC_PI_4).abs() < 1e-3);
-    }
-
-    #[test]
-    fn lc_resonance() {
-        // Series RLC driven by 1 V: current peaks at f0 = 1/(2π√(LC)).
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        let o = c.node("o");
-        c.vsource_ac("V1", a, Circuit::GROUND, 0.0, 1.0);
-        c.resistor("R1", a, b, 10.0).unwrap();
-        c.inductor("L1", b, o, 1e-6).unwrap();
-        c.capacitor("C1", o, Circuit::GROUND, 1e-9).unwrap();
-        let f0 = 1.0 / (2.0 * std::f64::consts::PI * (1e-6f64 * 1e-9).sqrt());
-        let res = AcSolver::new()
-            .solve(&c, &FrequencySweep::List(vec![f0 / 3.0, f0, f0 * 3.0]))
-            .unwrap();
-        let i = |k: usize| res.branch_phasor("V1", k).unwrap().norm();
-        assert!(i(1) > 5.0 * i(0), "resonance peak {} vs {}", i(1), i(0));
-        assert!(i(1) > 5.0 * i(2));
-        // At resonance |I| = V/R = 0.1 A.
-        assert!((i(1) - 0.1).abs() < 1e-3);
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //!
 //! Newton–Raphson with voltage-step damping, a gmin ladder, and source
 //! stepping as fallback — the classic SPICE convergence toolkit, sized for
-//! the small circuits primitive testbenches produce.
+//! the small circuits primitive testbenches produce. The assembly and the
+//! Newton loop are the ones transient uses, with no charge storage and the
+//! sources at their `t = 0⁻` values.
 
 use std::collections::HashMap;
 
 use crate::devices::FetCaps;
-use crate::netlist::{Circuit, Element, NodeId};
+use crate::netlist::{Circuit, NodeId, Waveform};
 use crate::num::Matrix;
 
-use super::{AnalysisError, Topology};
+use super::{assemble_real, newton, AnalysisError, Topology};
 
 /// Per-FET operating-point record.
 #[derive(Debug, Clone, Copy)]
@@ -47,9 +49,9 @@ impl OperatingPoint {
         self.topo.voltage_in(&self.x, node)
     }
 
-    /// Branch current through a voltage-defined element (V source, VCVS,
-    /// inductor), by case-insensitive name. Positive current flows from the
-    /// element's positive terminal through it to the negative terminal.
+    /// Branch current through an independent voltage source, by
+    /// case-insensitive name. Positive current flows from the source's
+    /// positive terminal through it to the negative terminal.
     pub fn branch_current(&self, name: &str) -> Option<f64> {
         self.topo.branch_ix_by_name(name).map(|i| self.x[i])
     }
@@ -58,27 +60,10 @@ impl OperatingPoint {
     pub fn fet_op(&self, name: &str) -> Option<&FetOp> {
         self.fet_ops.get(name)
     }
-
-    /// All FET operating records.
-    pub fn fet_ops(&self) -> &HashMap<String, FetOp> {
-        &self.fet_ops
-    }
-
-    /// The raw MNA solution vector.
-    pub fn solution(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// The topology this solution is laid out against.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
 }
 
 /// Absolute node-voltage convergence tolerance of a Newton solve (V).
 const VTOL: f64 = 1e-9;
-/// Largest node-voltage change one Newton iteration may take (V).
-const DAMPING: f64 = 0.3;
 
 /// Newton-based DC solver. Create with [`DcSolver::new`], then call
 /// [`DcSolver::solve`].
@@ -131,10 +116,7 @@ impl DcSolver {
         let x = self.solve_vector(circuit, &topo)?;
         let mut fet_ops = HashMap::new();
         for fet in circuit.fets() {
-            let vd = topo.voltage_in(&x, fet.d);
-            let vg = topo.voltage_in(&x, fet.g);
-            let vs = topo.voltage_in(&x, fet.s);
-            let vb = topo.voltage_in(&x, fet.b);
+            let [vd, vg, vs, vb] = topo.fet_voltages(&x, fet);
             let e = fet.eval(vd, vg, vs, vb);
             let caps = fet.capacitances(vd, vg, vs, vb);
             fet_ops.insert(
@@ -161,11 +143,36 @@ impl DcSolver {
         circuit: &Circuit,
         topo: &Topology,
     ) -> Result<Vec<f64>, AnalysisError> {
+        let dim = topo.dim();
+        let mut mat = Matrix::<f64>::zero(dim);
+        let mut rhs = vec![0.0; dim];
+        // One Newton solve at fixed gmin and source scale.
+        let mut solve_at = |x0: &[f64], gmin: f64, src_scale: f64| {
+            let assemble = |x: &[f64], mat: &mut Matrix<f64>, rhs: &mut [f64]| {
+                let source = |wave: &Waveform| wave.dc_value() * src_scale;
+                assemble_real(circuit, topo, x, gmin, source, |_, _, _| {}, mat, rhs);
+            };
+            newton(
+                topo,
+                x0,
+                VTOL,
+                self.max_iterations,
+                self.cancel.as_ref(),
+                &mut mat,
+                &mut rhs,
+                assemble,
+            )?
+            .ok_or_else(|| AnalysisError::NoConvergence {
+                phase: format!("dc (gmin={gmin:e}, scale={src_scale})"),
+                iterations: self.max_iterations,
+            })
+        };
+
         // Strategy 1: gmin ladder from a zero start.
-        let mut x = vec![0.0; topo.dim()];
+        let mut x = vec![0.0; dim];
         let mut ladder_ok = true;
         for &gmin in &self.gmin_ladder {
-            match self.newton(circuit, topo, &x, gmin, 1.0) {
+            match solve_at(&x, gmin, 1.0) {
                 Ok(next) => x = next,
                 // A cancelled rung must not fall through to source stepping:
                 // the whole solve is abandoned.
@@ -181,229 +188,15 @@ impl DcSolver {
         }
 
         // Strategy 2: source stepping at a fixed safe gmin, then relax gmin.
-        let mut x = vec![0.0; topo.dim()];
+        let mut x = vec![0.0; dim];
         for step in 1..=self.source_steps {
             let alpha = step as f64 / self.source_steps as f64;
-            x = self.newton(circuit, topo, &x, 1e-9, alpha)?;
+            x = solve_at(&x, 1e-9, alpha)?;
         }
         for &gmin in &[1e-10, 1e-12] {
-            x = self.newton(circuit, topo, &x, gmin, 1.0)?;
+            x = solve_at(&x, gmin, 1.0)?;
         }
         Ok(x)
-    }
-
-    /// One Newton solve at fixed gmin and source scale.
-    fn newton(
-        &self,
-        circuit: &Circuit,
-        topo: &Topology,
-        x0: &[f64],
-        gmin: f64,
-        src_scale: f64,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let dim = topo.dim();
-        let mut x = x0.to_vec();
-        let mut mat = Matrix::<f64>::zero(dim);
-        let mut rhs = vec![0.0; dim];
-
-        for _iter in 0..self.max_iterations {
-            if let Some(token) = &self.cancel {
-                token.check()?;
-            }
-            mat.clear();
-            rhs.iter_mut().for_each(|v| *v = 0.0);
-            assemble_dc(circuit, topo, &x, gmin, src_scale, &mut mat, &mut rhs);
-            let x_new = mat.solve(&rhs)?;
-
-            // Convergence on node voltages (branch currents follow).
-            let mut max_dv: f64 = 0.0;
-            for i in 0..topo.node_unknowns() {
-                max_dv = max_dv.max((x_new[i] - x[i]).abs());
-            }
-            // Damped update on voltages; currents take the full step.
-            for i in 0..dim {
-                if i < topo.node_unknowns() {
-                    let dv = (x_new[i] - x[i]).clamp(-DAMPING, DAMPING);
-                    x[i] += dv;
-                } else {
-                    x[i] = x_new[i];
-                }
-            }
-            if max_dv < VTOL {
-                return Ok(x);
-            }
-        }
-        Err(AnalysisError::NoConvergence {
-            phase: format!("dc (gmin={gmin:e}, scale={src_scale})"),
-            iterations: self.max_iterations,
-        })
-    }
-}
-
-/// Assembles the DC Jacobian and RHS at the linearization point `x`.
-///
-/// Capacitors are open; inductors are 0 V branches; sources are scaled by
-/// `src_scale`; every node row gets `gmin` to ground.
-// The topology is derived from the very circuit being stamped, so every
-// branch element has a branch row; `expect` documents that invariant
-// rather than a recoverable condition.
-#[allow(clippy::expect_used)]
-pub(crate) fn assemble_dc(
-    circuit: &Circuit,
-    topo: &Topology,
-    x: &[f64],
-    gmin: f64,
-    src_scale: f64,
-    mat: &mut Matrix<f64>,
-    rhs: &mut [f64],
-) {
-    for i in 0..topo.node_unknowns() {
-        mat.stamp(i, i, gmin);
-    }
-    for (idx, el) in circuit.elements().iter().enumerate() {
-        match el {
-            Element::Resistor { a, b, ohms, .. } => {
-                stamp_conductance(mat, topo, *a, *b, 1.0 / ohms);
-            }
-            Element::Capacitor { .. } => {}
-            Element::Inductor { a, b, .. } => {
-                let k = topo.branch_ix(idx).expect("inductor branch");
-                stamp_branch_kcl(mat, topo, *a, *b, k);
-                // Branch equation: v(a) − v(b) = 0.
-                if let Some(ia) = topo.vix(*a) {
-                    mat.stamp(k, ia, 1.0);
-                }
-                if let Some(ib) = topo.vix(*b) {
-                    mat.stamp(k, ib, -1.0);
-                }
-            }
-            Element::VSource { pos, neg, wave, .. } => {
-                let k = topo.branch_ix(idx).expect("vsource branch");
-                stamp_branch_kcl(mat, topo, *pos, *neg, k);
-                if let Some(ip) = topo.vix(*pos) {
-                    mat.stamp(k, ip, 1.0);
-                }
-                if let Some(in_) = topo.vix(*neg) {
-                    mat.stamp(k, in_, -1.0);
-                }
-                rhs[k] += wave.dc_value() * src_scale;
-            }
-            Element::ISource { pos, neg, wave, .. } => {
-                let i = wave.dc_value() * src_scale;
-                if let Some(ip) = topo.vix(*pos) {
-                    rhs[ip] -= i;
-                }
-                if let Some(in_) = topo.vix(*neg) {
-                    rhs[in_] += i;
-                }
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let k = topo.branch_ix(idx).expect("vcvs branch");
-                stamp_branch_kcl(mat, topo, *p, *n, k);
-                for (node, sign) in [(*p, 1.0), (*n, -1.0), (*cp, -gain), (*cn, *gain)] {
-                    if let Some(i) = topo.vix(node) {
-                        mat.stamp(k, i, sign);
-                    }
-                }
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => {
-                stamp_transconductance(mat, topo, *p, *n, *cp, *cn, *gm);
-            }
-            Element::Fet(fet) => {
-                let vd = topo.voltage_in(x, fet.d);
-                let vg = topo.voltage_in(x, fet.g);
-                let vs = topo.voltage_in(x, fet.s);
-                let vb = topo.voltage_in(x, fet.b);
-                let e = fet.eval(vd, vg, vs, vb);
-                let ieq =
-                    e.id_raw - (e.did_dvd * vd + e.did_dvg * vg + e.did_dvs * vs + e.did_dvb * vb);
-                let partials = [
-                    (fet.d, e.did_dvd),
-                    (fet.g, e.did_dvg),
-                    (fet.s, e.did_dvs),
-                    (fet.b, e.did_dvb),
-                ];
-                if let Some(id_) = topo.vix(fet.d) {
-                    for (node, dp) in partials {
-                        if let Some(col) = topo.vix(node) {
-                            mat.stamp(id_, col, dp);
-                        }
-                    }
-                    rhs[id_] -= ieq;
-                }
-                if let Some(is_) = topo.vix(fet.s) {
-                    for (node, dp) in partials {
-                        if let Some(col) = topo.vix(node) {
-                            mat.stamp(is_, col, -dp);
-                        }
-                    }
-                    rhs[is_] += ieq;
-                }
-            }
-        }
-    }
-}
-
-/// Stamps a conductance `g` between nodes `a` and `b`.
-pub(crate) fn stamp_conductance(
-    mat: &mut Matrix<f64>,
-    topo: &Topology,
-    a: NodeId,
-    b: NodeId,
-    g: f64,
-) {
-    let ia = topo.vix(a);
-    let ib = topo.vix(b);
-    if let Some(i) = ia {
-        mat.stamp(i, i, g);
-    }
-    if let Some(j) = ib {
-        mat.stamp(j, j, g);
-    }
-    if let (Some(i), Some(j)) = (ia, ib) {
-        mat.stamp(i, j, -g);
-        mat.stamp(j, i, -g);
-    }
-}
-
-/// Stamps the KCL coupling of a branch current `k` flowing `pos → neg`.
-pub(crate) fn stamp_branch_kcl(
-    mat: &mut Matrix<f64>,
-    topo: &Topology,
-    pos: NodeId,
-    neg: NodeId,
-    k: usize,
-) {
-    if let Some(ip) = topo.vix(pos) {
-        mat.stamp(ip, k, 1.0);
-    }
-    if let Some(in_) = topo.vix(neg) {
-        mat.stamp(in_, k, -1.0);
-    }
-}
-
-/// Stamps a VCCS: `i(p→n) = gm · v(cp, cn)`.
-pub(crate) fn stamp_transconductance(
-    mat: &mut Matrix<f64>,
-    topo: &Topology,
-    p: NodeId,
-    n: NodeId,
-    cp: NodeId,
-    cn: NodeId,
-    gm: f64,
-) {
-    for (row, rsign) in [(p, 1.0), (n, -1.0)] {
-        if let Some(r) = topo.vix(row) {
-            for (col, csign) in [(cp, 1.0), (cn, -1.0)] {
-                if let Some(c) = topo.vix(col) {
-                    mat.stamp(r, c, gm * rsign * csign);
-                }
-            }
-        }
     }
 }
 
@@ -440,19 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn inductor_is_short_in_dc() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::GROUND, 1.0);
-        c.inductor("L1", a, b, 1e-9).unwrap();
-        c.resistor("R1", b, Circuit::GROUND, 1e3).unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        assert!((op.voltage(b) - 1.0).abs() < 1e-6);
-        assert!((op.branch_current("L1").unwrap() - 1e-3).abs() < 1e-8);
-    }
-
-    #[test]
     fn current_source_convention() {
         let mut c = Circuit::new();
         let a = c.node("a");
@@ -463,32 +243,6 @@ mod tests {
         c.resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
         let op = DcSolver::new().solve(&c).unwrap();
         assert!((op.voltage(a) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vcvs_amplifies() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::GROUND, 0.1);
-        c.vcvs("E1", b, Circuit::GROUND, a, Circuit::GROUND, 10.0);
-        c.resistor("RL", b, Circuit::GROUND, 1e3).unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        assert!((op.voltage(b) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vccs_injects() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::GROUND, 1.0);
-        // i(b->gnd via source) = gm*v(a) = 1 mA pulled out of b.
-        c.vccs("G1", b, Circuit::GROUND, a, Circuit::GROUND, 1e-3);
-        c.resistor("RB", b, Circuit::GROUND, 1e3).unwrap();
-        // Current is drawn from node b through the VCCS to ground: v(b) = -1.
-        let op = DcSolver::new().solve(&c).unwrap();
-        assert!((op.voltage(b) + 1.0).abs() < 1e-6);
     }
 
     #[test]

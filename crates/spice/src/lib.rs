@@ -9,19 +9,23 @@
 //! * nonlinear **DC** operating-point analysis (Newton–Raphson with gmin and
 //!   source stepping fallbacks),
 //! * small-signal **AC** analysis (complex MNA around the DC operating point),
-//! * **transient** analysis (trapezoidal/backward-Euler companion models with
-//!   a Newton solve per timestep), and
+//! * **transient** analysis from the DC operating point
+//!   (trapezoidal/backward-Euler companion models with a Newton solve per
+//!   timestep), and
 //! * `.measure`-style post-processing ([`measure`]) for the metrics used by
 //!   primitive testbenches: gain, unity-gain frequency, phase margin, 3 dB
 //!   bandwidth, delays, oscillation frequency, and average power.
 //!
-//! Devices include the linear set (R, C, L, V/I sources, VCVS, VCCS) and a
-//! smooth FinFET-flavored compact model ([`devices::FetModel`]) whose
-//! current is C¹-continuous from weak to strong inversion, making Newton
-//! iterations robust. The model exposes the layout-dependent knobs the
-//! methodology optimizes: per-instance threshold/mobility shifts from
-//! layout-dependent effects (LDEs) and junction capacitances proportional to
-//! drain/source diffusion geometry.
+//! The three analyses share one set of element stamps, and DC and transient
+//! share one damped Newton loop ([`analysis`]).
+//!
+//! Devices are the ones primitive testbenches build: resistors, capacitors,
+//! independent V/I sources, and a smooth FinFET-flavored compact model
+//! ([`devices::FetModel`]) whose current is C¹-continuous from weak to
+//! strong inversion, making Newton iterations robust. The model exposes the
+//! layout-dependent knobs the methodology optimizes: per-instance
+//! threshold/mobility shifts from layout-dependent effects (LDEs) and
+//! junction capacitances proportional to drain/source diffusion geometry.
 //!
 //! Circuits are built programmatically with [`netlist::Circuit`]; nested
 //! blocks are flattened into it with [`netlist::Circuit::instantiate`].

@@ -451,14 +451,13 @@ mod tests {
     }
 
     #[test]
-    fn gain_with_vcvs_and_ugf() {
-        // VCVS gain 100 into an RC pole: UGF = 100 × f3dB approximately.
+    fn gain_and_ugf_of_single_pole() {
+        // An AC drive of magnitude 100 into an RC pole: UGF = 100 × f3dB
+        // approximately.
         let mut c = Circuit::new();
-        let vin = c.node("vin");
         let amp = c.node("amp");
         let out = c.node("out");
-        c.vsource_ac("V1", vin, Circuit::GROUND, 0.0, 1.0);
-        c.vcvs("E1", amp, Circuit::GROUND, vin, Circuit::GROUND, 100.0);
+        c.vsource_ac("V1", amp, Circuit::GROUND, 0.0, 100.0);
         c.resistor("R1", amp, out, 1e3).unwrap();
         c.capacitor("C1", out, Circuit::GROUND, 1e-9).unwrap();
         let res = AcSolver::new()
@@ -485,20 +484,18 @@ mod tests {
     #[test]
     fn phase_margin_two_pole_system() {
         // Gain 1000 through two RC poles at 1 MHz and 100 MHz: at the unity
-        // crossing the phase has fallen well past −90°, so PM < 90°.
+        // crossing the phase has fallen well past −90°, so PM < 90°. The
+        // second section has 100× the impedance of the first, so it barely
+        // loads it.
         let mut c = Circuit::new();
-        let vin = c.node("vin");
         let a = c.node("a");
         let b = c.node("b");
         let out = c.node("out");
-        c.vsource_ac("V1", vin, Circuit::GROUND, 0.0, 1.0);
-        c.vcvs("E1", a, Circuit::GROUND, vin, Circuit::GROUND, 1000.0);
+        c.vsource_ac("V1", a, Circuit::GROUND, 0.0, 1000.0);
         c.resistor("R1", a, b, 1e3).unwrap();
         c.capacitor("C1", b, Circuit::GROUND, 159.15e-12).unwrap(); // 1 MHz
-        let buf = c.node("buf");
-        c.vcvs("E2", buf, Circuit::GROUND, b, Circuit::GROUND, 1.0);
-        c.resistor("R2", buf, out, 1e3).unwrap();
-        c.capacitor("C2", out, Circuit::GROUND, 1.5915e-12).unwrap(); // 100 MHz
+        c.resistor("R2", b, out, 100e3).unwrap();
+        c.capacitor("C2", out, Circuit::GROUND, 15.915e-15).unwrap(); // 100 MHz
         let res = AcSolver::new()
             .solve(
                 &c,

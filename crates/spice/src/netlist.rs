@@ -172,19 +172,6 @@ pub enum Element {
         b: NodeId,
         /// Capacitance in farads (≥ 0).
         farads: f64,
-        /// Optional initial voltage `v(a) − v(b)` for transient analysis.
-        ic: Option<f64>,
-    },
-    /// Two-terminal linear inductor (short in DC, `jωL` in AC).
-    Inductor {
-        /// Instance name.
-        name: String,
-        /// First terminal.
-        a: NodeId,
-        /// Second terminal.
-        b: NodeId,
-        /// Inductance in henries (> 0).
-        henries: f64,
     },
     /// Independent voltage source with an MNA branch current.
     VSource {
@@ -212,36 +199,6 @@ pub enum Element {
         /// AC small-signal magnitude.
         ac_mag: f64,
     },
-    /// Voltage-controlled voltage source `E`: `v(p,n) = gain·v(cp,cn)`.
-    Vcvs {
-        /// Instance name.
-        name: String,
-        /// Positive output terminal.
-        p: NodeId,
-        /// Negative output terminal.
-        n: NodeId,
-        /// Positive controlling terminal.
-        cp: NodeId,
-        /// Negative controlling terminal.
-        cn: NodeId,
-        /// Voltage gain.
-        gain: f64,
-    },
-    /// Voltage-controlled current source `G`: `i(p→n) = gm·v(cp,cn)`.
-    Vccs {
-        /// Instance name.
-        name: String,
-        /// Current injection terminal.
-        p: NodeId,
-        /// Current return terminal.
-        n: NodeId,
-        /// Positive controlling terminal.
-        cp: NodeId,
-        /// Negative controlling terminal.
-        cn: NodeId,
-        /// Transconductance in siemens.
-        gm: f64,
-    },
     /// FinFET-flavored MOS transistor.
     Fet(FetInstance),
 }
@@ -252,11 +209,8 @@ impl Element {
         match self {
             Element::Resistor { name, .. }
             | Element::Capacitor { name, .. }
-            | Element::Inductor { name, .. }
             | Element::VSource { name, .. }
-            | Element::ISource { name, .. }
-            | Element::Vcvs { name, .. }
-            | Element::Vccs { name, .. } => name,
+            | Element::ISource { name, .. } => name,
             Element::Fet(fet) => &fet.name,
         }
     }
@@ -384,54 +338,6 @@ impl Circuit {
             a,
             b,
             farads,
-            ic: None,
-        });
-        Ok(())
-    }
-
-    /// Adds a capacitor with an initial-condition voltage for transient runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidValue`] unless `farads` is finite and ≥ 0.
-    pub fn capacitor_ic(
-        &mut self,
-        name: &str,
-        a: NodeId,
-        b: NodeId,
-        farads: f64,
-        ic: f64,
-    ) -> Result<(), SpiceError> {
-        self.capacitor(name, a, b, farads)?;
-        if let Some(Element::Capacitor { ic: slot, .. }) = self.elements.last_mut() {
-            *slot = Some(ic);
-        }
-        Ok(())
-    }
-
-    /// Adds an inductor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidValue`] unless `henries` is finite and > 0.
-    pub fn inductor(
-        &mut self,
-        name: &str,
-        a: NodeId,
-        b: NodeId,
-        henries: f64,
-    ) -> Result<(), SpiceError> {
-        if !(henries.is_finite() && henries > 0.0) {
-            return Err(SpiceError::InvalidValue {
-                element: name.to_string(),
-                reason: format!("inductance must be finite and positive, got {henries}"),
-            });
-        }
-        self.elements.push(Element::Inductor {
-            name: name.to_string(),
-            a,
-            b,
-            henries,
         });
         Ok(())
     }
@@ -489,30 +395,6 @@ impl Circuit {
         });
     }
 
-    /// Adds a voltage-controlled voltage source.
-    pub fn vcvs(&mut self, name: &str, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gain: f64) {
-        self.elements.push(Element::Vcvs {
-            name: name.to_string(),
-            p,
-            n,
-            cp,
-            cn,
-            gain,
-        });
-    }
-
-    /// Adds a voltage-controlled current source.
-    pub fn vccs(&mut self, name: &str, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64) {
-        self.elements.push(Element::Vccs {
-            name: name.to_string(),
-            p,
-            n,
-            cp,
-            cn,
-            gm,
-        });
-    }
-
     /// Adds a FET instance.
     ///
     /// # Errors
@@ -565,9 +447,7 @@ impl Circuit {
         for el in &sub.elements {
             let mut el = el.clone();
             match &mut el {
-                Element::Resistor { name, a, b, .. }
-                | Element::Capacitor { name, a, b, .. }
-                | Element::Inductor { name, a, b, .. } => {
+                Element::Resistor { name, a, b, .. } | Element::Capacitor { name, a, b, .. } => {
                     *name = format!("{prefix}.{name}");
                     *a = m(*a);
                     *b = m(*b);
@@ -577,18 +457,6 @@ impl Circuit {
                     *name = format!("{prefix}.{name}");
                     *pos = m(*pos);
                     *neg = m(*neg);
-                }
-                Element::Vcvs {
-                    name, p, n, cp, cn, ..
-                }
-                | Element::Vccs {
-                    name, p, n, cp, cn, ..
-                } => {
-                    *name = format!("{prefix}.{name}");
-                    *p = m(*p);
-                    *n = m(*n);
-                    *cp = m(*cp);
-                    *cn = m(*cn);
                 }
                 Element::Fet(fet) => {
                     fet.name = format!("{prefix}.{}", fet.name);
@@ -610,35 +478,11 @@ impl Circuit {
             _ => None,
         })
     }
-
-    /// Mutable access to a FET by name (used to inject mismatch or LDE
-    /// shifts into an already-built circuit).
-    pub fn fet_mut(&mut self, name: &str) -> Option<&mut FetInstance> {
-        self.elements.iter_mut().find_map(|e| match e {
-            Element::Fet(f) if f.name == name => Some(f),
-            _ => None,
-        })
-    }
-
-    /// Total capacitance attached to `node` from explicit capacitors
-    /// (parasitic wire caps and loads), in farads.
-    pub fn explicit_cap_at(&self, node: NodeId) -> f64 {
-        self.elements
-            .iter()
-            .filter_map(|e| match e {
-                Element::Capacitor { a, b, farads, .. } if *a == node || *b == node => {
-                    Some(*farads)
-                }
-                _ => None,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::{FetModel, FetPolarity};
 
     #[test]
     fn ground_aliases() {
@@ -742,38 +586,5 @@ mod tests {
             Element::Resistor { a, .. } => assert_eq!(*a, tin),
             other => panic!("unexpected element {other:?}"),
         }
-    }
-
-    #[test]
-    fn fet_mut_finds_instance() {
-        let mut c = Circuit::new();
-        let d = c.node("d");
-        let g = c.node("g");
-        let fet = FetInstance::new(
-            "M1",
-            d,
-            g,
-            Circuit::GROUND,
-            Circuit::GROUND,
-            FetModel::ideal(FetPolarity::Nmos),
-            1e-6,
-            14e-9,
-        );
-        c.fet(fet).unwrap();
-        assert!(c.fet_mut("M1").is_some());
-        assert!(c.fet_mut("M2").is_none());
-        c.fet_mut("M1").unwrap().delta_vth = 0.01;
-        assert_eq!(c.fets().next().unwrap().delta_vth, 0.01);
-    }
-
-    #[test]
-    fn explicit_cap_sums_node_attached() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.capacitor("C1", a, Circuit::GROUND, 1e-15).unwrap();
-        c.capacitor("C2", a, b, 2e-15).unwrap();
-        c.capacitor("C3", b, Circuit::GROUND, 4e-15).unwrap();
-        assert!((c.explicit_cap_at(a) - 3e-15).abs() < 1e-30);
     }
 }

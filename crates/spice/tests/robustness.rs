@@ -1,18 +1,17 @@
 //! Robustness tests for the simulator: fallback paths, degenerate inputs,
-//! and initialization strategies not covered by the module unit tests.
+//! and agreement between the analyses, not covered by the module unit tests.
 
 #![allow(clippy::unwrap_used)]
 
-use std::collections::HashMap;
-
+use prima_spice::analysis::ac::{AcSolver, FrequencySweep};
 use prima_spice::analysis::dc::DcSolver;
-use prima_spice::analysis::tran::{InitialState, TranSolver};
+use prima_spice::analysis::tran::TranSolver;
 use prima_spice::devices::{FetInstance, FetModel, FetPolarity};
 use prima_spice::measure;
-use prima_spice::netlist::{Circuit, Waveform};
+use prima_spice::netlist::{Circuit, NodeId, Waveform};
 
 /// A bistable cross-coupled latch: Newton from zero finds *a* solution
-/// through the gmin ladder; the Kick initial state then steers a transient
+/// through the gmin ladder; a brief current kick then steers a transient
 /// into a chosen state.
 #[test]
 fn latch_kick_selects_state() {
@@ -54,14 +53,14 @@ fn latch_kick_selects_state() {
     let op = DcSolver::new().solve(&c).unwrap();
     assert!(op.voltage(q).is_finite());
 
-    // Kick q high: the latch must settle with q at the rail.
-    let mut kick = HashMap::new();
-    kick.insert(q, 0.8);
-    kick.insert(qb, 0.0);
-    let res = TranSolver::new(1e-12, 2e-9)
-        .initial(InitialState::Kick(kick))
-        .solve(&c)
-        .unwrap();
+    // Kick q high for ~20 ps, pushing current into q and pulling it out of
+    // qb: the latch must settle with q at the rail. The kick is zero at
+    // t = 0, so it leaves the operating point alone.
+    let amp = 0.5e-3;
+    let kick = || Waveform::Pwl(vec![(0.0, 0.0), (1e-12, amp), (20e-12, amp), (21e-12, 0.0)]);
+    c.isource_wave("IKQ", Circuit::GROUND, q, kick(), 0.0);
+    c.isource_wave("IKQB", qb, Circuit::GROUND, kick(), 0.0);
+    let res = TranSolver::new(1e-12, 2e-9).solve(&c).unwrap();
     let vq = res.voltage(q);
     let vqb = res.voltage(qb);
     assert!(*vq.last().unwrap() > 0.7, "q = {}", vq.last().unwrap());
@@ -177,4 +176,64 @@ fn temperature_moves_current_correctly() {
         i_hot_on < i_cold_on,
         "hot drive {i_hot_on} vs cold {i_cold_on}"
     );
+}
+
+/// A resistively loaded NMOS common-source stage: `(circuit, out)`.
+fn cs_stage(w: f64, vg: f64, rl: f64) -> (Circuit, NodeId) {
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let g = c.node("g");
+    let out = c.node("out");
+    c.vsource("VDD", vdd, Circuit::GROUND, 0.8);
+    c.vsource_ac("VG", g, Circuit::GROUND, vg, 1.0);
+    c.resistor("RL", vdd, out, rl).unwrap();
+    c.capacitor("CL", out, Circuit::GROUND, 2e-15).unwrap();
+    c.fet(FetInstance::new(
+        "M1",
+        out,
+        g,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        FetModel::ideal(FetPolarity::Nmos),
+        w,
+        50e-9,
+    ))
+    .unwrap();
+    (c, out)
+}
+
+/// DC, AC and transient stamp the same elements: at the operating point a
+/// transient with constant sources stays put, and the small-signal gain
+/// equals the slope of the DC transfer curve.
+#[test]
+fn analyses_agree_at_the_operating_point() {
+    // (W, gate bias, load): each stage sits in saturation with a gain near −4.
+    for (w, vg, rl) in [(0.5e-6, 0.30, 20e3), (1e-6, 0.25, 20e3), (2e-6, 0.30, 5e3)] {
+        let out_at = |vg: f64| {
+            let (c, out) = cs_stage(w, vg, rl);
+            DcSolver::new().solve(&c).unwrap().voltage(out)
+        };
+        let (c, out) = cs_stage(w, vg, rl);
+        let v0 = out_at(vg);
+
+        let tran = TranSolver::new(1e-12, 200e-12).solve(&c).unwrap();
+        for (t, v) in tran.times().iter().zip(tran.voltage(out)) {
+            assert!(
+                (v - v0).abs() < 1e-6,
+                "W={w}: v(out) drifted to {v} at t={t:e}"
+            );
+        }
+
+        let ac = AcSolver::new()
+            .solve(&c, &FrequencySweep::List(vec![1.0]))
+            .unwrap();
+        let gain_ac = ac.phasor(out, 0).re;
+        let dv = 1e-4;
+        let gain_dc = (out_at(vg + dv) - out_at(vg - dv)) / (2.0 * dv);
+        assert!(gain_dc < -3.0, "W={w}: stage gain {gain_dc}");
+        assert!(
+            (gain_ac - gain_dc).abs() < 1e-3 * gain_dc.abs(),
+            "W={w}: AC gain {gain_ac} vs DC slope {gain_dc}"
+        );
+    }
 }
