@@ -5,6 +5,13 @@
 //! excitations at the primitive's (far) ports, a measurement, and nothing
 //! else — exactly the "cheap SPICE simulations on small structures" the
 //! paper relies on instead of analytic equations.
+//!
+//! Three metrics search a bias point: a pair's input offset, a switched
+//! pair's tail bias and an inverter's trip point. Each builds its scaffold
+//! once, moves one source in place per probe, warm-starts each DC solve
+//! from the last ([`DcSolver::solve_near`]), and brackets the crossing
+//! with a secant search (`find_crossing`). Metrics evaluated together
+//! share their simulations ([`evaluate_all`]).
 
 // Each scaffold builds its own circuit from constants and pre-validated
 // bias values, then reads back only elements it just inserted; every
@@ -17,12 +24,12 @@ use std::fmt;
 
 use prima_pdk::Technology;
 use prima_spice::analysis::ac::{AcSolver, FrequencySweep};
-use prima_spice::analysis::dc::DcSolver;
+use prima_spice::analysis::dc::{DcSolver, OperatingPoint};
 use prima_spice::analysis::tran::TranSolver;
 use prima_spice::analysis::AnalysisError;
 use prima_spice::devices::FetPolarity;
 use prima_spice::measure::{self, Edge};
-use prima_spice::netlist::{Circuit, SpiceError, Waveform};
+use prima_spice::netlist::{Circuit, Element, SpiceError, Waveform};
 use prima_spice::num::Complex;
 
 use crate::bias::Bias;
@@ -39,6 +46,9 @@ const F_CAP: f64 = 1e9;
 /// circuit context is a multi-GHz amplifier/comparator, so the delivered
 /// signal current is evaluated where the wire RC actually bites.
 const F_GM_DP: f64 = 5e9;
+/// Bracket width (V) at which the input-offset and trip-point searches
+/// stop: the DC solver's node-voltage tolerance.
+const SEARCH_VTOL: f64 = 1e-9;
 
 /// Errors from primitive evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +105,10 @@ impl From<measure::MeasureError> for EvalError {
 
 /// Evaluates every metric of a primitive; returns name → value.
 ///
+/// The metrics share simulations: a metric another one needs (the `Gm` of
+/// `Gm/Ctotal`) is measured once, and the current-starved inverter's delay
+/// and supply current read one transient.
+///
 /// # Errors
 ///
 /// Propagates the first metric evaluation failure.
@@ -105,9 +119,10 @@ pub fn evaluate_all(
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
 ) -> Result<MetricValues, EvalError> {
+    let mut measured = HashMap::new();
     let mut out = MetricValues::new();
     for m in &def.metrics {
-        let v = evaluate_metric(tech, def, m, view, bias, externals)?;
+        let v = metric_value(tech, def, m.kind, view, bias, externals, &mut measured)?;
         out.insert(m.name.clone(), v);
     }
     Ok(out)
@@ -127,26 +142,57 @@ pub fn evaluate_metric(
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
 ) -> Result<f64, EvalError> {
-    match &def.class {
-        PrimitiveClass::DifferentialPair => dp_metric(tech, def, metric, view, bias, externals),
-        PrimitiveClass::CurrentMirror { ratio } => {
-            mirror_metric(tech, def, metric, view, bias, externals, *ratio)
+    metric_value(
+        tech,
+        def,
+        metric.kind,
+        view,
+        bias,
+        externals,
+        &mut HashMap::new(),
+    )
+}
+
+/// Measures the metric `kind`, or returns it from `measured`, the values
+/// this evaluation has measured so far.
+fn metric_value(
+    tech: &Technology,
+    def: &PrimitiveDef,
+    kind: MetricKind,
+    view: LayoutView<'_>,
+    bias: &Bias,
+    externals: &HashMap<String, ExternalWire>,
+    measured: &mut HashMap<MetricKind, f64>,
+) -> Result<f64, EvalError> {
+    if let Some(&v) = measured.get(&kind) {
+        return Ok(v);
+    }
+    let v = match &def.class {
+        PrimitiveClass::DifferentialPair => {
+            dp_metric(tech, def, kind, view, bias, externals, measured)
         }
-        PrimitiveClass::CurrentSource => csrc_metric(tech, def, metric, view, bias, externals),
-        PrimitiveClass::Amplifier => amp_metric(tech, def, metric, view, bias, externals),
-        PrimitiveClass::Load => load_metric(tech, def, metric, view, bias, externals),
-        PrimitiveClass::Switch => switch_metric(tech, def, metric, view, bias, externals),
-        PrimitiveClass::CrossCoupled => ccpair_metric(tech, def, metric, view, bias, externals),
+        PrimitiveClass::CurrentMirror { .. } => {
+            mirror_metric(tech, def, kind, view, bias, externals)
+        }
+        PrimitiveClass::CurrentSource => csrc_metric(tech, def, kind, view, bias, externals),
+        PrimitiveClass::Amplifier => amp_metric(tech, def, kind, view, bias, externals),
+        PrimitiveClass::Load => load_metric(tech, def, kind, view, bias, externals),
+        PrimitiveClass::Switch => switch_metric(tech, def, kind, view, bias, externals),
+        PrimitiveClass::CrossCoupled => {
+            ccpair_metric(tech, def, kind, view, bias, externals, measured)
+        }
         PrimitiveClass::CurrentStarvedInverter => {
-            csi_metric(tech, def, metric, view, bias, externals)
+            csi_metric(tech, def, kind, view, bias, externals, measured)
         }
         PrimitiveClass::PassiveCap { design_f } => {
-            passive_cap_metric(metric, view, externals, *design_f)
+            passive_cap_metric(kind, view, externals, *design_f)
         }
         PrimitiveClass::PassiveRes { design_ohm } => {
-            passive_res_metric(metric, view, externals, *design_ohm)
+            passive_res_metric(kind, view, externals, *design_ohm)
         }
-    }
+    }?;
+    measured.insert(kind, v);
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -191,6 +237,104 @@ fn admittance(circuit: &Circuit, drive: &str, f: f64) -> Result<Complex, EvalErr
     Ok(-branch)
 }
 
+/// A testbench scaffold whose DC operating point is re-solved as its
+/// sources move in place; each solve warm-starts from the last one that
+/// converged.
+struct DcProbe {
+    s: Scaffold,
+    solver: DcSolver,
+    last: Option<OperatingPoint>,
+}
+
+impl DcProbe {
+    fn new(s: Scaffold) -> Self {
+        DcProbe {
+            s,
+            solver: DcSolver::new(),
+            last: None,
+        }
+    }
+
+    /// Solves the operating point at the sources' present values.
+    fn solve(&mut self) -> Result<&OperatingPoint, AnalysisError> {
+        let op = match &self.last {
+            Some(near) => self.solver.solve_near(&self.s.circuit, near)?,
+            None => self.solver.solve(&self.s.circuit)?,
+        };
+        Ok(self.last.insert(op))
+    }
+}
+
+/// Sets the DC value of the voltage source `name`, which the testbench
+/// added, in place.
+fn set_dc(circuit: &mut Circuit, name: &str, v: f64) {
+    let wave = circuit
+        .elements_mut()
+        .iter_mut()
+        .find_map(|e| match e {
+            Element::VSource { name: n, wave, .. } if n == name => Some(wave),
+            _ => None,
+        })
+        .expect("the testbench added this source");
+    *wave = Waveform::Dc(v);
+}
+
+/// Where an increasing `f` crosses zero in `[lo, hi]`, by the Illinois
+/// variant of regula falsi.
+///
+/// Each end comes with its value of `f` when known. A probe bisects the
+/// bracket while an end's value is unknown or not finite, so the first
+/// probe of an unprobed bracket is its midpoint and a non-finite value
+/// takes a bisection step; otherwise it interpolates between the ends.
+/// Positive values move the upper end, negative ones the lower. The
+/// search stops after `max_evals` probes or once the bracket is at most
+/// `tol` wide, and returns the bracket's midpoint, or a probe where `f` is
+/// exactly zero. When every probe has one sign, the bracket closes onto
+/// one end, as bisection's does.
+fn find_crossing<E>(
+    (mut a, mut fa): (f64, Option<f64>),
+    (mut b, mut fb): (f64, Option<f64>),
+    tol: f64,
+    max_evals: usize,
+    mut f: impl FnMut(f64) -> Result<f64, E>,
+) -> Result<f64, E> {
+    // Which end the last probe replaced: a retained end whose value is
+    // halved after two replacements of the other keeps both ends moving.
+    let mut last_moved_upper = None;
+    for _ in 0..max_evals {
+        if b - a <= tol {
+            break;
+        }
+        let x = match (fa, fb) {
+            (Some(fa), Some(fb)) if fa.is_finite() && fb.is_finite() => {
+                let x = a - fa * (b - a) / (fb - fa);
+                if a < x && x < b {
+                    x
+                } else {
+                    0.5 * (a + b)
+                }
+            }
+            _ => 0.5 * (a + b),
+        };
+        let fx = f(x)?;
+        if fx == 0.0 {
+            return Ok(x);
+        }
+        let upper = fx > 0.0;
+        if upper {
+            (b, fb) = (x, Some(fx));
+        } else {
+            (a, fa) = (x, Some(fx));
+        }
+        if last_moved_upper == Some(upper) {
+            let stale = if upper { &mut fa } else { &mut fb };
+            *stale = stale.map(|v| 0.5 * v);
+        }
+        last_moved_upper = Some(upper);
+    }
+    Ok(0.5 * (a + b))
+}
+
 /// First device polarity of a primitive (its "driving" flavor).
 fn polarity(def: &PrimitiveDef) -> FetPolarity {
     def.spec
@@ -204,36 +348,43 @@ fn polarity(def: &PrimitiveDef) -> FetPolarity {
 // Differential pair
 // ---------------------------------------------------------------------------
 
-/// Builds the DP bias scaffold shared by the Gm / C / offset testbenches.
-/// `din` is the differential input offset added at the gates.
-#[allow(clippy::too_many_arguments)]
+/// Gate common-mode voltage of a differential pair's testbenches.
+fn dp_vcm(def: &PrimitiveDef, bias: &Bias) -> f64 {
+    let vcm_def = match polarity(def) {
+        FetPolarity::Nmos => 0.55 * bias.vdd,
+        FetPolarity::Pmos => 0.45 * bias.vdd,
+    };
+    bias.v("cm_in", vcm_def)
+}
+
+/// Builds the DP bias scaffold shared by the Gm / C / offset testbenches,
+/// with both gates at the common-mode voltage.
 fn dp_scaffold(
     tech: &Technology,
     def: &PrimitiveDef,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
-    din: f64,
     ac_inputs: bool,
     ac_drain: bool,
 ) -> Result<Scaffold, EvalError> {
     let mut s = build_scaffold(tech, def, view, externals)?;
     let vdd = bias.vdd;
     let pol = polarity(def);
-    let (vcm_def, vd_def, vcas_def) = match pol {
-        FetPolarity::Nmos => (0.55 * vdd, 0.65 * vdd, 0.80 * vdd),
-        FetPolarity::Pmos => (0.45 * vdd, 0.35 * vdd, 0.20 * vdd),
+    let (vd_def, vcas_def) = match pol {
+        FetPolarity::Nmos => (0.65 * vdd, 0.80 * vdd),
+        FetPolarity::Pmos => (0.35 * vdd, 0.20 * vdd),
     };
-    let vcm = bias.v("cm_in", vcm_def);
+    let vcm = dp_vcm(def, bias);
     let vd = bias.v("vd", vd_def);
     drive_supply(&mut s, vdd);
 
     let (ga, gb, da, db) = (s.at("ga"), s.at("gb"), s.at("da"), s.at("db"));
     let (in_ac_a, in_ac_b) = if ac_inputs { (0.5, -0.5) } else { (0.0, 0.0) };
     s.circuit
-        .vsource_ac("VGA", ga, Circuit::GROUND, vcm + din / 2.0, in_ac_a);
+        .vsource_ac("VGA", ga, Circuit::GROUND, vcm, in_ac_a);
     s.circuit
-        .vsource_ac("VGB", gb, Circuit::GROUND, vcm - din / 2.0, in_ac_b);
+        .vsource_ac("VGB", gb, Circuit::GROUND, vcm, in_ac_b);
     if ac_drain {
         // Capacitance measurement: drive the drain directly.
         s.circuit.vsource_ac("VDA", da, Circuit::GROUND, vd, 1.0);
@@ -279,109 +430,104 @@ fn dp_scaffold(
     if def.ports.iter().any(|p| p == "clk") {
         // Switched pair: at a rail-driven clock the DC point is deep
         // triode and Gm is meaningless. Characterize at the *evaluation
-        // current* instead: bisect the tail-switch gate voltage until the
-        // pair carries the bias tail current — the clocked analogue of the
-        // designer's tail bias.
+        // current* instead: search the tail-switch gate voltage at which
+        // the pair carries the bias tail current — the clocked analogue of
+        // the designer's tail bias.
         let n = s.at("clk");
         s.circuit.vsource("VCLK", n, Circuit::GROUND, vdd);
         let target = bias.i("tail", 300e-6);
-        let vclk_ix = s
-            .circuit
-            .elements()
-            .iter()
-            .position(|e| e.name() == "VCLK")
-            .expect("VCLK was just added");
-        let (mut lo, mut hi) = (0.15, vdd);
-        for _ in 0..18 {
-            let mid = 0.5 * (lo + hi);
-            if let Some(prima_spice::netlist::Element::VSource { wave, .. }) =
-                s.circuit.elements_mut().get_mut(vclk_ix)
-            {
-                *wave = Waveform::Dc(mid);
-            }
-            let i_total = match DcSolver::new().solve(&s.circuit) {
+        // An NMOS switch passes more current as its gate rises, a PMOS
+        // switch less: orient the excess current to rise with the clock.
+        let orient = match pol {
+            FetPolarity::Nmos => 1.0,
+            FetPolarity::Pmos => -1.0,
+        };
+        // Resolve the gate voltage as 18 bisection steps would.
+        let (lo, hi) = (0.15, vdd);
+        let tol = (hi - lo) / f64::from(1u32 << 18);
+        let mut probe = DcProbe::new(s);
+        let v = find_crossing((lo, None), (hi, None), tol, 18, |v| {
+            set_dc(&mut probe.s.circuit, "VCLK", v);
+            let excess = match probe.solve() {
                 Ok(op) => {
                     op.branch_current("VDA").unwrap_or(0.0).abs()
                         + op.branch_current("VDB").unwrap_or(0.0).abs()
+                        - target
                 }
-                // Treat a non-converged midpoint as "too much current".
+                Err(e @ AnalysisError::Cancelled(_)) => return Err(e),
+                // A point that does not converge counts as too much current.
                 Err(_) => f64::INFINITY,
             };
-            // NMOS switch: more gate voltage, more current.
-            let too_much = i_total > target;
-            let rising = matches!(pol, FetPolarity::Nmos);
-            if too_much == rising {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let v_final = 0.5 * (lo + hi);
-        if let Some(prima_spice::netlist::Element::VSource { wave, .. }) =
-            s.circuit.elements_mut().get_mut(vclk_ix)
-        {
-            *wave = Waveform::Dc(v_final);
-        }
+            Ok(orient * excess)
+        })?;
+        set_dc(&mut probe.s.circuit, "VCLK", v);
+        s = probe.s;
     }
     Ok(s)
 }
 
-/// Differential drain current (A) at DC for a given input offset.
-fn dp_diff_current(
-    tech: &Technology,
-    def: &PrimitiveDef,
-    view: LayoutView<'_>,
-    bias: &Bias,
-    externals: &HashMap<String, ExternalWire>,
-    din: f64,
-) -> Result<f64, EvalError> {
-    let s = dp_scaffold(tech, def, view, bias, externals, din, false, false)?;
-    let op = DcSolver::new().solve(&s.circuit)?;
-    let ia = op.branch_current("VDA").expect("VDA exists");
-    let ib = op.branch_current("VDB").expect("VDB exists");
-    Ok(ia - ib)
+/// Differential Gm (A/V) of a DP scaffold built with AC inputs.
+fn dp_gm(s: &Scaffold) -> Result<f64, EvalError> {
+    let res = AcSolver::new().solve(&s.circuit, &FrequencySweep::List(vec![F_GM_DP]))?;
+    let ia = res.branch_phasor("VDA", 0).expect("VDA");
+    let ib = res.branch_phasor("VDB", 0).expect("VDB");
+    Ok((ia - ib).norm())
+}
+
+/// Drain capacitance (F) of a DP scaffold built with an AC drain drive.
+fn dp_drain_cap(s: &Scaffold) -> Result<f64, EvalError> {
+    let y = admittance(&s.circuit, "VDA", F_CAP)?;
+    Ok(y.im / (2.0 * std::f64::consts::PI * F_CAP))
+}
+
+/// `Gm/Ctotal` from a measured Gm and drain capacitance.
+fn dp_gm_over_ctotal(gm: f64, c: f64) -> Result<f64, EvalError> {
+    if c <= 0.0 {
+        return Err(EvalError::MeasurementFailed {
+            what: format!("non-positive drain capacitance {c}"),
+        });
+    }
+    Ok(gm / c)
 }
 
 fn dp_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
+    measured: &mut HashMap<MetricKind, f64>,
 ) -> Result<f64, EvalError> {
-    match metric.kind {
-        MetricKind::Gm => {
-            let s = dp_scaffold(tech, def, view, bias, externals, 0.0, true, false)?;
-            let res = AcSolver::new().solve(&s.circuit, &FrequencySweep::List(vec![F_GM_DP]))?;
-            let ia = res.branch_phasor("VDA", 0).expect("VDA");
-            let ib = res.branch_phasor("VDB", 0).expect("VDB");
-            Ok((ia - ib).norm())
-        }
+    match kind {
+        MetricKind::Gm => dp_gm(&dp_scaffold(tech, def, view, bias, externals, true, false)?),
         MetricKind::GmOverCtotal => {
-            let gm = dp_metric(
-                tech,
-                def,
-                &Metric::new("Gm", MetricKind::Gm, 0.0),
-                view,
-                bias,
-                externals,
-            )?;
-            let s = dp_scaffold(tech, def, view, bias, externals, 0.0, false, true)?;
-            let y = admittance(&s.circuit, "VDA", F_CAP)?;
-            let c = y.im / (2.0 * std::f64::consts::PI * F_CAP);
-            if c <= 0.0 {
-                return Err(EvalError::MeasurementFailed {
-                    what: format!("non-positive drain capacitance {c}"),
-                });
-            }
-            Ok(gm / c)
+            let gm = metric_value(tech, def, MetricKind::Gm, view, bias, externals, measured)?;
+            let s = dp_scaffold(tech, def, view, bias, externals, false, true)?;
+            dp_gm_over_ctotal(gm, dp_drain_cap(&s)?)
         }
         MetricKind::InputOffset => {
-            // Bisect the differential input until the drain currents match.
-            let f = |d: f64| dp_diff_current(tech, def, view, bias, externals, d);
-            let (mut lo, mut hi) = (-0.06f64, 0.06f64);
-            let (flo, fhi) = (f(lo)?, f(hi)?);
+            // Search the differential input at which the drain currents
+            // match, moving the gate sources in place.
+            let vcm = dp_vcm(def, bias);
+            let s = dp_scaffold(tech, def, view, bias, externals, false, false)?;
+            let mut probe = DcProbe::new(s);
+            let mut diff = |d: f64| -> Result<f64, EvalError> {
+                set_dc(&mut probe.s.circuit, "VGA", vcm + d / 2.0);
+                set_dc(&mut probe.s.circuit, "VGB", vcm - d / 2.0);
+                let op = probe.solve()?;
+                let ia = op.branch_current("VDA").expect("VDA exists");
+                let ib = op.branch_current("VDB").expect("VDB exists");
+                Ok(ia - ib)
+            };
+            // The first probe is the bracket midpoint, where a balanced
+            // pair stops.
+            let f0 = diff(0.0)?;
+            if f0 == 0.0 {
+                return Ok(0.0);
+            }
+            let (lo, hi) = (-0.06f64, 0.06f64);
+            let (flo, fhi) = (diff(lo)?, diff(hi)?);
             if flo == 0.0 {
                 return Ok(lo.abs());
             }
@@ -389,19 +535,16 @@ fn dp_metric(
                 // Offset beyond the search range: report the boundary.
                 return Ok(hi);
             }
-            for _ in 0..40 {
-                let mid = 0.5 * (lo + hi);
-                let fm = f(mid)?;
-                if fm == 0.0 {
-                    return Ok(mid.abs());
-                }
-                if fm.signum() == flo.signum() {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            Ok((0.5 * (lo + hi)).abs())
+            // Orient the difference to rise across the bracket, and search
+            // the half whose ends change sign.
+            let o = fhi.signum();
+            let (a, b) = if o * f0 < 0.0 {
+                ((0.0, Some(o * f0)), (hi, Some(o * fhi)))
+            } else {
+                ((lo, Some(o * flo)), (0.0, Some(o * f0)))
+            };
+            let d = find_crossing(a, b, SEARCH_VTOL, 39, |d| diff(d).map(|v| o * v))?;
+            Ok(d.abs())
         }
         other => Err(EvalError::Unsupported {
             reason: format!("metric {other:?} on a differential pair"),
@@ -459,13 +602,12 @@ fn mirror_scaffold(
 fn mirror_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
-    _ratio: u32,
 ) -> Result<f64, EvalError> {
-    match metric.kind {
+    match kind {
         MetricKind::OutputCurrent => {
             let s = mirror_scaffold(tech, def, view, bias, externals, false)?;
             let op = DcSolver::new().solve(&s.circuit)?;
@@ -535,12 +677,12 @@ fn csrc_scaffold(
 fn csrc_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
 ) -> Result<f64, EvalError> {
-    match metric.kind {
+    match kind {
         MetricKind::OutputCurrent => {
             let s = csrc_scaffold(tech, def, view, bias, externals, false)?;
             let op = DcSolver::new().solve(&s.circuit)?;
@@ -570,7 +712,7 @@ fn csrc_metric(
 fn amp_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
@@ -604,7 +746,7 @@ fn amp_metric(
         }
         Ok(s)
     };
-    match metric.kind {
+    match kind {
         MetricKind::Gm => {
             let s = build(1.0, 0.0)?;
             let res = AcSolver::new().solve(&s.circuit, &FrequencySweep::List(vec![F_GM]))?;
@@ -634,7 +776,7 @@ fn amp_metric(
 fn load_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
@@ -671,7 +813,7 @@ fn load_metric(
         let out_n = s.at("out");
         Ok(res.phasor(out_n, 0))
     };
-    match metric.kind {
+    match kind {
         MetricKind::OutputResistance => {
             let z = impedance(F_GM)?;
             Ok(z.re.abs())
@@ -690,7 +832,7 @@ fn load_metric(
 fn switch_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
@@ -721,7 +863,7 @@ fn switch_metric(
         }
         Ok(s)
     };
-    match metric.kind {
+    match kind {
         MetricKind::OnResistance => {
             let s = build(0.0)?;
             let op = DcSolver::new().solve(&s.circuit)?;
@@ -745,10 +887,11 @@ fn switch_metric(
 fn ccpair_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
+    measured: &mut HashMap<MetricKind, f64>,
 ) -> Result<f64, EvalError> {
     let build = |ac_p: f64, ac_n: f64| -> Result<Scaffold, EvalError> {
         let mut s = build_scaffold(tech, def, view, externals)?;
@@ -792,7 +935,7 @@ fn ccpair_metric(
         }
         Ok(s)
     };
-    match metric.kind {
+    match kind {
         MetricKind::Gm => {
             // Differential drive; the cross-coupled pair responds with a
             // negative differential conductance whose magnitude is gm.
@@ -809,22 +952,8 @@ fn ccpair_metric(
         }
         MetricKind::GmOverCtotal => {
             // Regeneration figure of merit: gm over output capacitance.
-            let gm = ccpair_metric(
-                tech,
-                def,
-                &Metric::new("Gm", MetricKind::Gm, 0.0),
-                view,
-                bias,
-                externals,
-            )?;
-            let c = ccpair_metric(
-                tech,
-                def,
-                &Metric::new("Cout", MetricKind::Cout, 0.0),
-                view,
-                bias,
-                externals,
-            )?;
+            let gm = metric_value(tech, def, MetricKind::Gm, view, bias, externals, measured)?;
+            let c = metric_value(tech, def, MetricKind::Cout, view, bias, externals, measured)?;
             if c <= 0.0 {
                 return Err(EvalError::MeasurementFailed {
                     what: format!("non-positive latch output capacitance {c}"),
@@ -872,13 +1001,14 @@ fn csi_scaffold(
 fn csi_metric(
     tech: &Technology,
     def: &PrimitiveDef,
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
+    measured: &mut HashMap<MetricKind, f64>,
 ) -> Result<f64, EvalError> {
     let vdd = bias.vdd;
-    match metric.kind {
+    match kind {
         MetricKind::Delay | MetricKind::OutputCurrent => {
             let pulse = Waveform::Pulse {
                 v1: 0.0,
@@ -891,53 +1021,57 @@ fn csi_metric(
             };
             let s = csi_scaffold(tech, def, view, bias, externals, pulse)?;
             let res = TranSolver::new(1.5e-12, 1.5e-9).solve(&s.circuit)?;
-            let t = res.times().to_vec();
-            let vin = res.voltage(s.port["in"]);
-            let vout = res.voltage(s.port["out"]);
-            match metric.kind {
-                MetricKind::Delay => {
-                    let half = vdd / 2.0;
-                    let d_hl =
-                        measure::delay(&t, &vin, half, Edge::Rising, 1, &vout, half, Edge::Falling)
-                            .map_err(|e| EvalError::MeasurementFailed {
-                                what: format!("no output fall: {e}"),
-                            })?;
-                    let d_lh =
-                        measure::delay(&t, &vin, half, Edge::Falling, 1, &vout, half, Edge::Rising)
-                            .map_err(|e| EvalError::MeasurementFailed {
-                                what: format!("no output rise: {e}"),
-                            })?;
-                    Ok(0.5 * (d_hl + d_lh))
-                }
-                MetricKind::OutputCurrent => {
-                    let i = res
-                        .branch_current("VSUP")
-                        .ok_or(EvalError::MeasurementFailed {
-                            what: "no supply branch".to_string(),
+            let t = res.times();
+            let delay = || -> Result<f64, EvalError> {
+                let vin = res.voltage(s.port["in"]);
+                let vout = res.voltage(s.port["out"]);
+                let half = vdd / 2.0;
+                let d_hl =
+                    measure::delay(t, &vin, half, Edge::Rising, 1, &vout, half, Edge::Falling)
+                        .map_err(|e| EvalError::MeasurementFailed {
+                            what: format!("no output fall: {e}"),
                         })?;
-                    let i_abs: Vec<f64> = i.iter().map(|x| x.abs()).collect();
-                    Ok(measure::average(&t, &i_abs, 0.15e-9, 1.45e-9)?)
-                }
-                _ => unreachable!(),
+                let d_lh =
+                    measure::delay(t, &vin, half, Edge::Falling, 1, &vout, half, Edge::Rising)
+                        .map_err(|e| EvalError::MeasurementFailed {
+                            what: format!("no output rise: {e}"),
+                        })?;
+                Ok(0.5 * (d_hl + d_lh))
+            };
+            let current = || -> Result<f64, EvalError> {
+                let i = res
+                    .branch_current("VSUP")
+                    .ok_or(EvalError::MeasurementFailed {
+                        what: "no supply branch".to_string(),
+                    })?;
+                let i_abs: Vec<f64> = i.iter().map(|x| x.abs()).collect();
+                Ok(measure::average(t, &i_abs, 0.15e-9, 1.45e-9)?)
+            };
+            // One transient gives both: keep the one not asked for.
+            let (v, other_kind, other) = if kind == MetricKind::Delay {
+                (delay(), MetricKind::OutputCurrent, current())
+            } else {
+                (current(), MetricKind::Delay, delay())
+            };
+            if let Ok(o) = other {
+                measured.insert(other_kind, o);
             }
+            v
         }
         MetricKind::Gain => {
-            // Find the trip point, then measure the DC slope around it.
-            let out_at = |vin: f64| -> Result<f64, EvalError> {
-                let s = csi_scaffold(tech, def, view, bias, externals, Waveform::Dc(vin))?;
-                let op = DcSolver::new().solve(&s.circuit)?;
-                Ok(op.voltage(s.port["out"]))
+            // Find the trip point, then measure the DC slope around it,
+            // moving the input source in place.
+            let s = csi_scaffold(tech, def, view, bias, externals, Waveform::Dc(0.0))?;
+            let out = s.port["out"];
+            let mut probe = DcProbe::new(s);
+            let mut out_at = |vin: f64| -> Result<f64, EvalError> {
+                set_dc(&mut probe.s.circuit, "VIN", vin);
+                Ok(probe.solve()?.voltage(out))
             };
-            let (mut lo, mut hi) = (0.0f64, vdd);
-            for _ in 0..30 {
-                let mid = 0.5 * (lo + hi);
-                if out_at(mid)? > vdd / 2.0 {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let trip = 0.5 * (lo + hi);
+            // The output falls as the input rises.
+            let trip = find_crossing((0.0, None), (vdd, None), SEARCH_VTOL, 30, |vin| {
+                out_at(vin).map(|out| vdd / 2.0 - out)
+            })?;
             let dv = 2e-3;
             let g = (out_at(trip + dv)? - out_at(trip - dv)?).abs() / (2.0 * dv);
             Ok(g)
@@ -957,7 +1091,7 @@ fn csi_metric(
 const CAP_INTRINSIC_R: f64 = 5.0;
 
 fn passive_cap_metric(
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     externals: &HashMap<String, ExternalWire>,
     design_f: f64,
@@ -986,7 +1120,7 @@ fn passive_cap_metric(
     }
     c.resistor("RB", b, Circuit::GROUND, rb.max(1e-3))
         .map_err(EvalError::Spice)?;
-    match metric.kind {
+    match kind {
         MetricKind::Capacitance => {
             let y = admittance(&c, "VDRV", F_GM)?;
             Ok(y.im / (2.0 * std::f64::consts::PI * F_GM))
@@ -1004,7 +1138,7 @@ fn passive_cap_metric(
 }
 
 fn passive_res_metric(
-    metric: &Metric,
+    kind: MetricKind,
     view: LayoutView<'_>,
     externals: &HashMap<String, ExternalWire>,
     design_ohm: f64,
@@ -1030,7 +1164,7 @@ fn passive_res_metric(
         c.capacitor("CEXT", mid, Circuit::GROUND, cext)
             .map_err(EvalError::Spice)?;
     }
-    match metric.kind {
+    match kind {
         MetricKind::Resistance => {
             let op = DcSolver::new().solve(&c)?;
             let i = op.branch_current("VDRV").expect("VDRV").abs();
@@ -1053,10 +1187,82 @@ fn passive_res_metric(
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::library::Library;
     use prima_layout::{generate, CellConfig, PlacementPattern};
+
+    /// Probes of `find_crossing` on `f`, with its result.
+    fn probes(
+        lo: (f64, Option<f64>),
+        hi: (f64, Option<f64>),
+        tol: f64,
+        max_evals: usize,
+        f: impl Fn(f64) -> f64,
+    ) -> (f64, Vec<f64>) {
+        let mut xs = Vec::new();
+        let x = find_crossing::<()>(lo, hi, tol, max_evals, |x| {
+            xs.push(x);
+            Ok(f(x))
+        })
+        .unwrap();
+        (x, xs)
+    }
+
+    #[test]
+    fn crossing_search_beats_bisection_on_a_tanh() {
+        // A pair's differential current against its input: flat tails, a
+        // steep middle, crossing off-center.
+        let root = 1.234_567e-3;
+        let f = |x: f64| ((x - root) / 5e-3).tanh();
+        let (x, xs) = probes((-0.06, None), (0.06, None), 1e-9, 40, f);
+        assert!((x - root).abs() <= 1e-9, "{x} vs {root}");
+        assert_eq!(xs[0], 0.0, "the first probe is the midpoint");
+        // Bisection needs ⌈log2(0.12 / 1e-9)⌉ = 27 probes for this width.
+        assert!(xs.len() < 14, "{} probes", xs.len());
+    }
+
+    #[test]
+    fn non_finite_value_takes_a_bisection_step() {
+        let mut calls = 0;
+        let mut xs = Vec::new();
+        let x = find_crossing::<()>((0.0, Some(-1.0)), (1.0, Some(3.0)), 1e-12, 60, |x| {
+            xs.push(x);
+            calls += 1;
+            // The first probe "does not converge".
+            Ok(if calls == 1 {
+                f64::INFINITY
+            } else {
+                x.powi(3) - 1e-3
+            })
+        })
+        .unwrap();
+        assert_eq!(xs[0], 0.25, "interpolated between finite ends");
+        assert_eq!(xs[1], 0.125, "bisects the bracket the infinity closed");
+        assert!((x - 0.1).abs() < 1e-9, "{x}");
+    }
+
+    #[test]
+    fn crossing_search_respects_its_cap() {
+        // A step never reads exactly zero, so only the cap stops a search
+        // with no width tolerance.
+        let f = |x: f64| if x < 1e-2 { -1.0 } else { 1.0 };
+        for cap in [1, 7, 60] {
+            let (_, xs) = probes((-0.06, None), (0.06, None), 0.0, cap, f);
+            assert_eq!(xs.len(), cap);
+        }
+        // Without a sign change it converges to the end, as bisection does.
+        let (x, xs) = probes((0.15, None), (0.8, None), 0.65 / 262_144.0, 18, |_| 1.0);
+        assert_eq!(xs.len(), 18);
+        let (lo, mut hi) = (0.15f64, 0.8f64);
+        for _ in 0..18 {
+            hi = 0.5 * (lo + hi);
+        }
+        assert_eq!(x, 0.5 * (lo + hi));
+    }
 
     fn setup() -> (Technology, Library) {
         (Technology::finfet7(), Library::standard())

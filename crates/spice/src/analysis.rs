@@ -322,7 +322,8 @@ const DAMPING: f64 = 0.3;
 /// Damped Newton–Raphson from `x0`, shared by DC and transient.
 ///
 /// Each iteration clears `mat` and `rhs`, lets `assemble` stamp the system
-/// linearized at the current iterate, and solves it. Node voltages move by
+/// linearized at the current iterate, and solves it in place: `mat` is left
+/// holding its LU factors and `rhs` the solution. Node voltages move by
 /// at most 0.3 V per iteration; branch currents take the full step. The
 /// solve has converged once no node moves by `vtol` or more. `Ok(None)`
 /// means `max_iterations` ran out; the caller reports that in its own
@@ -351,7 +352,8 @@ pub(crate) fn newton(
         mat.clear();
         rhs.iter_mut().for_each(|v| *v = 0.0);
         assemble(&x, mat, rhs);
-        let x_new = mat.solve(rhs)?;
+        mat.solve_in_place(rhs)?;
+        let x_new = &*rhs;
         let mut max_dv: f64 = 0.0;
         for i in 0..topo.node_unknowns() {
             max_dv = max_dv.max((x_new[i] - x[i]).abs());

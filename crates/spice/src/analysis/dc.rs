@@ -5,6 +5,10 @@
 //! the small circuits primitive testbenches produce. The assembly and the
 //! Newton loop are the ones transient uses, with no charge storage and the
 //! sources at their `t = 0⁻` values.
+//!
+//! A sweep that moves a source a little between solves warm-starts each
+//! one from the last operating point ([`DcSolver::solve_near`]): one Newton
+//! solve at the ladder's final gmin, with the ladder as its fallback.
 
 use std::collections::HashMap;
 
@@ -114,26 +118,62 @@ impl DcSolver {
     pub fn solve(&self, circuit: &Circuit) -> Result<OperatingPoint, AnalysisError> {
         let topo = Topology::build(circuit);
         let x = self.solve_vector(circuit, &topo)?;
-        let mut fet_ops = HashMap::new();
-        for fet in circuit.fets() {
-            let [vd, vg, vs, vb] = topo.fet_voltages(&x, fet);
-            let e = fet.eval(vd, vg, vs, vb);
-            let caps = fet.capacitances(vd, vg, vs, vb);
-            fet_ops.insert(
-                fet.name.clone(),
-                FetOp {
-                    id: e.id_raw,
-                    gm: e.gm,
-                    gds: e.gds,
-                    gmb: e.gmb,
-                    vgs: e.vgs,
-                    vds: e.vds,
-                    vbs: e.vbs,
-                    caps,
-                },
-            );
+        Ok(operating_point(circuit, topo, x))
+    }
+
+    /// Solves for the DC operating point starting from `near`, a solved
+    /// operating point of the same circuit with its sources moved a little.
+    ///
+    /// One Newton solve runs from `near` at the ladder's final gmin. When
+    /// `near` has another MNA dimension, or that solve fails, this is
+    /// [`DcSolver::solve`].
+    ///
+    /// # Errors
+    ///
+    /// As [`DcSolver::solve`]; [`AnalysisError::Cancelled`] returns at
+    /// once, with no fallback.
+    pub fn solve_near(
+        &self,
+        circuit: &Circuit,
+        near: &OperatingPoint,
+    ) -> Result<OperatingPoint, AnalysisError> {
+        let topo = Topology::build(circuit);
+        if let (Some(&gmin), true) = (self.gmin_ladder.last(), near.x.len() == topo.dim()) {
+            match self.newton_at(circuit, &topo, &near.x, gmin, 1.0) {
+                Ok(Some(x)) => return Ok(operating_point(circuit, topo, x)),
+                Err(e @ AnalysisError::Cancelled(_)) => return Err(e),
+                Ok(None) | Err(_) => {}
+            }
         }
-        Ok(OperatingPoint { topo, x, fet_ops })
+        self.solve(circuit)
+    }
+
+    /// One Newton solve from `x0` at a fixed gmin and source scale.
+    fn newton_at(
+        &self,
+        circuit: &Circuit,
+        topo: &Topology,
+        x0: &[f64],
+        gmin: f64,
+        src_scale: f64,
+    ) -> Result<Option<Vec<f64>>, AnalysisError> {
+        let dim = topo.dim();
+        let mut mat = Matrix::<f64>::zero(dim);
+        let mut rhs = vec![0.0; dim];
+        let assemble = |x: &[f64], mat: &mut Matrix<f64>, rhs: &mut [f64]| {
+            let source = |wave: &Waveform| wave.dc_value() * src_scale;
+            assemble_real(circuit, topo, x, gmin, source, |_, _, _| {}, mat, rhs);
+        };
+        newton(
+            topo,
+            x0,
+            VTOL,
+            self.max_iterations,
+            self.cancel.as_ref(),
+            &mut mat,
+            &mut rhs,
+            assemble,
+        )
     }
 
     /// Solves and returns only the raw solution vector (used by AC/transient
@@ -144,28 +184,13 @@ impl DcSolver {
         topo: &Topology,
     ) -> Result<Vec<f64>, AnalysisError> {
         let dim = topo.dim();
-        let mut mat = Matrix::<f64>::zero(dim);
-        let mut rhs = vec![0.0; dim];
         // One Newton solve at fixed gmin and source scale.
-        let mut solve_at = |x0: &[f64], gmin: f64, src_scale: f64| {
-            let assemble = |x: &[f64], mat: &mut Matrix<f64>, rhs: &mut [f64]| {
-                let source = |wave: &Waveform| wave.dc_value() * src_scale;
-                assemble_real(circuit, topo, x, gmin, source, |_, _, _| {}, mat, rhs);
-            };
-            newton(
-                topo,
-                x0,
-                VTOL,
-                self.max_iterations,
-                self.cancel.as_ref(),
-                &mut mat,
-                &mut rhs,
-                assemble,
-            )?
-            .ok_or_else(|| AnalysisError::NoConvergence {
-                phase: format!("dc (gmin={gmin:e}, scale={src_scale})"),
-                iterations: self.max_iterations,
-            })
+        let solve_at = |x0: &[f64], gmin: f64, src_scale: f64| {
+            self.newton_at(circuit, topo, x0, gmin, src_scale)?
+                .ok_or_else(|| AnalysisError::NoConvergence {
+                    phase: format!("dc (gmin={gmin:e}, scale={src_scale})"),
+                    iterations: self.max_iterations,
+                })
         };
 
         // Strategy 1: gmin ladder from a zero start.
@@ -198,6 +223,31 @@ impl DcSolver {
         }
         Ok(x)
     }
+}
+
+/// The operating point of `circuit` at solution `x`, with every FET's
+/// small-signal record.
+fn operating_point(circuit: &Circuit, topo: Topology, x: Vec<f64>) -> OperatingPoint {
+    let mut fet_ops = HashMap::new();
+    for fet in circuit.fets() {
+        let [vd, vg, vs, vb] = topo.fet_voltages(&x, fet);
+        let e = fet.eval(vd, vg, vs, vb);
+        let caps = fet.capacitances(vd, vg, vs, vb);
+        fet_ops.insert(
+            fet.name.clone(),
+            FetOp {
+                id: e.id_raw,
+                gm: e.gm,
+                gds: e.gds,
+                gmb: e.gmb,
+                vgs: e.vgs,
+                vds: e.vds,
+                vbs: e.vbs,
+                caps,
+            },
+        );
+    }
+    OperatingPoint { topo, x, fet_ops }
 }
 
 #[cfg(test)]
@@ -369,6 +419,67 @@ mod tests {
             || DcSolver::new().solve(&c),
         );
         assert!(matches!(res, Err(AnalysisError::Cancelled(_))));
+    }
+
+    /// A CMOS inverter driven at `vin`, biased near its trip point.
+    fn inverter(vin: f64) -> Circuit {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin_n = c.node("vin");
+        let out = c.node("out");
+        c.vsource("VDD", vdd, Circuit::GROUND, 0.8);
+        c.vsource("VIN", vin_n, Circuit::GROUND, vin);
+        for (name, pol, s, w) in [
+            ("MN", FetPolarity::Nmos, Circuit::GROUND, 1e-6),
+            ("MP", FetPolarity::Pmos, vdd, 2e-6),
+        ] {
+            let m = FetInstance::new(name, out, vin_n, s, s, FetModel::ideal(pol), w, 100e-9);
+            c.fet(m).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn warm_start_from_a_nearby_point_matches_a_cold_solve() {
+        let solver = DcSolver::new();
+        let near = solver.solve(&inverter(0.40)).unwrap();
+        for vin in [0.401, 0.41, 0.45, 0.2] {
+            let c = inverter(vin);
+            let warm = solver.solve_near(&c, &near).unwrap();
+            let cold = solver.solve(&c).unwrap();
+            for (w, k) in warm.x.iter().zip(&cold.x).take(c.node_count() - 1) {
+                assert!((w - k).abs() <= 1e-9, "vin {vin}: {w} vs {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_start_of_another_dimension_is_a_cold_solve() {
+        let solver = DcSolver::new();
+        let mut other = inverter(0.4);
+        let extra = other.node("extra");
+        other.resistor("R1", extra, Circuit::GROUND, 1e3).unwrap();
+        let near = solver.solve(&other).unwrap();
+        let c = inverter(0.41);
+        let warm = solver.solve_near(&c, &near).unwrap();
+        let cold = solver.solve(&c).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&warm.x), bits(&cold.x));
+    }
+
+    #[test]
+    fn warm_start_in_a_cancelled_scope_is_cancelled() {
+        use crate::ctrl::{with_solve_ctrl, SolveCtrl};
+        use prima_cache::CancelToken;
+        let near = DcSolver::new().solve(&inverter(0.4)).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let ctrl = SolveCtrl {
+            cancel: Some(token),
+            ..SolveCtrl::default()
+        };
+        let res = with_solve_ctrl(ctrl, || DcSolver::new().solve_near(&inverter(0.41), &near));
+        assert!(matches!(res, Err(AnalysisError::Cancelled(_))), "{res:?}");
     }
 
     #[test]

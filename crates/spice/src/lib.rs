@@ -7,7 +7,8 @@
 //! The simulator implements modified nodal analysis (MNA) with:
 //!
 //! * nonlinear **DC** operating-point analysis (Newton–Raphson with gmin and
-//!   source stepping fallbacks),
+//!   source stepping fallbacks, and a warm start from a nearby operating
+//!   point for sweeps),
 //! * small-signal **AC** analysis (complex MNA around the DC operating point),
 //! * **transient** analysis from the DC operating point
 //!   (trapezoidal/backward-Euler companion models with a Newton solve per

@@ -2,7 +2,9 @@
 //!
 //! Circuit matrices at the primitive level are tiny (tens of unknowns), so a
 //! dense LU with partial pivoting is both exact enough and faster than any
-//! sparse machinery would be at this size.
+//! sparse machinery would be at this size. The factorization still skips
+//! the exact zeros that make up most of an MNA matrix, and the Newton loop
+//! runs it in place.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -304,7 +306,8 @@ impl<T: Scalar> Matrix<T> {
 
     /// Solves `A·x = b` by LU factorization with partial pivoting.
     ///
-    /// The matrix is not modified; a working copy is factored.
+    /// The matrix is not modified; a working copy is factored, by the
+    /// routine the Newton loop runs in place.
     ///
     /// # Errors
     ///
@@ -312,6 +315,25 @@ impl<T: Scalar> Matrix<T> {
     /// [`LinearError::DimensionMismatch`] when `b.len() != dim()`, and
     /// [`LinearError::NotFinite`] when inputs contain NaN/∞.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, LinearError> {
+        let mut a = self.clone();
+        let mut x = b.to_vec();
+        a.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` by LU factorization with partial pivoting, in
+    /// place: the matrix is overwritten by its factors and `b` by `x`.
+    ///
+    /// MNA matrices are mostly zeros, so elimination updates only the span
+    /// of each pivot row's nonzeros and back substitution skips zero
+    /// entries. A skipped update would subtract an exact zero, so the
+    /// solution equals a dense elimination's (`==`; a zero may differ in
+    /// sign).
+    ///
+    /// # Errors
+    ///
+    /// As [`Matrix::solve`].
+    pub(crate) fn solve_in_place(&mut self, b: &mut [T]) -> Result<(), LinearError> {
         if b.len() != self.n {
             return Err(LinearError::DimensionMismatch);
         }
@@ -319,8 +341,8 @@ impl<T: Scalar> Matrix<T> {
             return Err(LinearError::NotFinite);
         }
         let n = self.n;
-        let mut a = self.data.clone();
-        let mut x: Vec<T> = b.to_vec();
+        let a = &mut self.data;
+        let x = b;
 
         for k in 0..n {
             // Partial pivoting: choose the largest-magnitude entry in column k.
@@ -343,18 +365,21 @@ impl<T: Scalar> Matrix<T> {
                 x.swap(k, piv);
             }
             let pivot = a[k * n + k];
-            // Slice-based elimination: the pivot row is disjoint from every
-            // row below it, so split the storage once and let the inner
-            // update run over contiguous slices (vectorizes well).
+            // The pivot row is disjoint from every row below it, so split
+            // the storage once and let the update run over one contiguous
+            // span: from the pivot row's first nonzero right of the
+            // diagonal to its last (vectorizes well).
             let (upper, lower) = a.split_at_mut((k + 1) * n);
             let prow = &upper[k * n..];
+            let lo = (k + 1..n).find(|&c| prow[c] != T::ZERO).unwrap_or(n);
+            let hi = (lo..n).rfind(|&c| prow[c] != T::ZERO).map_or(lo, |c| c + 1);
             for (ri, row) in lower.chunks_exact_mut(n).enumerate() {
                 let factor = row[k] / pivot;
                 if factor == T::ZERO {
                     continue;
                 }
                 row[k] = factor;
-                for (rc, &kc) in row[(k + 1)..n].iter_mut().zip(&prow[(k + 1)..n]) {
+                for (rc, &kc) in row[lo..hi].iter_mut().zip(&prow[lo..hi]) {
                     *rc -= factor * kc;
                 }
                 let sub = factor * x[k];
@@ -364,15 +389,18 @@ impl<T: Scalar> Matrix<T> {
         // Back substitution.
         for k in (0..n).rev() {
             for c in (k + 1)..n {
-                let sub = a[k * n + c] * x[c];
-                x[k] -= sub;
+                let akc = a[k * n + c];
+                if akc != T::ZERO {
+                    let sub = akc * x[c];
+                    x[k] -= sub;
+                }
             }
             x[k] = x[k] / a[k * n + k];
         }
         if x.iter().any(|v| v.is_bad()) {
             return Err(LinearError::NotFinite);
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Computes `A·x` (used by tests and residual checks).
@@ -493,6 +521,119 @@ mod tests {
         m[(0, 0)] = Complex::new(1.0, 1.0);
         let x = m.solve(&[Complex::new(0.0, 2.0)]).unwrap();
         assert!((x[0] - Complex::new(1.0, 1.0)).norm() < 1e-12);
+    }
+
+    /// The dense elimination, the oracle of the in-place zero-skipping
+    /// solve: it updates every entry right of the diagonal and substitutes
+    /// back over every entry.
+    fn dense_solve(m: &Matrix<f64>, b: &[f64]) -> Result<Vec<f64>, LinearError> {
+        if b.len() != m.n {
+            return Err(LinearError::DimensionMismatch);
+        }
+        if m.data.iter().any(|v| v.is_bad()) || b.iter().any(|v| v.is_bad()) {
+            return Err(LinearError::NotFinite);
+        }
+        let n = m.n;
+        let mut a = m.data.clone();
+        let mut x = b.to_vec();
+        for k in 0..n {
+            let mut piv = k;
+            let mut piv_mag = a[k * n + k].abs();
+            for r in (k + 1)..n {
+                let mag = a[r * n + k].abs();
+                if mag > piv_mag {
+                    piv = r;
+                    piv_mag = mag;
+                }
+            }
+            if piv_mag < 1e-300 || !piv_mag.is_finite() {
+                return Err(LinearError::Singular { step: k });
+            }
+            if piv != k {
+                for c in 0..n {
+                    a.swap(k * n + c, piv * n + c);
+                }
+                x.swap(k, piv);
+            }
+            let pivot = a[k * n + k];
+            for r in (k + 1)..n {
+                let factor = a[r * n + k] / pivot;
+                if factor == 0.0 {
+                    continue;
+                }
+                a[r * n + k] = factor;
+                for c in (k + 1)..n {
+                    a[r * n + c] -= factor * a[k * n + c];
+                }
+                x[r] -= factor * x[k];
+            }
+        }
+        for k in (0..n).rev() {
+            for c in (k + 1)..n {
+                x[k] -= a[k * n + c] * x[c];
+            }
+            x[k] /= a[k * n + k];
+        }
+        if x.iter().any(|v| v.is_bad()) {
+            return Err(LinearError::NotFinite);
+        }
+        Ok(x)
+    }
+
+    /// SplitMix64: a seeded stream for building test matrices.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// On sparse systems that need row swaps (a strong diagonal under
+        /// a random row permutation, plus sparse off-diagonal entries), the
+        /// in-place zero-skipping solve returns exactly the dense solve's
+        /// solution, or the same error.
+        #[test]
+        fn sparse_solve_equals_dense_solve(
+            n in 1usize..24,
+            density in 0.0f64..0.4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut state = seed;
+            let mut unit = || (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, (unit() * (i + 1) as f64) as usize);
+            }
+            let mut m = Matrix::<f64>::zero(n);
+            for (r, &c) in perm.iter().enumerate() {
+                m[(r, c)] = 1e-3 + unit();
+            }
+            for r in 0..n {
+                for c in 0..n {
+                    if unit() < density {
+                        // Exact zeros, cancellations and singular rows
+                        // arise from a coarse value grid.
+                        m[(r, c)] += (unit() * 8.0).floor() - 4.0;
+                    }
+                }
+            }
+            let mut b: Vec<f64> = (0..n).map(|_| unit() - 0.5).collect();
+            let roll = unit();
+            if roll < 0.03 {
+                m[(n - 1, 0)] = f64::NAN;
+            } else if roll < 0.06 {
+                b.push(1.0);
+            } else if roll < 0.09 {
+                for c in 0..n {
+                    m[(0, c)] = 0.0;
+                }
+            }
+            proptest::prop_assert_eq!(m.solve(&b), dense_solve(&m, &b));
+        }
     }
 
     #[test]
