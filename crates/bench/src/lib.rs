@@ -28,8 +28,7 @@ use prima_core::{
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
     conventional_flow, manual_flow, optimized_flow, optimized_flow_resilient, optimized_flow_with,
-    schem_preflight, CachePolicy, FaultPlan, FlowError, FlowOptions, Realization, RepairBudgets,
-    VerifyPolicy,
+    schem_preflight, CachePolicy, FaultPlan, FlowError, FlowOptions, Realization, VerifyPolicy,
 };
 use prima_layout::{generate, CellConfig, PlacementPattern};
 use prima_pdk::Technology;
@@ -1608,16 +1607,8 @@ pub fn resilience_summary(env: &Env) -> String {
         let plan = FaultPlan::new(23)
             .with_eval_fail_rate(0.30)
             .with_route_fault(&fault_net, 1);
-        match optimized_flow_resilient(
-            tech,
-            lib,
-            &spec,
-            &biases,
-            11,
-            FlowOptions::default(),
-            &plan,
-            RepairBudgets::default(),
-        ) {
+        match optimized_flow_resilient(tech, lib, &spec, &biases, 11, FlowOptions::default(), &plan)
+        {
             Ok(outcome) => {
                 let r = &outcome.resilience;
                 let gates_ok = outcome.verify.as_ref().is_none_or(|v| v.is_passing())
@@ -1800,7 +1791,7 @@ pub fn serve_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let server = BatchServer::new(
+    let server = BatchServer::try_new(
         env.tech.clone(),
         env.lib.clone(),
         ServeConfig {
@@ -1809,7 +1800,8 @@ pub fn serve_summary(env: &Env) -> String {
             verify: VerifyPolicy::On,
             ..ServeConfig::default()
         },
-    );
+    )
+    .expect("the exhibit deck passes techlint");
 
     let tenants = ["tenant-a", "tenant-b", "tenant-c"];
     let cs_biases = CsAmp::biases(&env.tech, &env.lib).unwrap();
@@ -1840,11 +1832,13 @@ pub fn serve_summary(env: &Env) -> String {
         }
     }
 
-    // Two adversarial requests on a separate tenant: one stalls past a
-    // tight deadline (must resolve DeadlineExceeded), one takes a
-    // transient route fault on its first attempt (must be retried).
-    let mut slow = ServeRequest::new("ops", CsAmp::spec(), cs_biases.clone());
-    slow.stall = Some(Duration::from_secs(10));
+    // Two adversarial requests on a separate tenant: a cold RO-VCO whose
+    // simulations outlast a tight deadline (must resolve DeadlineExceeded),
+    // and one that takes a transient route fault on its first attempt
+    // (must be retried).
+    let vco = RoVco::small();
+    let vco_biases = vco.biases(&env.tech, &env.lib).expect("biases");
+    let mut slow = ServeRequest::new("ops", vco.spec(), vco_biases);
     slow.deadline = Some(Duration::from_millis(50));
     tickets.push(server.submit_blocking(slow).expect("slow submit"));
     let mut faulty = ServeRequest::new("ops", CsAmp::spec(), cs_biases.clone());

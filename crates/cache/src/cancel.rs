@@ -146,9 +146,10 @@ impl CancelToken {
     }
 
     /// A token that auto-cancels once `budget` of wall-clock time elapses
-    /// (measured from now).
+    /// (measured from now). A budget too large for the clock to represent
+    /// (e.g. `Duration::MAX`) means no deadline.
     pub fn with_deadline(budget: Duration) -> Self {
-        Self::with_deadline_opt(Some(Instant::now() + budget))
+        Self::with_deadline_opt(Instant::now().checked_add(budget))
     }
 
     /// Deterministic test hook: a token whose `n`-th [`CancelToken::check`]
@@ -167,11 +168,15 @@ impl CancelToken {
 
     /// Moves the deadline *earlier*, to at most `budget` from now. A token
     /// with no deadline (or a later one) adopts the new bound; an existing
-    /// earlier deadline is kept. Used by the flow to merge a caller-supplied
-    /// token with a per-request wall-clock budget — note the tightening is
-    /// visible to every clone of the token.
+    /// earlier deadline is kept, and so is the current one when `budget` is
+    /// too large for the clock to represent. Used by the flow to merge a
+    /// caller-supplied token with a per-request wall-clock budget — note
+    /// the tightening is visible to every clone of the token.
     pub fn tighten_deadline(&self, budget: Duration) {
-        let target = Self::encode(self.inner.anchor, Instant::now() + budget);
+        let Some(deadline) = Instant::now().checked_add(budget) else {
+            return;
+        };
+        let target = Self::encode(self.inner.anchor, deadline);
         self.inner
             .deadline_nanos
             .fetch_min(target, Ordering::SeqCst);
@@ -309,6 +314,20 @@ mod tests {
         let s = CancelToken::with_deadline(Duration::ZERO);
         s.tighten_deadline(Duration::from_secs(3600));
         assert!(s.check().is_err());
+    }
+
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        let t = CancelToken::with_deadline(Duration::MAX);
+        assert_eq!(t.remaining(), None);
+        assert!(t.check().is_ok());
+        // Tightening by an unrepresentable budget keeps an earlier deadline.
+        let s = CancelToken::with_deadline(Duration::ZERO);
+        s.tighten_deadline(Duration::MAX);
+        assert_eq!(s.remaining(), Some(Duration::ZERO));
+        assert_eq!(s.check().unwrap_err().reason, CancelReason::Deadline);
+        t.tighten_deadline(Duration::MAX);
+        assert!(t.check().is_ok());
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //! [`CacheHub`] therefore keys whole [`EvalCache`] stores by
 //! `(tenant, technology fingerprint, testbench version)`. Each namespace is
 //! its own sharded LRU store (and, in persistent mode, its own sidecar file
-//! derived from a directory + sanitized tenant + fingerprint), opened
-//! lazily on first use and reused for the hub's lifetime. Handing a
-//! namespace to a flow is just `CachePolicy::Shared(hub.namespace(..))`.
+//! named from a directory, the sanitized tenant, a hash of the raw tenant
+//! and the fingerprint), opened lazily on first use and reused for the
+//! hub's lifetime. Handing a namespace to a flow is just
+//! `CachePolicy::Shared(hub.namespace(..))`.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use crate::fingerprint::Fingerprint;
+use crate::fingerprint::{Fingerprint, FpHasher};
 use crate::store::{CachePolicy, CacheStats, EvalCache};
 
 /// Identity of one namespace: who is asking, under which technology and
@@ -43,7 +44,6 @@ enum HubBacking {
 /// A registry of per-`(tenant, tech, testbench)` [`EvalCache`] stores.
 pub struct CacheHub {
     backing: HubBacking,
-    capacity: usize,
     stores: Mutex<HashMap<Namespace, Arc<EvalCache>>>,
 }
 
@@ -56,36 +56,24 @@ impl std::fmt::Debug for CacheHub {
     }
 }
 
-/// Default per-namespace entry capacity (matches `EvalCache::open`).
-const DEFAULT_NAMESPACE_CAPACITY: usize = 16 * 16_384;
-
 impl CacheHub {
     /// A hub whose namespaces live purely in memory.
     pub fn in_memory() -> Self {
         CacheHub {
             backing: HubBacking::Memory,
-            capacity: DEFAULT_NAMESPACE_CAPACITY,
             stores: Mutex::new(HashMap::new()),
         }
     }
 
     /// A hub that persists each namespace as a sidecar file under `dir`
-    /// (`<dir>/<tenant>-<tech fp>-tb<version>.primacache`). The directory is
-    /// created on first use; failures degrade that namespace to memory-only
-    /// via the store's own failure policy.
+    /// (`<dir>/<tenant>-<tenant hash>-<tech fp>-tb<version>.primacache`).
+    /// The directory is created on first use; failures degrade that
+    /// namespace to memory-only via the store's own failure policy.
     pub fn persistent(dir: PathBuf) -> Self {
         CacheHub {
             backing: HubBacking::Dir(dir),
-            capacity: DEFAULT_NAMESPACE_CAPACITY,
             stores: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Overrides the per-namespace in-memory entry capacity (for eviction
-    /// tests and small deployments).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
-        self
     }
 
     /// The store for one namespace, opened on first use and shared after.
@@ -106,12 +94,7 @@ impl CacheHub {
                 CachePolicy::Persistent(dir.join(sidecar_name(ns)))
             }
         };
-        let store = Arc::new(EvalCache::open_with_capacity(
-            policy,
-            ns.tech_fp,
-            ns.testbench_version,
-            self.capacity,
-        ));
+        let store = Arc::new(EvalCache::open(policy, ns.tech_fp, ns.testbench_version));
         stores.insert(ns.clone(), Arc::clone(&store));
         store
     }
@@ -190,8 +173,10 @@ impl CacheHub {
 }
 
 /// File-system-safe sidecar name for a namespace. Tenant strings are
-/// free-form, so everything outside `[A-Za-z0-9_-]` maps to `_` and the
-/// fingerprint disambiguates collisions.
+/// free-form, so everything outside `[A-Za-z0-9_-]` maps to `_` (kept
+/// readable, at most 64 characters) and a hash of the raw tenant string
+/// keeps tenants that sanitize alike (`"acme corp!"`, `"acme_corp_"`,
+/// `""` and `"anon"`) on separate files.
 fn sidecar_name(ns: &Namespace) -> String {
     let tenant: String = ns
         .tenant
@@ -205,9 +190,12 @@ fn sidecar_name(ns: &Namespace) -> String {
             }
         })
         .collect();
+    let mut h = FpHasher::new();
+    h.write_str(&ns.tenant);
     format!(
-        "{}-{:016x}{:016x}-tb{}.primacache",
+        "{}-{:016x}-{:016x}{:016x}-tb{}.primacache",
         if tenant.is_empty() { "anon" } else { &tenant },
+        h.finish().0,
         ns.tech_fp.0,
         ns.tech_fp.1,
         ns.testbench_version
@@ -298,5 +286,38 @@ mod tests {
             sidecar_name(&ns("t", Fingerprint(1, 2)))
         );
         assert_ne!(sidecar_name(&ns("", Fingerprint(1, 1))).find("anon"), None);
+        // Tenants that sanitize or truncate to the same string still get
+        // their own files.
+        let long = "t".repeat(64);
+        let (long_a, long_b) = (format!("{long}a"), format!("{long}b"));
+        for (a, b) in [
+            ("acme corp!", "acme_corp_"),
+            ("", "anon"),
+            (long_a.as_str(), long_b.as_str()),
+        ] {
+            assert_ne!(
+                sidecar_name(&ns(a, Fingerprint(1, 1))),
+                sidecar_name(&ns(b, Fingerprint(1, 1))),
+                "{a:?} and {b:?} share a sidecar"
+            );
+        }
+    }
+
+    #[test]
+    fn persistent_tenants_stay_isolated_after_reopen() {
+        let dir = std::env::temp_dir().join(format!("prima-hub-iso-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let hub = CacheHub::persistent(dir.clone());
+            let store = hub.namespace(&ns("acme corp!", Fingerprint(9, 9)));
+            store.store(key(7), &metrics(7.0));
+            hub.save_all();
+        }
+        let hub = CacheHub::persistent(dir.clone());
+        let other = hub.namespace(&ns("acme_corp_", Fingerprint(9, 9)));
+        assert!(other.lookup(&key(7)).is_none());
+        let own = hub.namespace(&ns("acme corp!", Fingerprint(9, 9)));
+        assert_eq!(own.lookup(&key(7)).unwrap(), metrics(7.0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -56,8 +56,11 @@ pub enum CachePolicy {
     /// Intra-run reuse plus a persistent record log at this path.
     Persistent(PathBuf),
     /// Use an already-open cache owned by someone else (the serving layer's
-    /// per-tenant namespace, a test's shared store). The flow neither opens
-    /// nor saves it; its owner controls persistence and lifetime.
+    /// per-tenant namespace, a test's shared store). The flow does not open
+    /// it and its owner controls its lifetime, but the flow snapshots it
+    /// after every run, as it does a persistent store: for a persistent
+    /// store that is what makes a served tenant's entries durable before
+    /// the server finishes (a memory-only store's snapshot is a no-op).
     Shared(Arc<EvalCache>),
 }
 
@@ -186,7 +189,7 @@ impl EvalCache {
 
     /// [`EvalCache::open`] with an explicit total in-memory entry capacity
     /// (rounded up to a per-shard bound; used by eviction tests).
-    pub fn open_with_capacity(
+    fn open_with_capacity(
         policy: CachePolicy,
         tech_fp: Fingerprint,
         testbench_version: u32,

@@ -76,11 +76,28 @@ pub fn cost_of(
     (total, breakdown)
 }
 
+/// The highest cost still accepted next to a reference cost `best`:
+/// `max(2·best, best + 5)`. The additive part keeps near-zero costs from
+/// rejecting on noise. The flow's quality guard keeps the aspect-ratio
+/// options within it of the best option, and the corner gate passes a
+/// candidate whose cost at every corner stays within it of its nominal
+/// cost.
+pub fn quality_allowance(best: f64) -> f64 {
+    (2.0 * best).max(best + 5.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use prima_primitives::MetricKind;
     use std::collections::HashMap;
+
+    #[test]
+    fn allowance_matches_quality_guard_shape() {
+        assert_eq!(quality_allowance(10.0), 20.0);
+        assert_eq!(quality_allowance(1.0), 6.0);
+        assert_eq!(quality_allowance(0.0), 5.0);
+    }
 
     #[test]
     fn deviation_relative_to_schematic() {

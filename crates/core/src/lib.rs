@@ -68,7 +68,7 @@ use prima_spice::analysis::AnalysisError;
 use prima_spice::{with_solve_ctrl, SolveCtrl};
 
 pub use accounting::{Phase, SimCounter};
-pub use cost::{cost_of, deviation_percent, CostBreakdown};
+pub use cost::{cost_of, deviation_percent, quality_allowance, CostBreakdown};
 pub use diagnostics::{sort_dedupe, RuleKind, Severity, VerifyReport, Violation};
 pub use par::par_map;
 pub use ports::{

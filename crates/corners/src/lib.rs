@@ -9,8 +9,9 @@
 //!
 //! * [`CornerPolicy`] / [`CornerOptions`] — how a flow enables the sweep:
 //!   which named corners from the deck's [`CornerSet`], the corner-repair
-//!   budget, the Monte-Carlo sample count and seed, and the worst-case
-//!   gate's allowance parameters.
+//!   budget and the Monte-Carlo sample count. The sampler's seed is
+//!   [`MC_SEED`], and the worst-case gate's allowance is
+//!   [`prima_core::quality_allowance`].
 //! * [`MismatchSampler`] — a splitmix-style counter PRNG producing
 //!   per-instance standard-normal `(z_vth, z_mobility)` draws keyed by a
 //!   stable instance fingerprint. Draws are a pure function of
@@ -68,16 +69,6 @@ pub struct CornerOptions {
     /// Monte-Carlo mismatch samples per instance; `0` disables the yield
     /// estimate.
     pub mc_samples: u32,
-    /// Seed for the mismatch sampler; recorded in the report so any yield
-    /// number can be replayed exactly.
-    pub mc_seed: u64,
-    /// Worst-case gate allowance, multiplicative part: a corner cost up to
-    /// `alpha ×` the candidate's nominal cost passes.
-    pub gate_alpha: f64,
-    /// Worst-case gate allowance, additive part: a corner cost within
-    /// `nominal + beta` also passes (keeps near-zero nominal costs from
-    /// gating on noise).
-    pub gate_beta: f64,
 }
 
 impl Default for CornerOptions {
@@ -86,21 +77,13 @@ impl Default for CornerOptions {
             corners: None,
             repair_attempts: 4,
             mc_samples: 8,
-            mc_seed: 0x5eed_c0de,
-            gate_alpha: 2.0,
-            gate_beta: 5.0,
         }
     }
 }
 
-impl CornerOptions {
-    /// The worst-case allowance for a candidate whose nominal cost is
-    /// `nominal`: `max(alpha × nominal, nominal + beta)` — the same shape
-    /// as the selection stage's quality guard, applied per corner.
-    pub fn allowance(&self, nominal: f64) -> f64 {
-        (self.gate_alpha * nominal).max(nominal + self.gate_beta)
-    }
-}
+/// Seed of the Monte-Carlo mismatch sampler; recorded in the report so any
+/// yield number can be replayed exactly.
+pub const MC_SEED: u64 = 0x5eed_c0de;
 
 // ---------------------------------------------------------------------------
 // Seeded Monte-Carlo mismatch sampler
@@ -424,14 +407,6 @@ mod tests {
         assert!((b.port_v["vbp"] - (1.20 - ss.pmos_vth_shift_v)).abs() < 1e-12);
         assert_eq!(b.port_v["gnd_ref"], 0.0);
         assert_eq!(b.port_v["en"], 1.8);
-    }
-
-    #[test]
-    fn allowance_matches_quality_guard_shape() {
-        let o = CornerOptions::default();
-        assert_eq!(o.allowance(10.0), 20.0);
-        assert_eq!(o.allowance(1.0), 6.0);
-        assert_eq!(o.allowance(0.0), 5.0);
     }
 
     #[test]

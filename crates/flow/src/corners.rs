@@ -7,8 +7,8 @@
 //! corner-relative — the schematic reference is recomputed at each corner,
 //! so the cost measures the layout-induced degradation *at that corner*
 //! rather than the corner's raw metric shift (which even a perfect layout
-//! cannot avoid). The allowance mirrors the selection stage's quality
-//! guard: `max(alpha × nominal cost, nominal cost + beta)`.
+//! cannot avoid). The allowance is the selection stage's quality guard,
+//! [`quality_allowance`] of the nominal cost.
 //!
 //! A candidate that fails only at a corner is repaired exactly like a
 //! gate failure: its evaluation is ledgered and the bin's cursor falls
@@ -30,12 +30,12 @@ use std::sync::Arc;
 
 use prima_cache::EvalCache;
 use prima_core::{
-    CancelToken, EvalLedger, OptError, Optimizer, Phase, ResilienceReport, RuleKind, Severity,
-    SimCounter, SolverLimits, Violation,
+    quality_allowance, CancelToken, EvalLedger, OptError, Optimizer, Phase, ResilienceReport,
+    RuleKind, Severity, SimCounter, SolverLimits, Violation,
 };
 use prima_corners::{
     corner_bias, instance_fingerprint, CornerMeasure, CornerOptions, CornerReport, InstanceCorners,
-    McYield, MismatchSampler,
+    McYield, MismatchSampler, MC_SEED,
 };
 use prima_layout::PrimitiveLayout;
 use prima_pdk::{CornerSpec, Technology};
@@ -257,7 +257,7 @@ pub(crate) fn corner_stage(
             loop {
                 checkpoint(ctx.cancel)?;
                 let nominal_cost = st.active[bin].1;
-                let allowance = copts.allowance(nominal_cost);
+                let allowance = quality_allowance(nominal_cost);
                 let sweep = sweep_candidate(
                     ctx,
                     &counter,
@@ -450,7 +450,7 @@ fn run_mc(
     instances: &mut [InstanceCorners],
 ) -> Result<McYield, FlowError> {
     let copts = ctx.copts;
-    let sampler = MismatchSampler::new(copts.mc_seed);
+    let sampler = MismatchSampler::new(MC_SEED);
     let mut sample_pass = vec![true; copts.mc_samples as usize];
     for (name, st) in states {
         checkpoint(ctx.cancel)?;
@@ -469,7 +469,7 @@ fn run_mc(
             continue;
         };
         let total_fins = layout.config.total_fins();
-        let allowance = copts.allowance(nominal_cost);
+        let allowance = quality_allowance(nominal_cost);
         // Pelgrom sigma at this sizing (same geometry the offset
         // testbench uses for the schematic view).
         let sigma_vth = ctx.tech.variation.sigma_vth(
@@ -501,7 +501,7 @@ fn run_mc(
         }
     }
     Ok(McYield {
-        seed: copts.mc_seed,
+        seed: MC_SEED,
         samples: copts.mc_samples,
         passed: sample_pass.iter().filter(|p| **p).count() as u32,
     })

@@ -12,9 +12,10 @@ use std::time::{Duration, Instant};
 
 use prima_cache::{CacheEventKind, CachePolicy, CacheStats, EvalCache, Fingerprintable};
 use prima_core::{
-    clamp_to_em_floor, reconcile, route_wire, BinRanked, CancelToken, EvalLedger, Evaluated,
-    FaultInjector, FaultPlan, GlobalRoute, NoFaults, Optimizer, Phase, PortConstraint,
-    RepairBudgets, RepairCursor, ResilienceReport, RuleKind, Severity, SolverLimits, Violation,
+    clamp_to_em_floor, quality_allowance, reconcile, route_wire, BinRanked, CancelToken,
+    EvalLedger, Evaluated, FaultInjector, FaultPlan, GlobalRoute, NoFaults, Optimizer, Phase,
+    PortConstraint, RepairBudgets, RepairCursor, ResilienceReport, RuleKind, Severity,
+    SolverLimits, Violation,
 };
 use prima_corners::{CornerPolicy, CornerReport};
 use prima_geom::Point;
@@ -103,9 +104,7 @@ pub struct FlowOptions {
     /// counts, and the counts are part of the paper's exhibits.
     pub cache: CachePolicy,
     /// Iteration/strategy bounds for the nonlinear solvers. The default
-    /// reproduces the historical hard-coded limits bit for bit;
-    /// [`SolverLimits::strict`] trades convergence attempts for bounded
-    /// worst-case solve time (deadline-sensitive serving).
+    /// reproduces the historical hard-coded limits bit for bit.
     pub solver: SolverLimits,
     /// Wall-clock budget for the whole flow, measured from entry. Checked
     /// cooperatively — at candidate, Newton-iteration, route, and stage
@@ -306,7 +305,6 @@ pub fn optimized_flow(
         FlowKind::Optimized,
         FlowOptions::default(),
         &NoFaults,
-        RepairBudgets::default(),
     )
 }
 
@@ -320,8 +318,8 @@ pub fn optimized_flow(
 /// # Errors
 ///
 /// Same conditions as [`optimized_flow`], plus
-/// [`FlowError::RepairExhausted`] when a repair budget runs out.
-#[allow(clippy::too_many_arguments)]
+/// [`FlowError::RepairExhausted`] when a [`RepairBudgets::default`] budget
+/// runs out.
 pub fn optimized_flow_resilient(
     tech: &Technology,
     lib: &Library,
@@ -330,7 +328,6 @@ pub fn optimized_flow_resilient(
     seed: u64,
     options: FlowOptions,
     plan: &FaultPlan,
-    budgets: RepairBudgets,
 ) -> Result<FlowOutcome, FlowError> {
     run_flow(
         tech,
@@ -341,7 +338,6 @@ pub fn optimized_flow_resilient(
         FlowKind::Optimized,
         options,
         plan,
-        budgets,
     )
 }
 
@@ -368,7 +364,6 @@ pub fn optimized_flow_with(
         FlowKind::Optimized,
         options,
         &NoFaults,
-        RepairBudgets::default(),
     )
 }
 
@@ -393,7 +388,6 @@ pub fn manual_flow(
         FlowKind::Manual,
         FlowOptions::default(),
         &NoFaults,
-        RepairBudgets::default(),
     )
 }
 
@@ -799,9 +793,10 @@ fn error_scopes(report: &VerifyReport) -> Vec<String> {
         .collect()
 }
 
-/// Shared optimized/manual implementation with fault isolation and bounded
-/// repair. With [`NoFaults`] and no organic failures every loop below runs
-/// exactly once and the result is bit-identical to the pre-resilience flow.
+/// Shared optimized/manual implementation with fault isolation and repair
+/// bounded by [`RepairBudgets::default`]. With [`NoFaults`] and no organic
+/// failures every loop below runs exactly once and the result is
+/// bit-identical to the pre-resilience flow.
 #[allow(clippy::too_many_arguments)]
 fn run_flow(
     tech: &Technology,
@@ -812,9 +807,9 @@ fn run_flow(
     kind: FlowKind,
     options: FlowOptions,
     injector: &dyn FaultInjector,
-    budgets: RepairBudgets,
 ) -> Result<FlowOutcome, FlowError> {
     let start = Instant::now();
+    let budgets = RepairBudgets::default();
 
     // Cancellation: merge the caller's token with the options deadline, and
     // refuse to start a run whose budget is already spent.
@@ -1022,7 +1017,7 @@ fn run_flow(
             let mut keep: Vec<usize> = live
                 .iter()
                 .copied()
-                .filter(|&i| st.active[i].1 <= (2.0 * best).max(best + 5.0))
+                .filter(|&i| st.active[i].1 <= quality_allowance(best))
                 .collect();
             if keep.is_empty() {
                 keep = live.clone();
@@ -1817,17 +1812,22 @@ mod tests {
     }
 
     #[test]
-    fn strict_solver_limits_still_converge_on_benchmarks() {
+    fn unrepresentable_deadline_matches_the_plain_flow() {
         let tech = Technology::finfet7();
         let lib = Library::standard();
         let spec = crate::circuits::CsAmp::spec();
         let biases = crate::circuits::CsAmp::biases(&tech, &lib).unwrap();
         let opts = FlowOptions {
-            solver: SolverLimits::strict(),
+            deadline: Some(Duration::MAX),
             ..FlowOptions::default()
         };
-        let out = optimized_flow_with(&tech, &lib, &spec, &biases, 7, opts).unwrap();
-        assert!(out.area_um2 > 0.0);
+        let far = optimized_flow_with(&tech, &lib, &spec, &biases, 7, opts).unwrap();
+        let plain = optimized_flow(&tech, &lib, &spec, &biases, 7).unwrap();
+        assert_eq!(far.area_um2.to_bits(), plain.area_um2.to_bits());
+        assert_eq!(far.wirelength_um.to_bits(), plain.wirelength_um.to_bits());
+        assert_eq!(far.detailed, plain.detailed);
+        assert_eq!(far.realization.layouts, plain.realization.layouts);
+        assert_eq!(far.sims, plain.sims);
     }
 
     #[test]

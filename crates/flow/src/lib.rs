@@ -55,7 +55,7 @@ pub use prima_core::{
 };
 pub use prima_corners::{
     corner_bias, instance_fingerprint, CornerMeasure, CornerOptions, CornerPolicy, CornerReport,
-    InstanceCorners, McYield, MismatchDraw, MismatchSampler,
+    InstanceCorners, McYield, MismatchDraw, MismatchSampler, MC_SEED,
 };
 pub use prima_gds::{GdsArtifact, GdsError, GdsLibrary};
 

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use prima_core::diagnostics::VerifyReport;
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
-use prima_schem::{check_schem, SchemCircuit, SchemInstance, SchemOptions};
+use prima_schem::{check_schem, SchemCircuit, SchemInstance};
 
 use crate::circuits::CircuitSpec;
 
@@ -70,13 +70,7 @@ pub fn schem_preflight(
 ) -> VerifyReport {
     let circuit = to_schem_circuit(spec);
     let empty = HashMap::new();
-    check_schem(
-        tech,
-        lib,
-        &circuit,
-        biases.unwrap_or(&empty),
-        &SchemOptions::default(),
-    )
+    check_schem(tech, lib, &circuit, biases.unwrap_or(&empty))
 }
 
 #[cfg(test)]

@@ -249,33 +249,27 @@ impl Placement {
     }
 }
 
+/// Moves per temperature step (at least; scaled up with the block count).
+const MOVES_PER_TEMP: usize = 300;
+/// Number of temperature steps.
+const TEMP_STEPS: usize = 120;
+/// Initial temperature (cost units).
+const T0: f64 = 1e7;
+/// Geometric cooling factor per step.
+const COOLING: f64 = 0.92;
+/// Weight of bounding-box area against wirelength.
+const AREA_WEIGHT: f64 = 0.5;
+
 /// Simulated-annealing placer.
 #[derive(Debug, Clone)]
 pub struct Placer {
     seed: u64,
-    /// Moves per temperature step.
-    pub moves_per_temp: usize,
-    /// Number of temperature steps.
-    pub temp_steps: usize,
-    /// Initial temperature (cost units).
-    pub t0: f64,
-    /// Geometric cooling factor per step.
-    pub cooling: f64,
-    /// Weight of bounding-box area against wirelength.
-    pub area_weight: f64,
 }
 
 impl Placer {
     /// Creates a placer with a deterministic seed.
     pub fn new(seed: u64) -> Self {
-        Placer {
-            seed,
-            moves_per_temp: 300,
-            temp_steps: 120,
-            t0: 1e7,
-            cooling: 0.92,
-            area_weight: 0.5,
-        }
+        Placer { seed }
     }
 
     /// Runs the annealer.
@@ -311,7 +305,7 @@ impl Placer {
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Scale the move budget with the instance count: variant-rich,
         // many-block problems need proportionally more exploration.
-        let moves_per_temp = self.moves_per_temp.max(60 * n);
+        let moves_per_temp = MOVES_PER_TEMP.max(60 * n);
 
         // Initial placement: blocks on a diagonal-ish grid, variant 0 (or
         // the first mirror-compatible variant for pairs).
@@ -338,9 +332,9 @@ impl Placer {
         let mut cost = self.cost(problem, &state);
         let mut best = state.clone();
         let mut best_cost = cost;
-        let mut temp = self.t0;
+        let mut temp = T0;
 
-        for _ in 0..self.temp_steps {
+        for _ in 0..TEMP_STEPS {
             for _ in 0..moves_per_temp {
                 let candidate = self.propose(problem, &state, &mut rng, grid);
                 let c = self.cost(problem, &candidate);
@@ -357,7 +351,7 @@ impl Placer {
                     }
                 }
             }
-            temp *= self.cooling;
+            temp *= COOLING;
         }
 
         let overlaps = best.overlap_pairs(problem);
@@ -382,7 +376,7 @@ impl Placer {
                 }
             }
         }
-        hpwl + self.area_weight * area.sqrt() + 50.0 * overlap.sqrt() * (1.0 + overlap.sqrt())
+        hpwl + AREA_WEIGHT * area.sqrt() + 50.0 * overlap.sqrt() * (1.0 + overlap.sqrt())
     }
 
     /// Proposes a random move, preserving symmetry pairs.

@@ -136,12 +136,13 @@ impl DetailedResult {
     }
 }
 
+/// Maximum track shift explored per segment before reporting congestion.
+const MAX_SHIFT: i64 = 40;
+
 /// The detailed router.
 #[derive(Debug, Clone)]
 pub struct DetailRouter<'t> {
     tech: &'t Technology,
-    /// Maximum track shift explored per segment before reporting congestion.
-    pub max_shift: i64,
     /// Per-net forced-congestion counters for fault injection: the next
     /// `n` assignment attempts of a net report [`DetailError::Congested`]
     /// before any search runs. Interior-mutable because assignment takes
@@ -157,7 +158,6 @@ impl<'t> DetailRouter<'t> {
     pub fn new(tech: &'t Technology) -> Self {
         DetailRouter {
             tech,
-            max_shift: 40,
             forced_failures: RefCell::new(HashMap::new()),
             cancel: None,
         }
@@ -423,7 +423,7 @@ impl<'t> DetailRouter<'t> {
             .segments
             .get(ix)
             .ok_or(DetailError::PairDesync { net: b.net.clone() })?;
-        for shift_mag in 0..=self.max_shift {
+        for shift_mag in 0..=MAX_SHIFT {
             for sign in [1i64, -1] {
                 if shift_mag == 0 && sign < 0 {
                     continue;
@@ -480,7 +480,7 @@ impl<'t> DetailRouter<'t> {
             Some(sh) => vec![sh],
             None => {
                 let mut v = vec![0];
-                for m in 1..=self.max_shift {
+                for m in 1..=MAX_SHIFT {
                     v.push(m);
                     v.push(-m);
                 }
@@ -544,7 +544,7 @@ impl<'t> DetailRouter<'t> {
 
         // Search order: 0, +1, −1, +2, −2, …
         let gap = self.min_space(seg.layer);
-        for shift_mag in 0..=self.max_shift {
+        for shift_mag in 0..=MAX_SHIFT {
             for sign in [1i64, -1] {
                 if shift_mag == 0 && sign < 0 {
                     continue;
@@ -653,12 +653,10 @@ mod tests {
         let mut widths = HashMap::new();
         // Demand more adjacent tracks than the shift window can provide
         // for both nets at once.
-        widths.insert("a".to_string(), 40u32);
-        widths.insert("b".to_string(), 45u32);
-        let mut router = DetailRouter::new(&t);
-        router.max_shift = 2;
+        widths.insert("a".to_string(), 400u32);
+        widths.insert("b".to_string(), 450u32);
         assert!(matches!(
-            router.assign(&routes, &widths),
+            DetailRouter::new(&t).assign(&routes, &widths),
             Err(DetailError::Congested { .. })
         ));
     }

@@ -175,24 +175,23 @@ impl RoutingResult {
     }
 }
 
+/// Congestion grid cell size (nm).
+const CELL_SIZE_NM: Nm = 500;
+
 /// The global router.
 #[derive(Debug, Clone)]
-pub struct GlobalRouter<'t> {
-    /// The technology whose preferred directions chose the layer pair.
-    pub tech: &'t Technology,
+pub struct GlobalRouter {
     /// Layer used for horizontal inter-block segments.
-    pub h_layer: usize,
+    h_layer: usize,
     /// Layer used for vertical inter-block segments.
-    pub v_layer: usize,
-    /// Congestion grid cell size (nm).
-    pub cell_size_nm: Nm,
+    v_layer: usize,
 }
 
-impl<'t> GlobalRouter<'t> {
+impl GlobalRouter {
     /// Creates a router choosing the lowest inter-block layer pair (M3/M4
     /// in the default stack) according to the technology's preferred
     /// directions.
-    pub fn new(tech: &'t Technology) -> Self {
+    pub fn new(tech: &Technology) -> Self {
         // Find the first layer at or above M3 per direction.
         let mut h_layer = 4;
         let mut v_layer = 3;
@@ -214,12 +213,7 @@ impl<'t> GlobalRouter<'t> {
                 RouteDir::Horizontal => {}
             }
         }
-        GlobalRouter {
-            tech,
-            h_layer,
-            v_layer,
-            cell_size_nm: 500,
-        }
+        GlobalRouter { h_layer, v_layer }
     }
 
     /// Routes every net.
@@ -286,12 +280,7 @@ impl<'t> GlobalRouter<'t> {
         let corner1 = Point::new(b.x, a.y); // horizontal first
         let corner2 = Point::new(a.x, b.y); // vertical first
         let cong = |p: Point, q: Point, map: &HashMap<(Nm, Nm), Nm>| -> Nm {
-            let cell = |pt: Point| {
-                (
-                    pt.x.div_euclid(self.cell_size_nm),
-                    pt.y.div_euclid(self.cell_size_nm),
-                )
-            };
+            let cell = |pt: Point| (pt.x.div_euclid(CELL_SIZE_NM), pt.y.div_euclid(CELL_SIZE_NM));
             // Sample congestion at the endpoints and midpoint.
             let mid = Point::new((p.x + q.x) / 2, (p.y + q.y) / 2);
             [p, mid, q]
@@ -329,16 +318,13 @@ impl<'t> GlobalRouter<'t> {
     }
 
     fn mark(&self, p: Point, q: Point, congestion: &mut HashMap<(Nm, Nm), Nm>) {
-        let steps = (p.manhattan(q) / self.cell_size_nm).max(1);
+        let steps = (p.manhattan(q) / CELL_SIZE_NM).max(1);
         for s in 0..=steps {
             let t = s as f64 / steps as f64;
             let x = p.x + ((q.x - p.x) as f64 * t) as Nm;
             let y = p.y + ((q.y - p.y) as f64 * t) as Nm;
-            let cell = (
-                x.div_euclid(self.cell_size_nm),
-                y.div_euclid(self.cell_size_nm),
-            );
-            *congestion.entry(cell).or_insert(0) += self.cell_size_nm.min(p.manhattan(q));
+            let cell = (x.div_euclid(CELL_SIZE_NM), y.div_euclid(CELL_SIZE_NM));
+            *congestion.entry(cell).or_insert(0) += CELL_SIZE_NM.min(p.manhattan(q));
         }
     }
 }

@@ -21,25 +21,15 @@ pub struct PowerGridSpec {
     pub strap_tracks: u32,
 }
 
-impl Default for PowerGridSpec {
-    fn default() -> Self {
-        PowerGridSpec {
-            layer: 6,
-            strap_pitch: 3000,
-            strap_tracks: 4,
-        }
-    }
-}
-
 impl PowerGridSpec {
-    /// Grid parameters adapted to a deck: straps on the node's topmost
-    /// routing layer. The default spec hardcodes layer 6 — correct for the
-    /// two bundled six-metal nodes, a panic on a SKY130-style five-layer
-    /// stack. Flow paths use this constructor so the grid follows the deck.
+    /// Grid parameters adapted to a deck: 4-track straps at a 3 µm pitch on
+    /// the node's topmost routing layer, capped at layer 6 (so a
+    /// SKY130-style five-layer stack straps on its real top layer).
     pub fn for_tech(tech: &Technology) -> Self {
         PowerGridSpec {
             layer: tech.metal_count().clamp(1, 6),
-            ..Default::default()
+            strap_pitch: 3000,
+            strap_tracks: 4,
         }
     }
 }
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn straps_cover_the_placement() {
         let t = tech();
-        let r = synthesize(&t, bbox(), &[], &PowerGridSpec::default());
+        let r = synthesize(&t, bbox(), &[], &PowerGridSpec::for_tech(&t));
         assert_eq!(r.strap_count, 4); // 9000/3000 + 1
         assert_eq!(r.strap_length_nm, 48_000);
         assert_eq!(r.worst_drop_v, 0.0);
@@ -154,7 +144,7 @@ mod tests {
         let t = tech();
         let near = vec![(Rect::from_size(Point::new(500, 0), 1000, 1000), 1e-3)];
         let far = vec![(Rect::from_size(Point::new(10_000, 0), 1000, 1000), 1e-3)];
-        let spec = PowerGridSpec::default();
+        let spec = PowerGridSpec::for_tech(&t);
         let rn = synthesize(&t, bbox(), &near, &spec);
         let rf = synthesize(&t, bbox(), &far, &spec);
         assert!(rf.worst_drop_v > rn.worst_drop_v);
@@ -171,7 +161,7 @@ mod tests {
             &blocks,
             &PowerGridSpec {
                 strap_tracks: 1,
-                ..Default::default()
+                ..PowerGridSpec::for_tech(&t)
             },
         );
         let wide = synthesize(
@@ -180,7 +170,7 @@ mod tests {
             &blocks,
             &PowerGridSpec {
                 strap_tracks: 8,
-                ..Default::default()
+                ..PowerGridSpec::for_tech(&t)
             },
         );
         assert!(wide.worst_drop_v < thin.worst_drop_v / 4.0);
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn more_current_more_drop() {
         let t = tech();
-        let spec = PowerGridSpec::default();
+        let spec = PowerGridSpec::for_tech(&t);
         let lo = synthesize(
             &t,
             bbox(),
@@ -229,7 +219,7 @@ mod tests {
             &[],
             &PowerGridSpec {
                 strap_tracks: 0,
-                ..Default::default()
+                ..PowerGridSpec::for_tech(&t)
             },
         );
     }

@@ -140,17 +140,6 @@ impl SchemCircuit {
     }
 }
 
-/// Knobs for [`check_schem`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchemOptions {
-    /// Nets driven from outside the circuit (inputs, clocks, bias pins).
-    /// `None` derives them structurally: every top-level gate-only net
-    /// plus every net feeding a diode-connected current input is assumed
-    /// externally driven — the same heuristic the flow's wire synthesis
-    /// uses, so a via-flow preflight never needs an explicit list.
-    pub external_nets: Option<Vec<String>>,
-}
-
 pub(crate) fn violation(
     rule_id: &str,
     kind: RuleKind,
@@ -520,12 +509,14 @@ fn check_wires(
 /// The checks are independent; one firing never hides another. The
 /// returned report is canonically sorted and deduplicated, so its content
 /// is independent of instance insertion order.
+///
+/// Nets driven from outside the circuit (inputs, clocks, bias pins) are
+/// the ones [`derive_external_nets`] finds.
 pub fn check_schem(
     tech: &Technology,
     lib: &Library,
     circuit: &SchemCircuit,
     biases: &HashMap<String, Bias>,
-    options: &SchemOptions,
 ) -> VerifyReport {
     let mut report = VerifyReport {
         circuit: circuit.name.clone(),
@@ -534,10 +525,7 @@ pub fn check_schem(
     report.absorb("schem.bind", check_bindings(lib, circuit));
 
     let graph = ConnGraph::build(lib, circuit);
-    let externals = match &options.external_nets {
-        Some(nets) => nets.clone(),
-        None => derive_external_nets(lib, circuit, &graph),
-    };
+    let externals = derive_external_nets(lib, circuit, &graph);
     report.absorb("schem.supply", {
         let mut v = graph.check_supply_short();
         v.extend(check_bulk_rails(&graph));
@@ -608,13 +596,7 @@ mod tests {
     #[test]
     fn clean_circuit_passes() {
         let (tech, lib) = env();
-        let report = check_schem(
-            &tech,
-            &lib,
-            &cs_amp_circuit(),
-            &HashMap::new(),
-            &SchemOptions::default(),
-        );
+        let report = check_schem(&tech, &lib, &cs_amp_circuit(), &HashMap::new());
         assert!(report.is_passing(), "{report:?}");
         assert!(report.violations.is_empty(), "{report:?}");
     }
@@ -625,7 +607,7 @@ mod tests {
         let mut c = cs_amp_circuit();
         c.instances.push(inst("x1", "no_such_def", 8, &[]));
         c.instances[0].conn.push(("bogus".into(), "vout".into()));
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_DEF));
         assert!(report.has_rule(RULE_PORT));
     }
@@ -636,7 +618,7 @@ mod tests {
         let mut c = cs_amp_circuit();
         let dup = c.instances[0].clone();
         c.instances.push(dup);
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_INST));
     }
 
@@ -659,7 +641,7 @@ mod tests {
             8,
             &[("a", "vdd"), ("b", "vssn"), ("en", "vin")],
         ));
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_SHORT), "{report:?}");
     }
 
@@ -681,25 +663,8 @@ mod tests {
             48,
             &[("in", "vin"), ("out", "vout"), ("vss", "vssn")],
         );
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_FLOAT), "{report:?}");
-    }
-
-    #[test]
-    fn explicit_externals_override_derivation() {
-        let (tech, lib) = env();
-        // With an explicit (and empty) external list, vin/vbp become
-        // floating gate nets.
-        let report = check_schem(
-            &tech,
-            &lib,
-            &cs_amp_circuit(),
-            &HashMap::new(),
-            &SchemOptions {
-                external_nets: Some(vec![]),
-            },
-        );
-        assert!(report.has_rule(RULE_FLOAT));
     }
 
     #[test]
@@ -708,7 +673,7 @@ mod tests {
         let mut c = cs_amp_circuit();
         // Typo the load's output net: both halves of the broken net dangle.
         c.instances[1].conn[0].1 = "vuot".to_string();
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         let dangles: Vec<_> = report
             .violations
             .iter()
@@ -722,7 +687,7 @@ mod tests {
         let (tech, lib) = env();
         let mut c = cs_amp_circuit();
         c.instances[0].conn.retain(|(p, _)| p != "in");
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_DANGLE), "{report:?}");
     }
 
@@ -731,7 +696,7 @@ mod tests {
         let (tech, lib) = env();
         let mut c = cs_amp_circuit();
         c.instances[0].total_fins = 7; // prime, not in the nfin menu
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_SIZE), "{report:?}");
         assert!(!report.has_rule(RULE_DEF));
     }
@@ -744,7 +709,7 @@ mod tests {
         let mut b = Bias::nominal(&tech, &PrimitiveClass::Amplifier);
         b.set_v("vin", 5.0);
         biases.insert("m1".to_string(), b);
-        let report = check_schem(&tech, &lib, &c, &biases, &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &biases);
         assert!(report.has_rule(RULE_BIAS_V), "{report:?}");
     }
 
@@ -757,7 +722,7 @@ mod tests {
         b.set_i("tail", 1.0); // one ampère of tail current
         b.set_load("nonport", 1e-15);
         biases.insert("m1".to_string(), b);
-        let report = check_schem(&tech, &lib, &c, &biases, &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &biases);
         assert!(report.has_rule(RULE_BIAS_I), "{report:?}");
         assert!(report.has_rule(RULE_WIRE), "{report:?}");
     }
@@ -796,7 +761,7 @@ mod tests {
             symmetry: vec![],
             symmetric_nets: vec![],
         };
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_CLASS), "{report:?}");
     }
 
@@ -805,10 +770,10 @@ mod tests {
         let (tech, lib) = env();
         let mut c = cs_amp_circuit();
         c.symmetry.push(("m1".to_string(), "m2".to_string())); // different defs
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_SYM_PAIR), "{report:?}");
         c.symmetry[0].1 = "nope".to_string();
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_SYM_PAIR), "{report:?}");
     }
 
@@ -818,7 +783,7 @@ mod tests {
         let mut c = cs_amp_circuit();
         c.symmetric_nets
             .push(("vout".to_string(), "ghost".to_string()));
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_SYM_NET), "{report:?}");
     }
 
@@ -849,7 +814,7 @@ mod tests {
                 ("von".to_string(), "vop".to_string()),
             ],
         };
-        let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+        let report = check_schem(&tech, &lib, &c, &HashMap::new());
         assert!(report.has_rule(RULE_SYM_INFER), "{report:?}");
         assert!(report.is_passing(), "warnings must not fail the gate");
     }
@@ -904,7 +869,7 @@ mod tests {
                 symmetry: vec![],
                 symmetric_nets: vec![],
             };
-            let report = check_schem(&tech, &lib, &c, &HashMap::new(), &SchemOptions::default());
+            let report = check_schem(&tech, &lib, &c, &HashMap::new());
             assert!(
                 !report.has_rule(RULE_CLASS),
                 "{def_name} failed class recognition: {report:?}"

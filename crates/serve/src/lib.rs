@@ -39,9 +39,10 @@
 //!   deep inside the flow, so an expired request unwinds within
 //!   microseconds of its deadline.
 //! * **Retry classification** — only transient failure shapes
-//!   ([`is_retryable`]) are retried, with exponential backoff that never
-//!   oversleeps the deadline. Static-gate rejections (deterministic
-//!   `SCHEM.*`/DRC/ERC rule ids) and cancellations never retry.
+//!   ([`is_retryable`]) are retried, at most twice, with exponential
+//!   backoff from 2 ms that never oversleeps the deadline. Static-gate
+//!   rejections (deterministic `SCHEM.*`/DRC/ERC rule ids) and
+//!   cancellations never retry.
 //! * **Shared cache, isolated tenants** — all requests share one
 //!   [`CacheHub`]; each `(tenant, technology, testbench)` namespace is its
 //!   own LRU store, so one tenant's churn cannot evict another's warm set.
@@ -57,9 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use prima_cache::{CacheHub, CacheStats, CancelReason, CancelToken, Fingerprintable, Namespace};
-use prima_core::{
-    FaultPlan, Health, RepairBudgets, RequestReport, ServeOutcome, ServeReport, SolverLimits,
-};
+use prima_core::{FaultPlan, Health, RequestReport, ServeOutcome, ServeReport, SolverLimits};
 use prima_flow::circuits::CircuitSpec;
 use prima_flow::{
     optimized_flow_resilient, CachePolicy, FlowError, FlowOptions, GdsPolicy, VerifyPolicy,
@@ -88,6 +87,14 @@ pub enum Priority {
     High,
 }
 
+/// Retries allowed beyond each request's first attempt, for
+/// [`is_retryable`] errors only.
+const MAX_RETRIES: u32 = 2;
+
+/// Backoff before the first retry; doubles per retry, and is always
+/// clipped to the request's remaining deadline.
+const RETRY_BACKOFF: Duration = Duration::from_millis(2);
+
 /// Server-side knobs. The defaults suit tests and small batches; a real
 /// deployment would size `workers` to cores and `queue_capacity` to its
 /// latency budget.
@@ -97,26 +104,16 @@ pub struct ServeConfig {
     /// until [`BatchServer::finish`]) — useful for admission-control tests.
     pub workers: usize,
     /// Bounded queue depth (waiting requests only; in-flight ones have
-    /// already left the queue). Admission control triggers at this bound.
+    /// already left the queue). Admission control triggers at this bound;
+    /// `0` is treated as `1`.
     pub queue_capacity: usize,
-    /// Retries allowed beyond each request's first attempt, for
-    /// [`is_retryable`] errors only.
-    pub max_retries: u32,
-    /// Base backoff before the first retry; doubles per retry, and is
-    /// always clipped to the request's remaining deadline.
-    pub retry_backoff: Duration,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// Solver iteration bounds installed around every evaluation.
-    /// [`SolverLimits::strict`] keeps worst-case solve time bounded.
     pub solver: SolverLimits,
     /// Static-gate policy for served flows.
     pub verify: VerifyPolicy,
     /// When set, cache namespaces persist as sidecar files under this
     /// directory; otherwise they live in memory.
     pub cache_dir: Option<PathBuf>,
-    /// Per-namespace cache entry capacity override (eviction tests).
-    pub namespace_capacity: Option<usize>,
     /// Stream finished layouts out as binary GDS-II and attach the bytes
     /// to each completed request's report (an optional artifact; off by
     /// default so responses stay small).
@@ -128,13 +125,9 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             queue_capacity: 32,
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(2),
-            default_deadline: None,
             solver: SolverLimits::default(),
             verify: VerifyPolicy::default(),
             cache_dir: None,
-            namespace_capacity: None,
             gds: false,
         }
     }
@@ -153,22 +146,16 @@ pub struct ServeRequest {
     pub seed: u64,
     /// Scheduling priority under overload.
     pub priority: Priority,
-    /// Wall-clock budget, measured from submit (queue time included).
-    /// `None` falls back to [`ServeConfig::default_deadline`].
+    /// Wall-clock budget, measured from submit (queue time included);
+    /// `None` runs without one.
     pub deadline: Option<Duration>,
     /// Fault-injection plan for the **first** attempt; retries run clean
     /// (injected faults model transient infrastructure failures).
     pub plan: FaultPlan,
-    /// Repair budgets for the resilient flow.
-    pub budgets: RepairBudgets,
-    /// Test/ops hook: busy-wait this long (honoring the cancel token)
-    /// before the flow runs, simulating a slow external dependency.
-    pub stall: Option<Duration>,
 }
 
 impl ServeRequest {
-    /// A request with default seed, priority, budgets, and no deadline of
-    /// its own.
+    /// A request with default seed and priority and no deadline.
     pub fn new(tenant: &str, circuit: CircuitSpec, biases: HashMap<String, Bias>) -> Self {
         ServeRequest {
             tenant: tenant.to_string(),
@@ -178,8 +165,6 @@ impl ServeRequest {
             priority: Priority::default(),
             deadline: None,
             plan: FaultPlan::default(),
-            budgets: RepairBudgets::default(),
-            stall: None,
         }
     }
 }
@@ -365,7 +350,7 @@ pub struct BatchServer {
 
 impl BatchServer {
     /// Starts the worker pool after statically linting the deck: the
-    /// registration-time gate. A technology whose rule tables drifted from
+    /// registration-time gate, which every server runs. A technology whose rule tables drifted from
     /// its stack — or on which some library primitive can never render a
     /// legal cell — is refused here with the exact `TECH.*`/`LIB.*` rule
     /// id, before any tenant burns queue capacity (and deadline budget) on
@@ -378,7 +363,7 @@ impl BatchServer {
     pub fn try_new(
         tech: Technology,
         lib: Library,
-        config: ServeConfig,
+        mut config: ServeConfig,
     ) -> Result<Self, ServeError> {
         let report = prima_techlint::check_deck(&tech, &lib);
         if !report.is_passing() {
@@ -393,20 +378,10 @@ impl BatchServer {
                     .unwrap_or_default(),
             });
         }
-        Ok(Self::new(tech, lib, config))
-    }
-
-    /// Starts the worker pool over a pre-validated technology and primitive
-    /// library, skipping the registration lint ([`BatchServer::try_new`]) —
-    /// for decks that already passed a flow's techlint gate.
-    pub fn new(tech: Technology, lib: Library, config: ServeConfig) -> Self {
+        config.queue_capacity = config.queue_capacity.max(1);
         let hub = match &config.cache_dir {
             Some(dir) => CacheHub::persistent(dir.clone()),
             None => CacheHub::in_memory(),
-        };
-        let hub = match config.namespace_capacity {
-            Some(cap) => hub.with_capacity(cap),
-            None => hub,
         };
         let workers_n = config.workers;
         let inner = Arc::new(Inner {
@@ -432,7 +407,7 @@ impl BatchServer {
                 std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
-        BatchServer { inner, workers }
+        Ok(BatchServer { inner, workers })
     }
 
     /// Non-blocking submit with admission control. When the queue is full,
@@ -447,7 +422,7 @@ impl BatchServer {
         if st.shutdown {
             return Err(ServeError::ShuttingDown);
         }
-        if st.queue.len() >= inner.config.queue_capacity.max(1) {
+        if st.queue.len() >= inner.config.queue_capacity {
             // Shed lowest-priority first (oldest among equals).
             let victim_ix = st
                 .queue
@@ -495,7 +470,7 @@ impl BatchServer {
                 }
             }
         }
-        let ticket = enqueue(inner, &mut st, id, req);
+        let ticket = enqueue(&mut st, id, req);
         drop(st);
         inner.work.notify_one();
         Ok(ticket)
@@ -507,13 +482,13 @@ impl BatchServer {
         let inner = &self.inner;
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst) + 1;
         let mut st = lock(&inner.state);
-        while st.queue.len() >= inner.config.queue_capacity.max(1) && !st.shutdown {
+        while st.queue.len() >= inner.config.queue_capacity && !st.shutdown {
             st = inner.space.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         if st.shutdown {
             return Err(ServeError::ShuttingDown);
         }
-        let ticket = enqueue(inner, &mut st, id, req);
+        let ticket = enqueue(&mut st, id, req);
         drop(st);
         inner.work.notify_one();
         Ok(ticket)
@@ -596,9 +571,8 @@ impl Drop for BatchServer {
 
 /// Creates the request's token (deadline attached at submit, so queue time
 /// counts against the budget) and enqueues it. Caller holds the state lock.
-fn enqueue(inner: &Inner, st: &mut QueueState, id: u64, req: ServeRequest) -> Ticket {
-    let deadline = req.deadline.or(inner.config.default_deadline);
-    let token = match deadline {
+fn enqueue(st: &mut QueueState, id: u64, req: ServeRequest) -> Ticket {
+    let token = match req.deadline {
         Some(d) => CancelToken::with_deadline(d),
         None => CancelToken::new(),
     };
@@ -680,8 +654,8 @@ fn cancelled_outcome(reason: CancelReason) -> ServeOutcome {
     }
 }
 
-/// Runs one request to resolution: deadline checks, the optional stall,
-/// the resilient flow, and bounded classified retries.
+/// Runs one request to resolution: deadline checks, the resilient flow,
+/// and bounded classified retries.
 fn run_request(inner: &Inner, q: Queued) -> RequestReport {
     let queued_for = q.enqueued.elapsed();
     // Expired while waiting: resolve without spending a single simulation.
@@ -703,26 +677,6 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
     };
     let cache = inner.hub.namespace(&ns);
     let started = Instant::now();
-
-    // Simulated slow dependency: consume wall-clock cooperatively.
-    if let Some(stall) = q.req.stall {
-        let until = started + stall;
-        while Instant::now() < until {
-            if let Err(c) = q.token.check() {
-                return base_report(
-                    &q,
-                    cancelled_outcome(c.reason),
-                    format!("stalled dependency: {c}"),
-                    1,
-                    queued_for,
-                    started.elapsed(),
-                    None,
-                );
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
     let mut attempts: u32 = 0;
     loop {
         attempts += 1;
@@ -750,7 +704,6 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
             q.req.seed,
             options,
             plan,
-            q.req.budgets,
         );
         match result {
             Ok(out) => {
@@ -789,11 +742,10 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
                 );
             }
             Err(e) => {
-                if is_retryable(&e) && attempts <= inner.config.max_retries {
+                if is_retryable(&e) && attempts <= MAX_RETRIES {
                     // Exponential backoff, clipped so it can never sleep
                     // through the deadline.
-                    let shift = (attempts - 1).min(16);
-                    let backoff = inner.config.retry_backoff.saturating_mul(1 << shift);
+                    let backoff = RETRY_BACKOFF.saturating_mul(1 << (attempts - 1));
                     if let Some(remaining) = q.token.remaining() {
                         if remaining <= backoff {
                             return base_report(
@@ -850,7 +802,7 @@ mod tests {
     }
 
     fn server(config: ServeConfig) -> BatchServer {
-        BatchServer::new(Technology::finfet7(), Library::standard(), config)
+        BatchServer::try_new(Technology::finfet7(), Library::standard(), config).unwrap()
     }
 
     #[test]
@@ -954,6 +906,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_queue_capacity_admits_and_reports_one() {
+        let srv = server(ServeConfig {
+            workers: 0,
+            queue_capacity: 0,
+            ..ServeConfig::default()
+        });
+        assert!(srv.submit(cs_amp_request("a")).is_ok());
+        match srv.submit(cs_amp_request("a")) {
+            Err(ServeError::Overloaded { capacity }) => assert_eq!(capacity, 1),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        let batch = srv.finish();
+        assert!(
+            batch
+                .requests
+                .iter()
+                .any(|r| r.detail == "admission refused: queue at capacity (1)"),
+            "{:?}",
+            batch.requests
+        );
+    }
+
+    #[test]
     fn overload_sheds_lowest_priority_first() {
         let srv = server(ServeConfig {
             workers: 0,
@@ -1002,35 +977,15 @@ mod tests {
     }
 
     #[test]
-    fn stalled_request_returns_promptly_after_deadline() {
+    fn unrepresentable_deadline_runs_without_one() {
         let srv = server(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         });
-        let deadline = Duration::from_millis(60);
         let mut req = cs_amp_request("acme");
-        req.deadline = Some(deadline);
-        req.stall = Some(Duration::from_secs(30));
-        let submitted = Instant::now();
+        req.deadline = Some(Duration::MAX);
         let report = srv.submit(req).unwrap().wait();
-        let elapsed = submitted.elapsed();
-        assert_eq!(report.outcome, ServeOutcome::DeadlineExceeded);
-        assert!(
-            elapsed < deadline * 2,
-            "expired request took {elapsed:?} (deadline {deadline:?})"
-        );
-        drop(srv.finish());
-    }
-
-    #[test]
-    fn default_deadline_applies_when_request_has_none() {
-        let srv = server(ServeConfig {
-            workers: 1,
-            default_deadline: Some(Duration::ZERO),
-            ..ServeConfig::default()
-        });
-        let report = srv.submit(cs_amp_request("acme")).unwrap().wait();
-        assert_eq!(report.outcome, ServeOutcome::DeadlineExceeded);
+        assert_eq!(report.outcome, ServeOutcome::Completed, "{}", report.detail);
         drop(srv.finish());
     }
 

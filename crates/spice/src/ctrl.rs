@@ -47,20 +47,6 @@ impl Default for SolverLimits {
     }
 }
 
-impl SolverLimits {
-    /// A deliberately tight budget for deadline-sensitive serving: fewer
-    /// Newton iterations and a shorter ladder. Hard circuits fail fast with
-    /// `NoConvergence` instead of burning the request's deadline.
-    pub fn strict() -> Self {
-        SolverLimits {
-            dc_max_iterations: 60,
-            dc_gmin_ladder: vec![1e-3, 1e-6, 1e-9, 1e-12],
-            dc_source_steps: 6,
-            tran_max_newton: 30,
-        }
-    }
-}
-
 /// What a solver scope carries (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct SolveCtrl {
@@ -141,7 +127,12 @@ mod tests {
         let caught = std::panic::catch_unwind(|| {
             with_solve_ctrl(
                 SolveCtrl {
-                    limits: SolverLimits::strict(),
+                    limits: SolverLimits {
+                        dc_max_iterations: 60,
+                        dc_gmin_ladder: vec![1e-3, 1e-6, 1e-9, 1e-12],
+                        dc_source_steps: 6,
+                        tran_max_newton: 30,
+                    },
                     cancel: Some(CancelToken::new()),
                 },
                 || panic!("candidate died"),

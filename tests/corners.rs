@@ -21,7 +21,7 @@ use prima_core::Health;
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
     instance_fingerprint, optimized_flow, optimized_flow_with, CachePolicy, CornerOptions,
-    CornerPolicy, FlowError, FlowOptions, FlowOutcome, MismatchSampler, VerifyPolicy,
+    CornerPolicy, FlowError, FlowOptions, FlowOutcome, MismatchSampler, VerifyPolicy, MC_SEED,
 };
 use prima_pdk::{CornerBounds, CornerSpec, Technology};
 use prima_primitives::{Bias, Library};
@@ -167,10 +167,11 @@ fn five_corner_sweep_is_clean_on_sky130ish() {
 // Corner-killer fixture: Degraded, never Err
 // ---------------------------------------------------------------------------
 
-/// A deck whose declared bounds admit a supply-collapse corner the
-/// devices cannot operate under: every candidate fails it, the repair
-/// budget exhausts, and the flow must resolve `Degraded` with the exact
-/// `CORNER.EXHAUSTED` id — not an error.
+/// A deck whose declared bounds admit a supply-collapse corner. With a
+/// corner-repair budget of 2 every candidate tried fails it, the budget
+/// exhausts, and the flow must resolve `Degraded` with the exact
+/// `CORNER.EXHAUSTED` id — not an error. The fixture relies on that
+/// budget: at the default of 4 the repair reaches a candidate that passes.
 fn killer_tech() -> Technology {
     let mut tech = Technology::finfet7();
     tech.corners.bounds = CornerBounds {
@@ -196,7 +197,6 @@ fn corner_killer_degrades_with_exact_id() {
             corners: Some(vec!["vdd_collapse".to_string()]),
             repair_attempts: 2,
             mc_samples: 0,
-            ..CornerOptions::default()
         }),
         ..FlowOptions::default()
     };
@@ -384,7 +384,7 @@ fn seeded_yield_replays_exactly() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "same seed, different variation report");
-    assert_eq!(a.mc.expect("yield").seed, CornerOptions::default().mc_seed);
+    assert_eq!(a.mc.expect("yield").seed, MC_SEED);
 }
 
 #[test]

@@ -254,10 +254,10 @@ proptest! {
         let bbox = Rect::from_size(Point::new(0, 0), 12_000, 9_000);
         let block = Rect::from_size(Point::new(x, y), 800, 800);
         let i = i_ua * 1e-6;
-        let thin = synthesize(&tech, bbox, &[(block, i)], &PowerGridSpec { strap_tracks: 2, ..Default::default() });
-        let wide = synthesize(&tech, bbox, &[(block, i)], &PowerGridSpec { strap_tracks: 6, ..Default::default() });
+        let thin = synthesize(&tech, bbox, &[(block, i)], &PowerGridSpec { strap_tracks: 2, ..PowerGridSpec::for_tech(&tech) });
+        let wide = synthesize(&tech, bbox, &[(block, i)], &PowerGridSpec { strap_tracks: 6, ..PowerGridSpec::for_tech(&tech) });
         prop_assert!(wide.worst_drop_v <= thin.worst_drop_v);
-        let double = synthesize(&tech, bbox, &[(block, 2.0 * i)], &PowerGridSpec { strap_tracks: 2, ..Default::default() });
+        let double = synthesize(&tech, bbox, &[(block, 2.0 * i)], &PowerGridSpec { strap_tracks: 2, ..PowerGridSpec::for_tech(&tech) });
         prop_assert!(double.worst_drop_v >= thin.worst_drop_v);
     }
 

@@ -10,9 +10,7 @@ use std::collections::HashMap;
 
 use prima_core::{EvalLedger, RepairCursor};
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{
-    optimized_flow, optimized_flow_resilient, FaultPlan, FlowOptions, Health, RepairBudgets,
-};
+use prima_flow::{optimized_flow, optimized_flow_resilient, FaultPlan, FlowOptions, Health};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use proptest::prelude::*;
@@ -71,7 +69,6 @@ fn faulted_flows_complete_with_clean_gates_on_all_four_circuits() {
             SEED,
             FlowOptions::default(),
             &plan,
-            RepairBudgets::default(),
         )
         .unwrap_or_else(|e| panic!("{name}: faulted flow failed: {e}"));
 
@@ -118,7 +115,6 @@ fn candidate_panic_is_isolated_and_ledgered() {
         SEED,
         FlowOptions::default(),
         &plan,
-        RepairBudgets::default(),
     )
     .expect("flow survives candidate panics");
     let r = &outcome.resilience;
@@ -146,7 +142,6 @@ fn zero_fault_plan_is_bit_identical_to_the_plain_flow() {
             SEED,
             FlowOptions::default(),
             &plan,
-            RepairBudgets::default(),
         )
         .unwrap();
 

@@ -26,8 +26,8 @@ use prima_layout::{DeviceSpec, PrimitiveSpec};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use prima_schem::{
-    check_schem, ConnGraph, SchemCircuit, SchemInstance, SchemOptions, RULE_BIAS_V, RULE_DANGLE,
-    RULE_FLOAT, RULE_SHORT, RULE_SIZE,
+    check_schem, ConnGraph, SchemCircuit, SchemInstance, RULE_BIAS_V, RULE_DANGLE, RULE_FLOAT,
+    RULE_SHORT, RULE_SIZE,
 };
 use prima_spice::devices::FetPolarity;
 
@@ -299,9 +299,8 @@ proptest! {
             prop_assert_eq!(g_ref.signature(), g_shuf.signature());
 
             let empty = HashMap::new();
-            let opts = SchemOptions::default();
-            let r_ref = check_schem(&tech, &lib, &reference, &empty, &opts);
-            let r_shuf = check_schem(&tech, &lib, &shuffled, &empty, &opts);
+            let r_ref = check_schem(&tech, &lib, &reference, &empty);
+            let r_shuf = check_schem(&tech, &lib, &shuffled, &empty);
             prop_assert_eq!(r_ref.violations, r_shuf.violations);
             prop_assert_eq!(r_ref.nets_checked, r_shuf.nets_checked);
         }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use prima_cache::{CancelToken, EvalCache, Fingerprintable};
 use prima_core::{FaultPlan, ServeOutcome};
-use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta};
+use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco};
 use prima_flow::{
     optimized_flow_with, CachePolicy, FlowError, FlowOptions, FlowOutcome, VerifyPolicy,
 };
@@ -26,7 +26,7 @@ use prima_serve::{is_retryable, BatchServer, Priority, ServeConfig, ServeError, 
 use proptest::prelude::*;
 
 fn server(config: ServeConfig) -> BatchServer {
-    BatchServer::new(Technology::finfet7(), Library::standard(), config)
+    BatchServer::try_new(Technology::finfet7(), Library::standard(), config).unwrap()
 }
 
 fn cs_amp(tenant: &str) -> ServeRequest {
@@ -92,7 +92,8 @@ fn overload_sheds_by_priority_and_rejects_at_capacity() {
 
 /// A request that expires mid-service returns within twice its deadline —
 /// cancellation checkpoints are dense enough that the worker notices the
-/// expiry almost immediately.
+/// expiry almost immediately. A cold RO-VCO on a fresh tenant simulates
+/// for seconds, so the deadline trips inside the flow's own checkpoints.
 #[test]
 fn deadline_expiry_returns_within_twice_the_deadline() {
     let srv = server(ServeConfig {
@@ -100,9 +101,11 @@ fn deadline_expiry_returns_within_twice_the_deadline() {
         ..ServeConfig::default()
     });
     let deadline = Duration::from_millis(120);
-    let mut req = cs_amp("acme");
+    let tech = Technology::finfet7();
+    let lib = Library::standard();
+    let vco = RoVco::small();
+    let mut req = ServeRequest::new("acme", vco.spec(), vco.biases(&tech, &lib).unwrap());
     req.deadline = Some(deadline);
-    req.stall = Some(Duration::from_secs(60)); // would block for a minute
     let submitted = Instant::now();
     let report = srv.submit(req).unwrap().wait();
     let elapsed = submitted.elapsed();
