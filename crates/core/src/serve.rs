@@ -1,7 +1,7 @@
 //! Serving vocabulary: per-request and per-batch outcome reports.
 //!
 //! The `prima-serve` crate runs batches of flow requests through a worker
-//! pool with admission control, deadlines, retries, and load shedding.
+//! pool with admission control, deadlines, and load shedding.
 //! These are the types its responses are made of; they live in core so
 //! that flows, benches, and tests can speak about serving outcomes without
 //! depending on the service implementation.
@@ -23,8 +23,9 @@ pub enum ServeOutcome {
     Rejected,
     /// The wall-clock deadline expired before a result was produced.
     DeadlineExceeded,
-    /// The flow failed with a non-retryable error, or exhausted its
-    /// retries on a retryable one.
+    /// The request's flow run ended in an error other than an expired
+    /// deadline (an explicit cancel included); the detail carries the
+    /// error's text. Nothing runs the request again.
     Failed,
 }
 
@@ -55,13 +56,13 @@ pub struct RequestReport {
     /// Human-readable detail: the final error, the shed reason, or empty
     /// for a clean completion.
     pub detail: String,
-    /// Flow attempts consumed (1 for a first-try success; >1 means
-    /// retries; 0 when the request never ran — rejected, shed, or expired
-    /// in the queue).
+    /// Flow runs: 1 when the request ran, 0 when it never did (rejected,
+    /// shed, or expired in the queue). A request runs its flow at most
+    /// once.
     pub attempts: u32,
     /// Time spent queued before a worker picked the request up.
     pub queue_ms: f64,
-    /// Time spent executing (all attempts; 0 when the request never ran).
+    /// Time spent executing (0 when the request never ran).
     pub service_ms: f64,
     /// Resilience health of the successful flow, when one ran to the end.
     pub health: Option<Health>,
@@ -94,8 +95,8 @@ pub struct ServeReport {
     pub rejected: u64,
     /// Requests shed by priority under overload.
     pub shed: u64,
-    /// Total retry attempts beyond each request's first (retryable
-    /// failures only; deterministic gate rejections never retry).
+    /// Flow runs beyond each request's first. Always 0: a served request
+    /// runs its flow once.
     pub retries: u64,
     /// Aggregate cache counters across every tenant namespace.
     pub cache: CacheStats,
@@ -142,7 +143,7 @@ mod tests {
     fn outcome_counting() {
         let mut r = ServeReport::default();
         r.requests.push(report(ServeOutcome::Completed, 1));
-        r.requests.push(report(ServeOutcome::Completed, 2));
+        r.requests.push(report(ServeOutcome::Completed, 1));
         r.requests.push(report(ServeOutcome::Rejected, 0));
         assert_eq!(r.count(ServeOutcome::Completed), 2);
         assert_eq!(r.count(ServeOutcome::Rejected), 1);

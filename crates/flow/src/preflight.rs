@@ -48,8 +48,8 @@ fn to_schem_circuit(spec: &CircuitSpec) -> SchemCircuit {
 /// Runs the static technology/library analyzer — the true zeroth gate,
 /// before the schematic preflight. Purely data-driven (deck
 /// self-consistency plus a feasibility proof for every library primitive
-/// on this deck); performs zero simulations, so it costs microseconds and
-/// can run once per flow even under benchmarking policies.
+/// on this deck); it performs zero simulations, and `report -- techlint`
+/// measures about 1.8 ms per deck on a 2-vCPU host.
 pub fn techlint_preflight(tech: &Technology, lib: &Library) -> VerifyReport {
     prima_techlint::check_deck(tech, lib)
 }

@@ -1,10 +1,8 @@
 //! # prima-geom
 //!
-//! Integer-nanometre layout geometry for the prima workspace: points,
-//! rectangles, orientations, and grid arithmetic. Everything is exact
-//! integer math in nanometres — the natural unit of a gridded FinFET
-//! technology — with explicit conversions to metres only at the boundary
-//! where extraction hands lengths to the circuit simulator.
+//! Integer-nanometre layout geometry for the prima workspace: points and
+//! rectangles. Everything is exact integer math in nanometres — the
+//! natural unit of a gridded FinFET technology.
 //!
 //! ## Example
 //!
@@ -23,18 +21,6 @@ use std::fmt;
 
 /// Nanometres, the base distance unit of the workspace.
 pub type Nm = i64;
-
-/// Converts nanometres to metres (the simulator's unit).
-#[inline]
-pub fn nm_to_m(nm: Nm) -> f64 {
-    nm as f64 * 1e-9
-}
-
-/// Converts micrometres (common in papers) to nanometres, rounding.
-#[inline]
-pub fn um_to_nm(um: f64) -> Nm {
-    (um * 1000.0).round() as Nm
-}
 
 /// A point on the layout grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -203,86 +189,6 @@ impl fmt::Display for Rect {
     }
 }
 
-/// Eight layout orientations (rotations and mirrors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Orientation {
-    /// No transformation.
-    #[default]
-    R0,
-    /// 90° counter-clockwise.
-    R90,
-    /// 180°.
-    R180,
-    /// 270° counter-clockwise.
-    R270,
-    /// Mirror about the y axis.
-    MX,
-    /// Mirror about the x axis.
-    MY,
-    /// Mirror then rotate 90°.
-    MX90,
-    /// Mirror then rotate 270°.
-    MY90,
-}
-
-impl Orientation {
-    /// Whether this orientation swaps width and height.
-    pub fn swaps_axes(self) -> bool {
-        matches!(
-            self,
-            Orientation::R90 | Orientation::R270 | Orientation::MX90 | Orientation::MY90
-        )
-    }
-
-    /// Size of a `(w, h)` bounding box after applying the orientation.
-    pub fn apply_size(self, w: Nm, h: Nm) -> (Nm, Nm) {
-        if self.swaps_axes() {
-            (h, w)
-        } else {
-            (w, h)
-        }
-    }
-}
-
-/// A uniform placement grid (e.g. the poly or fin grid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Grid {
-    /// Grid pitch in nm (> 0).
-    pub pitch: Nm,
-    /// Grid origin offset in nm.
-    pub offset: Nm,
-}
-
-impl Grid {
-    /// Creates a grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pitch` is not positive.
-    pub fn new(pitch: Nm, offset: Nm) -> Self {
-        assert!(pitch > 0, "grid pitch must be positive, got {pitch}");
-        Grid { pitch, offset }
-    }
-
-    /// Snaps a coordinate to the nearest grid line.
-    pub fn snap(&self, v: Nm) -> Nm {
-        let rel = v - self.offset;
-        let k = (rel as f64 / self.pitch as f64).round() as Nm;
-        self.offset + k * self.pitch
-    }
-
-    /// Coordinate of grid line `index`.
-    #[inline]
-    pub fn line(&self, index: Nm) -> Nm {
-        self.offset + index * self.pitch
-    }
-
-    /// Index of the grid line at or below `v`.
-    pub fn index_below(&self, v: Nm) -> Nm {
-        (v - self.offset).div_euclid(self.pitch)
-    }
-}
-
 impl prima_cache::Fingerprintable for Point {
     fn feed(&self, h: &mut prima_cache::FpHasher) {
         h.write_i64(self.x);
@@ -343,43 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn orientation_size_transform() {
-        assert_eq!(Orientation::R0.apply_size(30, 10), (30, 10));
-        assert_eq!(Orientation::R90.apply_size(30, 10), (10, 30));
-        assert_eq!(Orientation::MX.apply_size(30, 10), (30, 10));
-        assert_eq!(Orientation::MY90.apply_size(30, 10), (10, 30));
-    }
-
-    #[test]
-    fn grid_snap_and_lines() {
-        let g = Grid::new(54, 0);
-        assert_eq!(g.snap(0), 0);
-        assert_eq!(g.snap(26), 0);
-        assert_eq!(g.snap(28), 54);
-        assert_eq!(g.line(3), 162);
-        assert_eq!(g.index_below(161), 2);
-        let off = Grid::new(10, 5);
-        assert_eq!(off.snap(12), 15);
-        assert_eq!(off.index_below(14), 0);
-        assert_eq!(off.index_below(4), -1);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid pitch must be positive")]
-    fn grid_rejects_zero_pitch() {
-        let _ = Grid::new(0, 0);
-    }
-
-    #[test]
     fn manhattan_distance() {
         assert_eq!(Point::new(0, 0).manhattan(Point::new(3, -4)), 7);
-    }
-
-    #[test]
-    fn unit_conversions() {
-        assert!((nm_to_m(1_000) - 1e-6).abs() < 1e-18);
-        assert_eq!(um_to_nm(46.0), 46_000);
-        assert_eq!(um_to_nm(0.014), 14);
     }
 
     #[test]
@@ -466,15 +337,6 @@ mod proptests {
         fn overlap_symmetry(a in arb_rect(), b in arb_rect()) {
             prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
             prop_assert_eq!(a.overlaps(&b), a.intersection(&b).is_some());
-        }
-
-        /// Snapping lands on a grid line and moves at most half a pitch.
-        #[test]
-        fn snap_properties(pitch in 1i64..500, offset in -200i64..200, v in -100_000i64..100_000) {
-            let g = Grid::new(pitch, offset);
-            let s = g.snap(v);
-            prop_assert_eq!((s - offset).rem_euclid(pitch), 0);
-            prop_assert!((s - v).abs() * 2 <= pitch + 1, "moved {} for pitch {}", (s - v).abs(), pitch);
         }
 
         /// Rects that only touch along an edge never overlap, have no

@@ -46,7 +46,6 @@ mod circuit;
 mod fingerprint;
 mod library;
 mod metrics;
-mod montecarlo;
 mod testbench;
 
 pub use bias::Bias;
@@ -54,5 +53,4 @@ pub use circuit::{as_subcircuit, ExternalWire, LayoutView};
 pub use fingerprint::{external_wires_fingerprint, TESTBENCH_VERSION};
 pub use library::{Library, PrimitiveClass, PrimitiveDef, TuningTerminal};
 pub use metrics::{Metric, MetricKind, MetricValues};
-pub use montecarlo::{mc_offset, McOffset};
 pub use testbench::{evaluate_all, evaluate_metric, EvalError};

@@ -649,6 +649,21 @@ mod tests {
     }
 
     #[test]
+    fn dp_offset_spec_is_near_a_tenth_of_the_pelgrom_offset() {
+        // The paper sets the DP offset spec to 10% of the random offset
+        // (§II). For a 960-fin finfet7 pair, a tenth of the Pelgrom σ of
+        // the pair's ΔV_th lands near the 0.2 mV the library carries.
+        let tech = prima_pdk::Technology::finfet7();
+        let w = tech.fin.weff_m(960);
+        let l = tech.fin.gate_length as f64 * 1e-9;
+        let tenth = 0.1 * tech.variation.sigma_vth(w, l);
+        assert!(tenth > 0.5e-4 && tenth < 5e-4, "10% of σ is {tenth} V");
+        let lib = Library::standard();
+        let spec = lib.get("dp").unwrap().metric("offset").unwrap().spec;
+        assert_eq!(spec, Some(2.0e-4));
+    }
+
+    #[test]
     fn csi_terminals_are_correlated() {
         let lib = Library::standard();
         let csi = lib.get("csi").unwrap();

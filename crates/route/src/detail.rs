@@ -217,53 +217,23 @@ impl<'t> DetailRouter<'t> {
         }
     }
 
-    /// Assigns tracks to every segment of every route.
+    /// Assigns tracks to every segment of every route, with
+    /// *symmetric-route constraints*: each `(a, b)` net pair uses identical
+    /// track shifts segment-for-segment, the geometric constraint the
+    /// paper's detailed router applies to keep a matched pair's input
+    /// offset intact (§III-B1). Nets outside `pairs` (all of them when it
+    /// is empty) are assigned independently, nearest free tracks first. A
+    /// net named by more than one route is assigned once, at its first.
     ///
     /// `widths` gives the parallel-route count per net (defaults to 1 for
     /// nets not present — e.g. the conventional flow).
     ///
     /// # Errors
     ///
-    /// Returns [`DetailError::ZeroWidth`] for a zero width request and
+    /// Returns [`DetailError::ZeroWidth`] for a zero width request,
     /// [`DetailError::Congested`] when no free adjacent-track group exists
-    /// within the shift window.
-    pub fn assign(
-        &self,
-        routes: &[NetRoute],
-        widths: &HashMap<String, u32>,
-    ) -> Result<DetailedResult, DetailError> {
-        // (layer, track) -> occupied spans.
-        let mut occupied: HashMap<(usize, i64), Vec<(Nm, Nm)>> = HashMap::new();
-        let mut result = DetailedResult::default();
-
-        for route in routes {
-            self.check_cancel()?;
-            if let Some(err) = self.forced_congestion(route) {
-                return Err(err);
-            }
-            let k = widths.get(&route.net).copied().unwrap_or(1);
-            if k == 0 {
-                return Err(DetailError::ZeroWidth {
-                    net: route.net.clone(),
-                });
-            }
-            for seg in &route.segments {
-                let assignment = self.assign_segment(&route.net, seg, k, &mut occupied)?;
-                result.assignments.push(assignment);
-            }
-        }
-        Ok(result)
-    }
-
-    /// Assigns tracks with *symmetric-route constraints*: each `(a, b)`
-    /// net pair uses identical track shifts segment-for-segment, the
-    /// geometric constraint the paper's detailed router applies to keep a
-    /// matched pair's input offset intact (§III-B1).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DetailRouter::assign`]; additionally reports congestion
-    /// when no shift satisfies *both* nets of a pair.
+    /// within the shift window, and [`DetailError::Cancelled`] when the
+    /// cancel token trips at a net boundary.
     pub fn assign_with_symmetry(
         &self,
         routes: &[NetRoute],
@@ -607,7 +577,9 @@ mod tests {
         let routes = route_two_nets(&t);
         let mut widths = HashMap::new();
         widths.insert("a".to_string(), 4u32);
-        let res = DetailRouter::new(&t).assign(&routes, &widths).unwrap();
+        let res = DetailRouter::new(&t)
+            .assign_with_symmetry(&routes, &widths, &[])
+            .unwrap();
         let a = res.net("a");
         assert_eq!(a[0].tracks.len(), 4);
         for w in a[0].tracks.windows(2) {
@@ -624,7 +596,9 @@ mod tests {
         // Both nets want the same y=0-ish horizontal corridor.
         let routes = route_two_nets(&t);
         let widths = HashMap::new();
-        let res = DetailRouter::new(&t).assign(&routes, &widths).unwrap();
+        let res = DetailRouter::new(&t)
+            .assign_with_symmetry(&routes, &widths, &[])
+            .unwrap();
         assert!(res.verify_no_conflicts());
         let ta = &res.net("a")[0].tracks;
         let tb = &res.net("b")[0].tracks;
@@ -639,7 +613,7 @@ mod tests {
         p.add_net("right", vec![Point::new(3000, 0), Point::new(4000, 0)]);
         let routes = GlobalRouter::new(&t).route(&p).unwrap().routes().to_vec();
         let res = DetailRouter::new(&t)
-            .assign(&routes, &HashMap::new())
+            .assign_with_symmetry(&routes, &HashMap::new(), &[])
             .unwrap();
         // Same preferred track is fine: the spans do not overlap.
         assert_eq!(res.net("left")[0].tracks, res.net("right")[0].tracks);
@@ -656,7 +630,7 @@ mod tests {
         widths.insert("a".to_string(), 400u32);
         widths.insert("b".to_string(), 450u32);
         assert!(matches!(
-            DetailRouter::new(&t).assign(&routes, &widths),
+            DetailRouter::new(&t).assign_with_symmetry(&routes, &widths, &[]),
             Err(DetailError::Congested { .. })
         ));
     }
@@ -669,14 +643,16 @@ mod tests {
         router.inject_failure("a", 2);
         // First two attempts fail with congestion on the faulted net …
         for _ in 0..2 {
-            match router.assign(&routes, &HashMap::new()) {
+            match router.assign_with_symmetry(&routes, &HashMap::new(), &[]) {
                 Err(DetailError::Congested { net, .. }) => assert_eq!(net, "a"),
                 other => panic!("expected injected congestion, got {other:?}"),
             }
         }
         // … then the counter is spent and routing succeeds on the SAME
         // router instance (the property the flow's retry loop relies on).
-        let res = router.assign(&routes, &HashMap::new()).unwrap();
+        let res = router
+            .assign_with_symmetry(&routes, &HashMap::new(), &[])
+            .unwrap();
         assert!(res.verify_no_conflicts());
     }
 
@@ -705,7 +681,7 @@ mod tests {
         token.cancel();
         router.set_cancel(Some(token));
         assert!(matches!(
-            router.assign(&routes, &HashMap::new()),
+            router.assign_with_symmetry(&routes, &HashMap::new(), &[]),
             Err(DetailError::Cancelled(_))
         ));
         let pairs = vec![("a".to_string(), "b".to_string())];
@@ -715,7 +691,9 @@ mod tests {
         ));
         // Detaching the token restores normal operation on the same router.
         router.set_cancel(None);
-        assert!(router.assign(&routes, &HashMap::new()).is_ok());
+        assert!(router
+            .assign_with_symmetry(&routes, &HashMap::new(), &[])
+            .is_ok());
     }
 
     #[test]
@@ -725,7 +703,7 @@ mod tests {
         let mut widths = HashMap::new();
         widths.insert("a".to_string(), 0u32);
         assert!(matches!(
-            DetailRouter::new(&t).assign(&routes, &widths),
+            DetailRouter::new(&t).assign_with_symmetry(&routes, &widths, &[]),
             Err(DetailError::ZeroWidth { .. })
         ));
     }
@@ -810,7 +788,7 @@ mod tests {
         p.add_net("n", vec![Point::new(0, 0), Point::new(2000, 3000)]);
         let routes = GlobalRouter::new(&t).route(&p).unwrap().routes().to_vec();
         let res = DetailRouter::new(&t)
-            .assign(&routes, &HashMap::new())
+            .assign_with_symmetry(&routes, &HashMap::new(), &[])
             .unwrap();
         assert_eq!(res.net("n").len(), 2, "one assignment per L segment");
         // Layers match the global segments.

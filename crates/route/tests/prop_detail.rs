@@ -1,6 +1,8 @@
 //! Property tests for the detailed router: whatever order nets are
-//! inserted in and whatever widths they request, two spans assigned to the
-//! same track of the same layer always keep the layer's minimum spacing.
+//! inserted in, whatever widths they request and however they are paired
+//! for symmetric routing, two spans assigned to the same track of the same
+//! layer always keep the layer's minimum spacing, and every segment gets
+//! exactly its net's width in tracks.
 
 #![allow(clippy::unwrap_used)]
 
@@ -57,12 +59,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Randomized nets crowding one horizontal corridor, inserted in a
-    /// random order: every successful assignment respects same-track
-    /// minimum spacing, and no insertion order can break it.
+    /// random order, with random pairs of adjacent nets routed as
+    /// symmetric pairs: every successful assignment respects same-track
+    /// minimum spacing and gives each segment its net's width, and no
+    /// insertion order or pairing can break either.
     #[test]
     fn same_track_spacing_survives_any_insertion_order(
         nets in proptest::collection::vec(gen_net(), 2..6),
         order in any::<u64>(),
+        pair_mask in any::<u64>(),
     ) {
         let tech = Technology::finfet7();
         // Deterministic shuffle of the insertion order from the seed.
@@ -90,11 +95,31 @@ proptest! {
             .routes()
             .to_vec();
 
-        match DetailRouter::new(&tech).assign(&routes, &widths) {
+        // Bit `i` of the mask pairs the `i`-th inserted net with the next
+        // one, unless the `i`-th is already its predecessor's partner.
+        let mut pairs = Vec::new();
+        let mut i = 0;
+        while i + 1 < ordered.len() {
+            if pair_mask >> i & 1 == 1 {
+                pairs.push((format!("n{}", ordered[i].0), format!("n{}", ordered[i + 1].0)));
+                i += 2;
+            } else {
+                i += 1;
+            }
+        }
+
+        match DetailRouter::new(&tech).assign_with_symmetry(&routes, &widths, &pairs) {
             Ok(res) => {
                 prop_assert!(res.verify_no_conflicts());
                 let spacing = same_track_min_space_holds(&res, &tech);
                 prop_assert!(spacing.is_ok(), "{}", spacing.unwrap_err());
+                for route in &routes {
+                    let assigned = res.net(&route.net);
+                    prop_assert_eq!(assigned.len(), route.segments.len());
+                    for a in assigned {
+                        prop_assert_eq!(a.tracks.len(), widths[&route.net] as usize);
+                    }
+                }
             }
             // Congestion is a legal outcome for a crowded corridor; the
             // property only constrains successful assignments.

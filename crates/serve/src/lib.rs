@@ -15,15 +15,11 @@
 //!            queued
 //!               │  deadline expired while waiting
 //!               ├──────────────► DeadlineExceeded
-//!            running ◄────────┐
-//!               │             │ retry (retryable error, backoff never
-//!               │             │        oversleeping the deadline)
-//!               ├─────────────┘
+//!            running (the flow, once)
 //!               ├──────────────► Completed          (clean flow)
 //!               ├──────────────► Degraded           (repaired-after-faults)
 //!               ├──────────────► DeadlineExceeded   (token tripped mid-flow)
-//!               └──────────────► Failed             (non-retryable error, or
-//!                                                    retries exhausted)
+//!               └──────────────► Failed             (any other flow error)
 //! ```
 //!
 //! Key properties:
@@ -38,11 +34,11 @@
 //!   cooperatively at candidate, Newton-iteration, and route boundaries
 //!   deep inside the flow, so an expired request unwinds within
 //!   microseconds of its deadline.
-//! * **Retry classification** — only transient failure shapes
-//!   ([`is_retryable`]) are retried, at most twice, with exponential
-//!   backoff from 2 ms that never oversleeps the deadline. Static-gate
-//!   rejections (deterministic `SCHEM.*`/DRC/ERC rule ids) and
-//!   cancellations never retry.
+//! * **One run per request** — the flow is deterministic (seeded
+//!   placement, sweeps collected in input order), so re-running a failed
+//!   request would only reproduce its error. Faults the flow can absorb
+//!   are repaired inside it; any other error resolves
+//!   [`ServeOutcome::Failed`] with the error's text.
 //! * **Shared cache, isolated tenants** — all requests share one
 //!   [`CacheHub`]; each `(tenant, technology, testbench)` namespace is its
 //!   own LRU store, so one tenant's churn cannot evict another's warm set.
@@ -86,14 +82,6 @@ pub enum Priority {
     /// Preempts queued `Low`/`Normal` requests when the queue is full.
     High,
 }
-
-/// Retries allowed beyond each request's first attempt, for
-/// [`is_retryable`] errors only.
-const MAX_RETRIES: u32 = 2;
-
-/// Backoff before the first retry; doubles per retry, and is always
-/// clipped to the request's remaining deadline.
-const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Server-side knobs. The defaults suit tests and small batches; a real
 /// deployment would size `workers` to cores and `queue_capacity` to its
@@ -149,8 +137,9 @@ pub struct ServeRequest {
     /// Wall-clock budget, measured from submit (queue time included);
     /// `None` runs without one.
     pub deadline: Option<Duration>,
-    /// Fault-injection plan for the **first** attempt; retries run clean
-    /// (injected faults model transient infrastructure failures).
+    /// Fault-injection plan for the request's flow. Faults its repair
+    /// loops absorb resolve [`ServeOutcome::Degraded`]; faults that outlast
+    /// a repair budget resolve [`ServeOutcome::Failed`].
     pub plan: FaultPlan,
 }
 
@@ -219,21 +208,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Whether a flow failure is worth retrying.
-///
-/// Retryable shapes are the ones transient faults surface as: an exhausted
-/// repair loop (route faults outnumbered the budget this time) or a
-/// candidate set emptied by faulted evaluations. Everything else is
-/// deterministic — static-gate rejections carry exact `SCHEM.*`/DRC/ERC
-/// rule ids and will fail identically every time, and a cancellation is a
-/// verdict, not a failure — so retrying would only burn the deadline.
-pub fn is_retryable(e: &FlowError) -> bool {
-    matches!(
-        e,
-        FlowError::RepairExhausted { .. } | FlowError::NoCandidates { .. }
-    )
-}
 
 /// A submitted request's response slot.
 struct SlotInner {
@@ -326,7 +300,6 @@ struct Inner {
     next_id: AtomicU64,
     rejected: AtomicU64,
     shed: AtomicU64,
-    retries: AtomicU64,
     resolved: Mutex<Vec<RequestReport>>,
 }
 
@@ -398,7 +371,6 @@ impl BatchServer {
             next_id: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             resolved: Mutex::new(Vec::new()),
         });
         let workers = (0..workers_n)
@@ -543,7 +515,7 @@ impl BatchServer {
             requests,
             rejected: self.inner.rejected.load(Ordering::SeqCst),
             shed: self.inner.shed.load(Ordering::SeqCst),
-            retries: self.inner.retries.load(Ordering::SeqCst),
+            retries: 0,
             cache: self.inner.hub.aggregate_stats(),
             cache_namespaces: self.inner.hub.namespace_count(),
         }
@@ -654,8 +626,8 @@ fn cancelled_outcome(reason: CancelReason) -> ServeOutcome {
     }
 }
 
-/// Runs one request to resolution: deadline checks, the resilient flow,
-/// and bounded classified retries.
+/// Runs one request to resolution: the queue-expiry check, then the
+/// resilient flow, once.
 fn run_request(inner: &Inner, q: Queued) -> RequestReport {
     let queued_for = q.enqueued.elapsed();
     // Expired while waiting: resolve without spending a single simulation.
@@ -675,117 +647,57 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
         tech_fp: inner.tech.fingerprint(),
         testbench_version: TESTBENCH_VERSION,
     };
-    let cache = inner.hub.namespace(&ns);
+    let options = FlowOptions {
+        verify: inner.config.verify,
+        solver: inner.config.solver.clone(),
+        cache: CachePolicy::Shared(inner.hub.namespace(&ns)),
+        cancel: Some(q.token.clone()),
+        gds: if inner.config.gds {
+            GdsPolicy::On
+        } else {
+            GdsPolicy::Off
+        },
+        ..FlowOptions::default()
+    };
     let started = Instant::now();
-    let mut attempts: u32 = 0;
-    loop {
-        attempts += 1;
-        // Injected faults model transient infrastructure failures: they
-        // apply to the first attempt only, so a retry can actually succeed.
-        let clean = FaultPlan::default();
-        let plan = if attempts == 1 { &q.req.plan } else { &clean };
-        let options = FlowOptions {
-            verify: inner.config.verify,
-            solver: inner.config.solver.clone(),
-            cache: CachePolicy::Shared(Arc::clone(&cache)),
-            cancel: Some(q.token.clone()),
-            gds: if inner.config.gds {
-                GdsPolicy::On
-            } else {
-                GdsPolicy::Off
-            },
-            ..FlowOptions::default()
-        };
-        let result = optimized_flow_resilient(
-            &inner.tech,
-            &inner.lib,
-            &q.req.circuit,
-            &q.req.biases,
-            q.req.seed,
-            options,
-            plan,
-        );
-        match result {
-            Ok(out) => {
-                let health = out.resilience.health;
-                let (outcome, detail) = match health {
-                    Health::Clean => (ServeOutcome::Completed, String::new()),
-                    Health::Degraded => (
-                        ServeOutcome::Degraded,
-                        format!(
-                            "completed with {} degradation(s)",
-                            out.resilience.degradations.len()
-                        ),
+    let result = optimized_flow_resilient(
+        &inner.tech,
+        &inner.lib,
+        &q.req.circuit,
+        &q.req.biases,
+        q.req.seed,
+        options,
+        &q.req.plan,
+    );
+    let (outcome, detail, health) = match &result {
+        Ok(out) => {
+            let health = out.resilience.health;
+            let (outcome, detail) = match health {
+                Health::Clean => (ServeOutcome::Completed, String::new()),
+                Health::Degraded => (
+                    ServeOutcome::Degraded,
+                    format!(
+                        "completed with {} degradation(s)",
+                        out.resilience.degradations.len()
                     ),
-                };
-                let mut report = base_report(
-                    &q,
-                    outcome,
-                    detail,
-                    attempts,
-                    queued_for,
-                    started.elapsed(),
-                    Some(health),
-                );
-                report.gds = out.gds.map(|a| a.bytes);
-                return report;
-            }
-            Err(FlowError::Cancelled(c)) => {
-                return base_report(
-                    &q,
-                    cancelled_outcome(c.reason),
-                    c.to_string(),
-                    attempts,
-                    queued_for,
-                    started.elapsed(),
-                    None,
-                );
-            }
-            Err(e) => {
-                if is_retryable(&e) && attempts <= MAX_RETRIES {
-                    // Exponential backoff, clipped so it can never sleep
-                    // through the deadline.
-                    let backoff = RETRY_BACKOFF.saturating_mul(1 << (attempts - 1));
-                    if let Some(remaining) = q.token.remaining() {
-                        if remaining <= backoff {
-                            return base_report(
-                                &q,
-                                ServeOutcome::Failed,
-                                format!("retries abandoned near deadline; last: {e}"),
-                                attempts,
-                                queued_for,
-                                started.elapsed(),
-                                None,
-                            );
-                        }
-                    }
-                    std::thread::sleep(backoff);
-                    if let Err(c) = q.token.check() {
-                        return base_report(
-                            &q,
-                            cancelled_outcome(c.reason),
-                            format!("{c} during retry backoff; last: {e}"),
-                            attempts,
-                            queued_for,
-                            started.elapsed(),
-                            None,
-                        );
-                    }
-                    inner.retries.fetch_add(1, Ordering::SeqCst);
-                    continue;
-                }
-                return base_report(
-                    &q,
-                    ServeOutcome::Failed,
-                    e.to_string(),
-                    attempts,
-                    queued_for,
-                    started.elapsed(),
-                    None,
-                );
-            }
+                ),
+            };
+            (outcome, detail, Some(health))
         }
-    }
+        Err(FlowError::Cancelled(c)) => (cancelled_outcome(c.reason), c.to_string(), None),
+        Err(e) => (ServeOutcome::Failed, e.to_string(), None),
+    };
+    let mut report = base_report(
+        &q,
+        outcome,
+        detail,
+        1,
+        queued_for,
+        started.elapsed(),
+        health,
+    );
+    report.gds = result.ok().and_then(|out| out.gds).map(|a| a.bytes);
+    report
 }
 
 #[cfg(test)]
@@ -836,33 +748,6 @@ mod tests {
             Err(other) => panic!("expected BadTechnology, got {other}"),
             Ok(_) => panic!("expected BadTechnology, got a running server"),
         }
-    }
-
-    #[test]
-    fn retry_classification_by_error_kind() {
-        assert!(is_retryable(&FlowError::RepairExhausted {
-            circuit: "c".into(),
-            stage: "detail routing".into(),
-            attempts: 3,
-            last: "congested".into(),
-        }));
-        assert!(is_retryable(&FlowError::NoCandidates {
-            instance: "dp".into()
-        }));
-        // Static-gate rejections are deterministic: never retried.
-        assert!(!is_retryable(&FlowError::Verify {
-            circuit: "c".into(),
-            violations: 1,
-            first: "SCHEM.BIAS".into(),
-        }));
-        assert!(!is_retryable(&FlowError::Cancelled(
-            prima_cache::Cancelled {
-                reason: CancelReason::Deadline,
-            }
-        )));
-        assert!(!is_retryable(&FlowError::UnknownPrimitive {
-            name: "x".into()
-        }));
     }
 
     #[test]
@@ -990,28 +875,27 @@ mod tests {
     }
 
     #[test]
-    fn transient_route_faults_retry_and_succeed() {
+    fn route_faults_past_the_repair_budget_fail_in_one_run() {
         let srv = server(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         });
         let mut req = cs_amp_request("acme");
-        // More injected route failures than the route budget: attempt 1
-        // exhausts repair (retryable), attempt 2 runs clean.
+        // More injected route failures than the flow's route budget: the
+        // request's one run exhausts repair, and nothing runs it again.
         req.plan = FaultPlan::none().with_route_fault("vout", 10);
         let report = srv.submit(req).unwrap().wait();
+        assert_eq!(report.outcome, ServeOutcome::Failed, "{}", report.detail);
         assert!(
-            matches!(
-                report.outcome,
-                ServeOutcome::Completed | ServeOutcome::Degraded
-            ),
-            "expected a result after retry, got {:?} ({})",
-            report.outcome,
+            report
+                .detail
+                .starts_with("repair exhausted: cs_amp detail routing failed after 3 attempt(s)"),
+            "{}",
             report.detail
         );
-        assert_eq!(report.attempts, 2);
+        assert_eq!(report.attempts, 1);
         let batch = srv.finish();
-        assert_eq!(batch.retries, 1);
+        assert_eq!(batch.retries, 0);
     }
 
     #[test]

@@ -280,7 +280,7 @@ proptest! {
         let mut widths = std::collections::HashMap::new();
         widths.insert("a".to_string(), k1);
         widths.insert("b".to_string(), k2);
-        let res = DetailRouter::new(&tech).assign(&routes, &widths).unwrap();
+        let res = DetailRouter::new(&tech).assign_with_symmetry(&routes, &widths, &[]).unwrap();
         prop_assert!(res.verify_no_conflicts());
         prop_assert_eq!(res.occupied_slots(), (k1 + k2) as usize);
     }

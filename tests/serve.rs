@@ -1,12 +1,11 @@
 //! Serving integration tests: the acceptance suite for the batch
 //! evaluation service (prima-serve). Overload sheds by priority and never
 //! queues without bound; deadline-expired requests return within 2× their
-//! deadline; retries are classified by error kind (transient shapes retry,
-//! deterministic static-gate rejections never do); a 100-request
-//! mixed-tenant soak over a 4-worker pool loses zero responses; and
-//! cancelling a flow at an arbitrary candidate boundary leaves a shared
-//! evaluation cache consistent — a later uncancelled run is bit-identical
-//! to a cold fresh-cache run.
+//! deadline; a failing request resolves `Failed` after its one run,
+//! whatever its error; a 100-request mixed-tenant soak over a 4-worker
+//! pool loses zero responses; and cancelling a flow at an arbitrary
+//! candidate boundary leaves a shared evaluation cache consistent — a
+//! later uncancelled run is bit-identical to a cold fresh-cache run.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -22,7 +21,7 @@ use prima_flow::{
 };
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library, TESTBENCH_VERSION};
-use prima_serve::{is_retryable, BatchServer, Priority, ServeConfig, ServeError, ServeRequest};
+use prima_serve::{BatchServer, Priority, ServeConfig, ServeError, ServeRequest};
 use proptest::prelude::*;
 
 fn server(config: ServeConfig) -> BatchServer {
@@ -117,57 +116,44 @@ fn deadline_expiry_returns_within_twice_the_deadline() {
     drop(srv.finish());
 }
 
-/// Retry classification: transient fault shapes retry and then succeed;
-/// deterministic static-gate rejections resolve on the first attempt.
+/// One run per request: route faults that outlast the flow's repair
+/// budget and a deterministic static-gate rejection both resolve `Failed`
+/// after their single run, and the batch records no retries.
 #[test]
-fn retries_are_classified_by_error_kind() {
-    // The classifier itself.
-    assert!(is_retryable(&FlowError::RepairExhausted {
-        circuit: "c".into(),
-        stage: "detail routing".into(),
-        attempts: 3,
-        last: "congested".into(),
-    }));
-    assert!(!is_retryable(&FlowError::Verify {
-        circuit: "c".into(),
-        violations: 2,
-        first: "SCHEM.SIZE".into(),
-    }));
-
+fn failed_requests_resolve_after_one_run() {
     let srv = server(ServeConfig {
         workers: 2,
         verify: VerifyPolicy::On,
         ..ServeConfig::default()
     });
-    // Transient: more route faults than one attempt's budget absorbs.
-    let mut transient = cs_amp("acme");
-    transient.plan = FaultPlan::none().with_route_fault("vout", 10);
-    // Deterministic: a sizing no standard configuration realizes.
+    // More route faults than the flow's route budget absorbs.
+    let mut faulted = cs_amp("acme");
+    faulted.plan = FaultPlan::none().with_route_fault("vout", 10);
+    // A sizing no standard configuration realizes.
     let mut broken = cs_amp("acme");
     broken.circuit.instances[0].total_fins = 1;
 
-    let t1 = srv.submit(transient).unwrap();
+    let t1 = srv.submit(faulted).unwrap();
     let t2 = srv.submit(broken).unwrap();
-    let transient_report = t1.wait();
+    let faulted_report = t1.wait();
     let broken_report = t2.wait();
 
+    assert_eq!(
+        faulted_report.outcome,
+        ServeOutcome::Failed,
+        "{}",
+        faulted_report.detail
+    );
     assert!(
-        transient_report.has_result(),
-        "transient failure must recover via retry: {:?} ({})",
-        transient_report.outcome,
-        transient_report.detail
+        faulted_report.detail.starts_with("repair exhausted:"),
+        "{}",
+        faulted_report.detail
     );
-    assert_eq!(
-        transient_report.attempts, 2,
-        "one retry after the faulted attempt"
-    );
+    assert_eq!(faulted_report.attempts, 1);
     assert_eq!(broken_report.outcome, ServeOutcome::Failed);
-    assert_eq!(
-        broken_report.attempts, 1,
-        "deterministic gate rejection must not retry"
-    );
+    assert_eq!(broken_report.attempts, 1);
     let report = srv.finish();
-    assert_eq!(report.retries, 1);
+    assert_eq!(report.retries, 0);
 }
 
 /// The acceptance soak: 100 mixed-tenant requests over a 4-worker pool.
