@@ -11,6 +11,16 @@
 //! * the cost is half-perimeter wirelength plus bounding-box area plus a
 //!   steep overlap penalty that anneals to a legal placement.
 //!
+//! A move is applied in place and re-scores only the blocks it moves: at
+//! most four, the drawn block, a swap partner and their symmetry partners.
+//! The annealer caches each block's rect, each net's HPWL and the overlap
+//! total, so a move costs O(k·n) for k ≤ 4 moved blocks instead of an
+//! O(n²) re-score of a cloned placement; a rejected move is undone from
+//! its record. The overlap total is an exact integer, which equals the
+//! f64 sum of the per-pair areas bit for bit while it stays below 2^53
+//! nm², so every move is accepted or rejected exactly as a full re-score
+//! would decide.
+//!
 //! ## Example
 //!
 //! ```
@@ -182,13 +192,10 @@ impl Placement {
         Rect::from_size(self.positions[i], w, h)
     }
 
-    /// Bounding box over all blocks.
+    /// Bounding box over all blocks (`Rect::default()` when there are
+    /// none).
     pub fn bbox(&self, problem: &PlacementProblem) -> Rect {
-        let mut bb = self.rect(problem, 0);
-        for i in 1..problem.blocks.len() {
-            bb = bb.union(&self.rect(problem, i));
-        }
-        bb
+        bounding_box((0..problem.blocks.len()).map(|i| self.rect(problem, i)))
     }
 
     /// Total half-perimeter wirelength over all nets (nm).
@@ -196,21 +203,7 @@ impl Placement {
         problem
             .nets
             .iter()
-            .map(|net| {
-                if net.pins.len() < 2 {
-                    return 0;
-                }
-                let mut bb: Option<Rect> = None;
-                for &p in &net.pins {
-                    let c = self.rect(problem, p).center();
-                    let r = Rect::new(c, c);
-                    bb = Some(match bb {
-                        Some(b) => b.union(&r),
-                        None => r,
-                    });
-                }
-                bb.map(|b| b.half_perimeter()).unwrap_or(0)
-            })
+            .map(|net| net_hpwl(&net.pins, |p| self.rect(problem, p).center()))
             .sum()
     }
 
@@ -326,29 +319,31 @@ impl Placer {
         for &(a, b, (va, vb)) in &pair_variants {
             state.variants[a] = va;
             state.variants[b] = vb;
-            self.enforce_pair(problem, &mut state, a, b);
+            enforce_pair(problem, &mut state, a, b);
         }
 
-        let mut cost = self.cost(problem, &state);
-        let mut best = state.clone();
+        let mut anneal = Anneal::new(problem, state);
+        let mut cost = anneal.cost();
+        let mut best = anneal.state.clone();
         let mut best_cost = cost;
         let mut temp = T0;
 
         for _ in 0..TEMP_STEPS {
             for _ in 0..moves_per_temp {
-                let candidate = self.propose(problem, &state, &mut rng, grid);
-                let c = self.cost(problem, &candidate);
+                anneal.propose(&mut rng, grid);
+                let c = anneal.rescore();
                 let accept = c <= cost || {
                     let p = ((cost - c) / temp).exp();
                     rng.gen::<f64>() < p
                 };
                 if accept {
-                    state = candidate;
                     cost = c;
                     if c < best_cost {
-                        best = state.clone();
+                        best.clone_from(&anneal.state);
                         best_cost = c;
                     }
+                } else {
+                    anneal.undo();
                 }
             }
             temp *= COOLING;
@@ -360,83 +355,282 @@ impl Placer {
         }
         Ok(best)
     }
+}
 
-    /// Annealing cost: HPWL + area + overlap penalty.
-    fn cost(&self, problem: &PlacementProblem, p: &Placement) -> f64 {
-        let hpwl = p.hpwl(problem) as f64;
-        let bb = p.bbox(problem);
-        let area = (bb.width() as f64) * (bb.height() as f64);
-        // Overlap penalty proportional to overlapping area, steep.
-        let mut overlap = 0.0;
+/// One block as it was before the current move.
+struct Moved {
+    block: usize,
+    position: Point,
+    variant: usize,
+    rect: Rect,
+}
+
+/// The annealer's state, with every cost term cached so that a move
+/// re-scores only the blocks it moves.
+struct Anneal<'a> {
+    problem: &'a PlacementProblem,
+    /// The symmetry pair `(a, b)` each block belongs to, if any.
+    pair_of: Vec<Option<(usize, usize)>>,
+    /// The nets of two or more pins on each block, each listed once.
+    nets_of: Vec<Vec<usize>>,
+    state: Placement,
+    rects: Vec<Rect>,
+    net_hpwl: Vec<Nm>,
+    hpwl: Nm,
+    /// Total overlap area over all block pairs (nm²), exact. Below 2^53
+    /// nm² it equals, bit for bit, the f64 sum of the per-pair areas,
+    /// since every term and partial sum is then an exactly representable
+    /// integer; the cost therefore matches a full re-score.
+    overlap: i128,
+    /// Undo record of the current move: the blocks it moved and the nets
+    /// it re-scored, as they were, and the totals before it.
+    moved: Vec<Moved>,
+    old_nets: Vec<(usize, Nm)>,
+    old_hpwl: Nm,
+    old_overlap: i128,
+    /// Marks set and cleared within one move.
+    is_moved: Vec<bool>,
+    net_seen: Vec<bool>,
+}
+
+impl<'a> Anneal<'a> {
+    fn new(problem: &'a PlacementProblem, state: Placement) -> Self {
         let n = problem.blocks.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if let Some(x) = p.rect(problem, i).intersection(&p.rect(problem, j)) {
-                    overlap += (x.width() as f64) * (x.height() as f64);
+        let mut pair_of = vec![None; n];
+        for &(a, b) in &problem.symmetry {
+            pair_of[a] = Some((a, b));
+            pair_of[b] = Some((a, b));
+        }
+        let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (k, net) in problem.nets.iter().enumerate() {
+            if net.pins.len() < 2 {
+                continue;
+            }
+            for &p in &net.pins {
+                if !nets_of[p].contains(&k) {
+                    nets_of[p].push(k);
                 }
             }
         }
-        hpwl + AREA_WEIGHT * area.sqrt() + 50.0 * overlap.sqrt() * (1.0 + overlap.sqrt())
+        let rects: Vec<Rect> = (0..n).map(|i| state.rect(problem, i)).collect();
+        let net_hpwl: Vec<Nm> = problem
+            .nets
+            .iter()
+            .map(|net| net_hpwl(&net.pins, |p| rects[p].center()))
+            .collect();
+        let mut overlap = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                overlap += overlap_area(&rects[i], &rects[j]);
+            }
+        }
+        Anneal {
+            problem,
+            pair_of,
+            nets_of,
+            state,
+            hpwl: net_hpwl.iter().sum(),
+            net_hpwl,
+            rects,
+            overlap,
+            moved: Vec::with_capacity(4),
+            old_nets: Vec::new(),
+            old_hpwl: 0,
+            old_overlap: 0,
+            is_moved: vec![false; n],
+            net_seen: vec![false; problem.nets.len()],
+        }
     }
 
-    /// Proposes a random move, preserving symmetry pairs.
-    fn propose(
-        &self,
-        problem: &PlacementProblem,
-        state: &Placement,
-        rng: &mut StdRng,
-        grid: Nm,
-    ) -> Placement {
-        let mut cand = state.clone();
-        let n = problem.blocks.len();
+    /// Cost of the current state.
+    fn cost(&self) -> f64 {
+        cost_of(
+            self.hpwl,
+            bounding_box(self.rects.iter().copied()),
+            self.overlap,
+        )
+    }
+
+    /// Records block `i` and its symmetry partner as touched by the
+    /// current move, before the move changes them.
+    fn touch(&mut self, i: usize) {
+        let (a, b) = self.pair_of[i].unwrap_or((i, i));
+        for t in [a, b] {
+            if self.moved.iter().all(|m| m.block != t) {
+                self.moved.push(Moved {
+                    block: t,
+                    position: self.state.positions[t],
+                    variant: self.state.variants[t],
+                    rect: self.rects[t],
+                });
+            }
+        }
+    }
+
+    /// Applies a random move in place, preserving symmetry pairs. The
+    /// draws are those of a full-copy proposal: kind, block, then the
+    /// offsets, the swap partner or the variant.
+    fn propose(&mut self, rng: &mut StdRng, grid: Nm) {
+        let n = self.rects.len();
+        self.moved.clear();
         let kind = rng.gen_range(0..4);
         let i = rng.gen_range(0..n);
+        self.touch(i);
         match kind {
             // Displace.
             0 => {
                 let dx = rng.gen_range(-2 * grid..=2 * grid);
                 let dy = rng.gen_range(-2 * grid..=2 * grid);
-                cand.positions[i] = cand.positions[i].offset(dx, dy);
+                self.state.positions[i] = self.state.positions[i].offset(dx, dy);
             }
             // Swap positions of two blocks.
             1 => {
                 let j = rng.gen_range(0..n);
-                cand.positions.swap(i, j);
+                self.touch(j);
+                self.state.positions.swap(i, j);
             }
             // Change variant.
             2 => {
-                let nv = problem.blocks[i].variants.len();
+                let nv = self.problem.blocks[i].variants.len();
                 if nv > 1 {
-                    cand.variants[i] = rng.gen_range(0..nv);
+                    self.state.variants[i] = rng.gen_range(0..nv);
                 }
             }
             // Small jitter for refinement.
             _ => {
                 let dx = rng.gen_range(-grid / 4..=grid / 4);
                 let dy = rng.gen_range(-grid / 4..=grid / 4);
-                cand.positions[i] = cand.positions[i].offset(dx, dy);
+                self.state.positions[i] = self.state.positions[i].offset(dx, dy);
             }
         }
-        // Re-impose symmetry for any touched pair.
-        for &(a, b) in &problem.symmetry {
-            if let Some((va, vb)) = matching_variants_including(problem, a, b, cand.variants[a]) {
-                cand.variants[a] = va;
-                cand.variants[b] = vb;
+        // Re-impose symmetry on the touched pairs. Pairs are disjoint and
+        // every untouched pair is still mirrored, so this leaves the state
+        // a re-imposition over all pairs would.
+        for k in 0..self.moved.len() {
+            let t = self.moved[k].block;
+            if let Some((a, b)) = self.pair_of[t].filter(|&(a, _)| a == t) {
+                let state = &mut self.state;
+                if let Some((va, vb)) =
+                    matching_variants_including(self.problem, a, b, state.variants[a])
+                {
+                    state.variants[a] = va;
+                    state.variants[b] = vb;
+                }
+                enforce_pair(self.problem, state, a, b);
             }
-            self.enforce_pair(problem, &mut cand, a, b);
         }
-        cand
     }
 
-    /// Places `b` as the mirror of `a` about the axis at their midpoint,
-    /// sharing y.
-    fn enforce_pair(&self, problem: &PlacementProblem, p: &mut Placement, a: usize, b: usize) {
-        let (wa, _) = problem.blocks[a].variants[p.variants[a]];
-        // b abuts a to the right with a one-pitch gap, same y: a rigid
-        // mirrored unit whose internal axis sits between the two blocks.
-        let gap = 200;
-        p.positions[b] = Point::new(p.positions[a].x + wa + gap, p.positions[a].y);
+    /// Brings the cached rects, net HPWLs and overlap total up to date
+    /// with the moved blocks, and returns the new cost.
+    fn rescore(&mut self) -> f64 {
+        self.old_hpwl = self.hpwl;
+        self.old_overlap = self.overlap;
+        self.old_nets.clear();
+        // A block the move put back where it was (the second block of a
+        // pair, or a variant drawn again) changes nothing.
+        let state = &self.state;
+        self.moved.retain(|m| {
+            state.positions[m.block] != m.position || state.variants[m.block] != m.variant
+        });
+        for m in &self.moved {
+            self.is_moved[m.block] = true;
+            self.rects[m.block] = self.state.rect(self.problem, m.block);
+        }
+        for (k, m) in self.moved.iter().enumerate() {
+            let (old, new) = (m.rect, self.rects[m.block]);
+            for (u, r) in self.rects.iter().enumerate() {
+                if !self.is_moved[u] {
+                    self.overlap += overlap_area(&new, r) - overlap_area(&old, r);
+                }
+            }
+            for other in &self.moved[k + 1..] {
+                self.overlap +=
+                    overlap_area(&new, &self.rects[other.block]) - overlap_area(&old, &other.rect);
+            }
+        }
+        for m in &self.moved {
+            self.is_moved[m.block] = false;
+            for &k in &self.nets_of[m.block] {
+                if self.net_seen[k] {
+                    continue;
+                }
+                self.net_seen[k] = true;
+                let h = net_hpwl(&self.problem.nets[k].pins, |p| self.rects[p].center());
+                self.old_nets.push((k, self.net_hpwl[k]));
+                self.hpwl += h - self.net_hpwl[k];
+                self.net_hpwl[k] = h;
+            }
+        }
+        for &(k, _) in &self.old_nets {
+            self.net_seen[k] = false;
+        }
+        self.cost()
     }
+
+    /// Reverts the last move.
+    fn undo(&mut self) {
+        for m in &self.moved {
+            self.state.positions[m.block] = m.position;
+            self.state.variants[m.block] = m.variant;
+            self.rects[m.block] = m.rect;
+        }
+        for &(k, h) in &self.old_nets {
+            self.net_hpwl[k] = h;
+        }
+        self.hpwl = self.old_hpwl;
+        self.overlap = self.old_overlap;
+    }
+}
+
+/// Annealing cost: HPWL + area + overlap penalty.
+fn cost_of(hpwl: Nm, bbox: Rect, overlap: i128) -> f64 {
+    let area = (bbox.width() as f64) * (bbox.height() as f64);
+    // Overlap penalty proportional to overlapping area, steep.
+    let overlap = overlap as f64;
+    hpwl as f64 + AREA_WEIGHT * area.sqrt() + 50.0 * overlap.sqrt() * (1.0 + overlap.sqrt())
+}
+
+/// Smallest rect covering all of `rects` (`Rect::default()` for none).
+fn bounding_box(rects: impl Iterator<Item = Rect>) -> Rect {
+    rects.reduce(|a, b| a.union(&b)).unwrap_or_default()
+}
+
+/// Half-perimeter of one net's pin centers (0 below two pins).
+fn net_hpwl(pins: &[usize], center: impl Fn(usize) -> Point) -> Nm {
+    if pins.len() < 2 {
+        return 0;
+    }
+    let (mut x0, mut y0, mut x1, mut y1) = (Nm::MAX, Nm::MAX, Nm::MIN, Nm::MIN);
+    for &p in pins {
+        let c = center(p);
+        x0 = x0.min(c.x);
+        y0 = y0.min(c.y);
+        x1 = x1.max(c.x);
+        y1 = y1.max(c.y);
+    }
+    (x1 - x0) + (y1 - y0)
+}
+
+/// Interior overlap area of two rects (nm²; 0 when they only touch).
+fn overlap_area(a: &Rect, b: &Rect) -> i128 {
+    let w = a.hi.x.min(b.hi.x) - a.lo.x.max(b.lo.x);
+    let h = a.hi.y.min(b.hi.y) - a.lo.y.max(b.lo.y);
+    if w > 0 && h > 0 {
+        w as i128 * h as i128
+    } else {
+        0
+    }
+}
+
+/// Places `b` as the mirror of `a` about the axis at their midpoint,
+/// sharing y.
+fn enforce_pair(problem: &PlacementProblem, p: &mut Placement, a: usize, b: usize) {
+    let (wa, _) = problem.blocks[a].variants[p.variants[a]];
+    // b abuts a to the right with a one-pitch gap, same y: a rigid
+    // mirrored unit whose internal axis sits between the two blocks.
+    let gap = 200;
+    p.positions[b] = Point::new(p.positions[a].x + wa + gap, p.positions[a].y);
 }
 
 /// First variant pair of equal size shared by blocks `a` and `b`.
@@ -462,6 +656,9 @@ fn matching_variants_including(
     }
     matching_variants(problem, a, b)
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -527,6 +724,15 @@ mod tests {
         // Worst case (both horizontal, stacked diagonally) is ~8000 wide;
         // any sensible packing is far smaller in area.
         assert!(bb.area() < 8000 * 8000, "bounding box {bb} too large");
+    }
+
+    #[test]
+    fn bbox_of_no_blocks_is_the_empty_rect() {
+        let placement = Placement {
+            positions: vec![],
+            variants: vec![],
+        };
+        assert_eq!(placement.bbox(&PlacementProblem::new()), Rect::default());
     }
 
     #[test]
