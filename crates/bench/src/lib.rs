@@ -1252,7 +1252,7 @@ pub fn erc_summary(env: &Env) -> String {
     out
 }
 
-/// Schematic static-analysis (prima-schem) exhibit. Two halves:
+/// Schematic static-analysis (`prima_flow::schem`) exhibit. Two halves:
 ///
 /// * every benchmark circuit's preflight runs clean, and the table shows
 ///   what a clean preflight costs (microseconds — the <10 ms budget the

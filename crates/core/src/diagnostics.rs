@@ -140,6 +140,31 @@ pub struct Violation {
     pub message: String,
 }
 
+impl Violation {
+    /// A finding with no geometry and no measurement, the shape the
+    /// lint-style checks (schem, techlint, the flow lints, ERC's float and
+    /// dangle rules, cache and corner incidents) report in.
+    pub fn new(
+        rule_id: &str,
+        kind: RuleKind,
+        severity: Severity,
+        scope: Option<String>,
+        message: String,
+    ) -> Self {
+        Violation {
+            rule_id: rule_id.to_string(),
+            kind,
+            severity,
+            layer: None,
+            scope,
+            rects: Vec::new(),
+            found: None,
+            required: None,
+            message,
+        }
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}: {}", self.rule_id, self.message)?;

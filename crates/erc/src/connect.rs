@@ -50,21 +50,17 @@ pub fn check(art: &ErcArtifacts<'_>) -> Vec<Violation> {
                 .iter()
                 .map(|t| format!("{}.{}", t.instance, t.port))
                 .collect();
-            out.push(Violation {
-                rule_id: "ERC.FLOAT".to_string(),
-                kind: RuleKind::Floating,
-                severity: Severity::Error,
-                layer: None,
-                scope: Some(net.to_string()),
-                rects: Vec::new(),
-                found: None,
-                required: None,
-                message: format!(
+            out.push(Violation::new(
+                "ERC.FLOAT",
+                RuleKind::Floating,
+                Severity::Error,
+                Some(net.to_string()),
+                format!(
                     "net {net}: every connection ({}) is a gate — nothing \
                      drives it and it is not declared an external input",
                     who.join(", ")
                 ),
-            });
+            ));
         }
     }
 
@@ -77,17 +73,13 @@ pub fn check(art: &ErcArtifacts<'_>) -> Vec<Violation> {
     for (instance, ports) in &art.declared_ports {
         for port in ports {
             if !bound.contains(&(instance.as_str(), port.as_str())) {
-                out.push(Violation {
-                    rule_id: "ERC.DANGLE".to_string(),
-                    kind: RuleKind::Dangling,
-                    severity: Severity::Error,
-                    layer: None,
-                    scope: Some(instance.clone()),
-                    rects: Vec::new(),
-                    found: None,
-                    required: None,
-                    message: format!("{instance}.{port}: declared port is connected to no net"),
-                });
+                out.push(Violation::new(
+                    "ERC.DANGLE",
+                    RuleKind::Dangling,
+                    Severity::Error,
+                    Some(instance.clone()),
+                    format!("{instance}.{port}: declared port is connected to no net"),
+                ));
             }
         }
     }

@@ -44,8 +44,12 @@ pub struct CircuitSpec {
 }
 
 impl CircuitSpec {
-    /// Top-level nets in first-appearance order (excluding the supply/rail
-    /// plumbing nets).
+    /// Instance by name.
+    pub fn instance(&self, name: &str) -> Option<&PrimitiveInst> {
+        self.instances.iter().find(|i| i.name == name)
+    }
+
+    /// Top-level nets in first-appearance order, rails included.
     pub fn nets(&self) -> Vec<String> {
         let mut seen = Vec::new();
         for inst in &self.instances {

@@ -17,7 +17,6 @@ use prima_core::{
     PortConstraint, RepairBudgets, RepairCursor, ResilienceReport, RuleKind, Severity,
     SolverLimits, Violation,
 };
-use prima_corners::{CornerPolicy, CornerReport};
 use prima_geom::Point;
 use prima_layout::{generate, render, CellConfig, PlacementPattern, PrimitiveLayout};
 use prima_pdk::Technology;
@@ -31,6 +30,7 @@ use prima_verify::{check_flow, CellArtifact, FlowArtifacts, VerifyReport};
 
 use crate::builder::Realization;
 use crate::circuits::CircuitSpec;
+use crate::corners::{CornerPolicy, CornerReport};
 use crate::electrical::{self, ErcBuild};
 use crate::preflight;
 use crate::FlowError;
@@ -167,7 +167,7 @@ pub struct FlowOutcome {
     /// is always passing — a broken deck aborts the flow with
     /// [`FlowError::Verify`] carrying the exact `TECH.*`/`LIB.*` rule id.
     pub techlint: Option<VerifyReport>,
-    /// Schematic preflight report (prima-schem: connectivity-graph lints,
+    /// Schematic preflight report ([`crate::schem`]: connectivity-graph lints,
     /// bias/sizing legality, topology recognition), run under the verify
     /// policy *before* any layout or simulation. A populated report is
     /// always passing — a failing preflight aborts the flow with
@@ -566,7 +566,13 @@ fn finish_cache(
     };
     let mut diagnostics = Vec::new();
     if let Err(e) = cache.save() {
-        diagnostics.push(cache_violation("CACHE.IO", format!("snapshot failed: {e}")));
+        diagnostics.push(Violation::new(
+            "CACHE.IO",
+            RuleKind::Lint,
+            Severity::Degraded,
+            Some("cache".to_string()),
+            format!("snapshot failed: {e}"),
+        ));
     }
     for event in cache.events() {
         let rule_id = match event.kind {
@@ -574,27 +580,18 @@ fn finish_cache(
             CacheEventKind::Invalidated => "CACHE.INVALIDATED",
             CacheEventKind::Io => "CACHE.IO",
         };
-        diagnostics.push(cache_violation(rule_id, event.detail));
+        diagnostics.push(Violation::new(
+            rule_id,
+            RuleKind::Lint,
+            Severity::Degraded,
+            Some("cache".to_string()),
+            event.detail,
+        ));
     }
     for v in &diagnostics {
         resilience.record("cache", &v.rule_id, v.message.clone());
     }
     (Some(cache.stats()), diagnostics)
-}
-
-/// A degraded-severity lint for one cache incident.
-fn cache_violation(rule_id: &str, message: String) -> Violation {
-    Violation {
-        rule_id: rule_id.to_string(),
-        kind: RuleKind::Lint,
-        severity: Severity::Degraded,
-        layer: None,
-        scope: Some("cache".to_string()),
-        rects: Vec::new(),
-        found: None,
-        required: None,
-        message,
-    }
 }
 
 /// Turns a failing verification report into a flow error; passing reports

@@ -15,11 +15,14 @@
 //! * **Assembly** ([`builder`]) — expands primitive instances (schematic or
 //!   extracted layouts) into one flat simulator circuit, inserting
 //!   global-route RC on the top-level nets and supply IR resistance.
-//! * **Preflight** ([`preflight`]) — the schematic static-analysis gate
-//!   (prima-schem) every flow runs first: connectivity-graph lints, bias
-//!   and sizing legality, topology recognition. A malformed request dies
-//!   in microseconds with exact `SCHEM.*` rule ids instead of seconds
+//! * **Preflight** ([`preflight`], [`schem`]) — the schematic
+//!   static-analysis gate every flow runs first: connectivity-graph lints,
+//!   bias and sizing legality, topology recognition. A malformed request
+//!   dies in microseconds with exact `SCHEM.*` rule ids instead of seconds
 //!   into a cold optimization run.
+//! * **Variation** — PVT corner sweeps and seeded Monte-Carlo mismatch
+//!   ([`CornerPolicy`], [`MismatchSampler`], [`CornerReport`]), run by the
+//!   optimized flow between selection and placement.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
@@ -31,6 +34,9 @@ mod electrical;
 pub mod flows;
 mod gds;
 pub mod preflight;
+pub mod schem;
+#[cfg(test)]
+mod tests;
 
 use std::fmt;
 
@@ -43,6 +49,10 @@ use prima_spice::measure::MeasureError;
 use prima_spice::netlist::SpiceError;
 
 pub use builder::{build_circuit, PrimitiveInst, Realization};
+pub use corners::{
+    corner_bias, instance_fingerprint, CornerMeasure, CornerOptions, CornerPolicy, CornerReport,
+    InstanceCorners, McYield, MismatchDraw, MismatchSampler, MC_SEED,
+};
 pub use flows::{
     conventional_flow, manual_flow, optimized_flow, optimized_flow_resilient, optimized_flow_with,
     FlowKind, FlowOptions, FlowOutcome, GdsPolicy, VerifyPolicy,
@@ -52,10 +62,6 @@ pub use prima_cache::{CacheHub, CachePolicy, CacheStats, Namespace};
 pub use prima_core::{
     CancelReason, CancelToken, Cancelled, FaultPlan, Health, RepairBudgets, RequestReport,
     ResilienceReport, ServeOutcome, ServeReport, SolverLimits,
-};
-pub use prima_corners::{
-    corner_bias, instance_fingerprint, CornerMeasure, CornerOptions, CornerPolicy, CornerReport,
-    InstanceCorners, McYield, MismatchDraw, MismatchSampler, MC_SEED,
 };
 pub use prima_gds::{GdsArtifact, GdsError, GdsLibrary};
 

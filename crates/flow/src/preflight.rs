@@ -6,7 +6,7 @@
 //! ranges — previously surfaced seconds into a cold run (or, for an empty
 //! configuration space, not at all: the instance silently degraded to an
 //! ideal device). [`schem_preflight`] expands the request into
-//! `prima-schem`'s device-level connectivity graph and runs the full
+//! [`crate::schem`]'s device-level connectivity graph and runs the full
 //! `SCHEM.*` lint suite in microseconds, so the flows can reject it with
 //! exact rule ids before any layout is generated or testbench simulated.
 //!
@@ -17,33 +17,11 @@
 //! router three stages later. The full gate order is
 //! techlint → schem → layout → verify → erc.
 
-use std::collections::HashMap;
-
 use prima_core::diagnostics::VerifyReport;
 use prima_pdk::Technology;
-use prima_primitives::{Bias, Library};
-use prima_schem::{check_schem, SchemCircuit, SchemInstance};
+use prima_primitives::Library;
 
-use crate::circuits::CircuitSpec;
-
-/// Converts a flow [`CircuitSpec`] into the analyzer's circuit form.
-fn to_schem_circuit(spec: &CircuitSpec) -> SchemCircuit {
-    SchemCircuit {
-        name: spec.name.clone(),
-        instances: spec
-            .instances
-            .iter()
-            .map(|inst| SchemInstance {
-                name: inst.name.clone(),
-                def: inst.def.clone(),
-                total_fins: inst.total_fins,
-                conn: inst.conn.clone(),
-            })
-            .collect(),
-        symmetry: spec.symmetry.clone(),
-        symmetric_nets: spec.symmetric_nets.clone(),
-    }
-}
+pub use crate::schem::schem_preflight;
 
 /// Runs the static technology/library analyzer — the true zeroth gate,
 /// before the schematic preflight. Purely data-driven (deck
@@ -52,25 +30,6 @@ fn to_schem_circuit(spec: &CircuitSpec) -> SchemCircuit {
 /// measures about 1.8 ms per deck on a 2-vCPU host.
 pub fn techlint_preflight(tech: &Technology, lib: &Library) -> VerifyReport {
     prima_techlint::check_deck(tech, lib)
-}
-
-/// Runs the full schematic lint suite over a flow circuit request.
-///
-/// External nets are derived structurally (gate-only nets and
-/// diode-connected current inputs are assumed testbench-driven — the same
-/// heuristic the flow's wire synthesis uses), so callers need no explicit
-/// list. Pass `None` for `biases` when none are known (the conventional
-/// baseline); nominal per-class biases are library invariants and are not
-/// re-checked.
-pub fn schem_preflight(
-    tech: &Technology,
-    lib: &Library,
-    spec: &CircuitSpec,
-    biases: Option<&HashMap<String, Bias>>,
-) -> VerifyReport {
-    let circuit = to_schem_circuit(spec);
-    let empty = HashMap::new();
-    check_schem(tech, lib, &circuit, biases.unwrap_or(&empty))
 }
 
 #[cfg(test)]

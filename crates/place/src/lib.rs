@@ -269,16 +269,23 @@ impl Placer {
     ///
     /// # Errors
     ///
-    /// Returns [`PlaceError::BadProblem`] for empty problems or symmetry
-    /// pairs whose variants cannot mirror (different sizes in every
-    /// combination), and [`PlaceError::Illegal`] when overlaps survive the
-    /// schedule.
+    /// Returns [`PlaceError::BadProblem`] for empty problems, nets naming a
+    /// block index past the block count, or symmetry pairs whose variants
+    /// cannot mirror (different sizes in every combination), and
+    /// [`PlaceError::Illegal`] when overlaps survive the schedule.
     pub fn place(&self, problem: &PlacementProblem) -> Result<Placement, PlaceError> {
         let n = problem.blocks.len();
         if n == 0 {
             return Err(PlaceError::BadProblem {
                 reason: "no blocks".to_string(),
             });
+        }
+        for net in &problem.nets {
+            if let Some(pin) = net.pins.iter().find(|&&p| p >= n) {
+                return Err(PlaceError::BadProblem {
+                    reason: format!("net {} names block {pin}, but there are {n}", net.name),
+                });
+            }
         }
         let mut pair_variants = Vec::with_capacity(problem.symmetry.len());
         for &(a, b) in &problem.symmetry {
@@ -750,6 +757,18 @@ mod tests {
         let a = p.add_block(Block::new("a", vec![(1000, 800)]));
         let b = p.add_block(Block::new("b", vec![(900, 700)]));
         p.add_symmetry(a, b);
+        assert!(matches!(
+            Placer::new(0).place(&p),
+            Err(PlaceError::BadProblem { .. })
+        ));
+    }
+
+    #[test]
+    fn net_past_the_block_count_is_rejected() {
+        let mut p = PlacementProblem::new();
+        p.add_block(Block::new("a", vec![(1000, 800)]));
+        p.add_block(Block::new("b", vec![(900, 700)]));
+        p.add_net(Net::new("n", vec![0, 5]));
         assert!(matches!(
             Placer::new(0).place(&p),
             Err(PlaceError::BadProblem { .. })

@@ -10,8 +10,6 @@
 use prima_core::diagnostics::{RuleKind, Severity, Violation};
 use prima_pdk::{GdsLayerMap, LdeParams, RouteDir, Technology};
 
-use crate::lint;
-
 /// Runs every deck lint and returns the findings (unsorted; the caller's
 /// report finalizes them into canonical order).
 pub(crate) fn lint_deck(tech: &Technology) -> Vec<Violation> {
@@ -25,7 +23,7 @@ pub(crate) fn lint_deck(tech: &Technology) -> Vec<Violation> {
     lint_corners(tech, &mut out);
 
     if tech.metals.is_empty() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_STACK_EMPTY,
             RuleKind::Missing,
             Severity::Error,
@@ -54,7 +52,7 @@ fn finite_pos(x: f64) -> bool {
 /// Supply voltage, IR budget, tap distance, symmetry tolerance.
 fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     if !tech.vdd.is_finite() || !(0.2..=5.5).contains(&tech.vdd) {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_SUPPLY,
             RuleKind::Lint,
             Severity::Error,
@@ -67,7 +65,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     }
     let ir = tech.electrical.ir_frac_vdd;
     if !ir.is_finite() || ir <= 0.0 || ir > 0.5 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_IR_BUDGET,
             RuleKind::Ir,
             Severity::Error,
@@ -76,7 +74,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
         ));
     }
     if !finite_pos(tech.electrical.em_ma_per_um) {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_EM_WIRE,
             RuleKind::Em,
             Severity::Error,
@@ -88,7 +86,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
         ));
     }
     if tech.electrical.max_tap_distance_nm < 1 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_TAP_RANGE,
             RuleKind::Tap,
             Severity::Error,
@@ -100,7 +98,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
         ));
     }
     if tech.electrical.sym_tolerance_nm < 0 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_TAP_RANGE,
             RuleKind::Symmetry,
             Severity::Error,
@@ -117,7 +115,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
 fn lint_fin_geometry(tech: &Technology, out: &mut Vec<Violation>) {
     let fin = &tech.fin;
     let mut bad = |msg: String| {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_FIN_GEOM,
             RuleKind::Lint,
             Severity::Error,
@@ -169,7 +167,7 @@ fn lint_lde(lde: &LdeParams, which: &str, out: &mut Vec<Violation>) {
     ];
     for (name, value, bound) in fields {
         if !value.is_finite() || value.abs() > bound {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_LDE_RANGE,
                 RuleKind::Lint,
                 Severity::Error,
@@ -179,7 +177,7 @@ fn lint_lde(lde: &LdeParams, which: &str, out: &mut Vec<Violation>) {
         }
     }
     if !finite_pos(lde.sc_offset) {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LDE_RANGE,
             RuleKind::Lint,
             Severity::Error,
@@ -191,7 +189,7 @@ fn lint_lde(lde: &LdeParams, which: &str, out: &mut Vec<Violation>) {
         ));
     }
     if !lde.inv_sa_ref.is_finite() || lde.inv_sa_ref < 0.0 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LDE_RANGE,
             RuleKind::Lint,
             Severity::Error,
@@ -206,7 +204,7 @@ fn lint_variation(tech: &Technology, out: &mut Vec<Violation>) {
     // Pelgrom coefficients live in the nV·√m to µV·√m decades; anything
     // past 1e-6 V·√m would predict volt-scale mismatch on real devices.
     if !finite_pos(var.avth) || var.avth > 1e-6 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_VAR_RANGE,
             RuleKind::Lint,
             Severity::Error,
@@ -215,7 +213,7 @@ fn lint_variation(tech: &Technology, out: &mut Vec<Violation>) {
         ));
     }
     if !var.vth_gradient_per_um.is_finite() || var.vth_gradient_per_um.abs() > 0.1 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_VAR_RANGE,
             RuleKind::Lint,
             Severity::Error,
@@ -239,7 +237,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
         return;
     }
     match set.get("tt") {
-        None => out.push(lint(
+        None => out.push(Violation::new(
             crate::RULE_CORNER_TT,
             RuleKind::Missing,
             Severity::Error,
@@ -250,7 +248,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
                 set.names()
             ),
         )),
-        Some(tt) if !tt.is_identity() => out.push(lint(
+        Some(tt) if !tt.is_identity() => out.push(Violation::new(
             crate::RULE_CORNER_TT,
             RuleKind::Lint,
             Severity::Error,
@@ -262,7 +260,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
     let names = set.names();
     for (i, name) in names.iter().enumerate() {
         if names[..i].contains(name) {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_CORNER_DUP,
                 RuleKind::Lint,
                 Severity::Error,
@@ -284,7 +282,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
         && b.temp_c.1.is_finite()
         && b.temp_c.0 <= b.temp_c.1;
     if !bounds_ok {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_CORNER_RANGE,
             RuleKind::Lint,
             Severity::Error,
@@ -295,7 +293,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
     }
     for c in &set.corners {
         let mut breach = |what: String| {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_CORNER_RANGE,
                 RuleKind::Lint,
                 Severity::Error,
@@ -349,7 +347,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
     names.sort_unstable();
     for pair in names.windows(2) {
         if pair[0] == pair[1] {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_NAME_DUP,
                 RuleKind::Lint,
                 Severity::Error,
@@ -362,7 +360,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, m) in tech.metals.iter().enumerate() {
         let scope = Some(m.name.clone());
         if m.min_width < 1 || m.min_width > m.pitch {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_METAL_WIDTH,
                 RuleKind::Width,
                 Severity::Error,
@@ -374,7 +372,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
             ));
         }
         if !finite_pos(m.r_ohm_per_um) || !m.c_f_per_um.is_finite() || m.c_f_per_um < 0.0 {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_METAL_RC,
                 RuleKind::Lint,
                 Severity::Error,
@@ -387,7 +385,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
         }
         if let Some(next) = tech.metals.get(i + 1) {
             if m.dir == next.dir {
-                out.push(lint(
+                out.push(Violation::new(
                     crate::RULE_STACK_DIR,
                     RuleKind::Lint,
                     Severity::Warning,
@@ -408,7 +406,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
     let has_h = upper.iter().any(|m| m.dir == RouteDir::Horizontal);
     let has_v = upper.iter().any(|m| m.dir == RouteDir::Vertical);
     if !(has_h && has_v) {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_ROUTE_PAIR,
             RuleKind::Missing,
             Severity::Error,
@@ -429,7 +427,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
     for pair in tech.metals.windows(2) {
         let (lo, hi) = (&pair[0], &pair[1]);
         if hi.r_ohm_per_um > lo.r_ohm_per_um {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_MONO_R,
                 RuleKind::Lint,
                 Severity::Error,
@@ -441,7 +439,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
             ));
         }
         if hi.c_f_per_um < lo.c_f_per_um {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_MONO_C,
                 RuleKind::Lint,
                 Severity::Warning,
@@ -455,7 +453,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
     }
     for (i, pair) in tech.via_r.windows(2).enumerate() {
         if pair[1] > pair[0] {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_MONO_VIA,
                 RuleKind::Lint,
                 Severity::Error,
@@ -477,7 +475,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
 fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
     let rules = &tech.rules;
     if rules.metal.len() != tech.metals.len() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_RULES_COUNT,
             RuleKind::Lint,
             Severity::Error,
@@ -490,7 +488,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
         ));
     }
     if rules.vias.len() + 1 != tech.metals.len() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_RULES_COUNT,
             RuleKind::Lint,
             Severity::Error,
@@ -505,7 +503,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
     }
     for (m, r) in tech.metals.iter().zip(&rules.metal) {
         if m.name != r.layer {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_RULES_NAME,
                 RuleKind::Lint,
                 Severity::Error,
@@ -517,7 +515,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
             ));
         }
         if r.min_space < 1 || r.min_width + r.min_space > m.pitch {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_METAL_SPACE,
                 RuleKind::Spacing,
                 Severity::Error,
@@ -531,7 +529,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
         // Smaller than width² is vacuous (any min-width shape passes);
         // far larger would outlaw the generator's own contact stubs.
         if r.min_area_nm2 < 1 || r.min_area_nm2 > 16 * r.min_width * r.min_width {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_METAL_AREA,
                 RuleKind::Area,
                 Severity::Error,
@@ -551,7 +549,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
 /// a minimum-width wire on *both* connected layers.
 fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
     if tech.via_r.len() + 1 != tech.metals.len() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_VIA_COUNT,
             RuleKind::Missing,
             Severity::Error,
@@ -566,7 +564,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
     }
     for (i, r) in tech.via_r.iter().enumerate() {
         if !finite_pos(*r) {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_VIA_R,
                 RuleKind::Lint,
                 Severity::Error,
@@ -576,7 +574,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
         }
     }
     if !tech.via_c.is_finite() || tech.via_c < 0.0 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_VIA_R,
             RuleKind::Lint,
             Severity::Error,
@@ -587,7 +585,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, via) in tech.rules.vias.iter().enumerate() {
         let scope = Some(via.name.clone());
         if via.cut < 1 || via.enclosure < 0 {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_VIA_FIT,
                 RuleKind::Enclosure,
                 Severity::Error,
@@ -605,7 +603,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
         let need = via.cut + 2 * via.enclosure;
         let have = lower.min_width.min(upper.min_width);
         if need > have {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_VIA_FIT,
                 RuleKind::Enclosure,
                 Severity::Error,
@@ -624,7 +622,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
 fn lint_em_tables(tech: &Technology, out: &mut Vec<Violation>) {
     let cuts = &tech.electrical.em_ma_per_cut;
     if cuts.len() != tech.via_r.len() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_EM_VIA,
             RuleKind::Em,
             Severity::Error,
@@ -639,7 +637,7 @@ fn lint_em_tables(tech: &Technology, out: &mut Vec<Violation>) {
     }
     for (i, limit) in cuts.iter().enumerate() {
         if !finite_pos(*limit) {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_EM_VIA,
                 RuleKind::Em,
                 Severity::Error,
@@ -657,7 +655,7 @@ fn lint_em_tables(tech: &Technology, out: &mut Vec<Violation>) {
 fn lint_grid_divisibility(tech: &Technology, out: &mut Vec<Violation>) {
     let g = tech.rules.grid_nm;
     if g < 1 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_GRID_DIV,
             RuleKind::Grid,
             Severity::Error,
@@ -668,7 +666,7 @@ fn lint_grid_divisibility(tech: &Technology, out: &mut Vec<Violation>) {
     }
     let mut check = |what: String, v: i64| {
         if v % g != 0 {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_GRID_DIV,
                 RuleKind::Grid,
                 Severity::Error,
@@ -718,7 +716,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
         ("unit_in_m", map.unit_in_m),
     ] {
         if !finite_pos(v) {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_GDS_UNITS,
                 RuleKind::Lint,
                 Severity::Error,
@@ -729,7 +727,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
     }
     for name in GdsLayerMap::required_layers(&tech.metals) {
         if map.get(&name).is_none() {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_GDS_COVERAGE,
                 RuleKind::Missing,
                 Severity::Error,
@@ -741,7 +739,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, a) in map.entries.iter().enumerate() {
         for b in &map.entries[i + 1..] {
             if a.name == b.name {
-                out.push(lint(
+                out.push(Violation::new(
                     crate::RULE_GDS_DUP,
                     RuleKind::Lint,
                     Severity::Error,
@@ -749,7 +747,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
                     format!("gds layer map lists {} twice", a.name),
                 ));
             } else if (a.layer, a.datatype) == (b.layer, b.datatype) {
-                out.push(lint(
+                out.push(Violation::new(
                     crate::RULE_GDS_DUP,
                     RuleKind::Lint,
                     Severity::Error,

@@ -57,7 +57,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
-use prima_core::diagnostics::{RuleKind, Severity, VerifyReport, Violation};
+use prima_core::diagnostics::{Severity, VerifyReport};
 use prima_pdk::Technology;
 use prima_primitives::Library;
 
@@ -146,28 +146,6 @@ pub const RULE_LIB_PORTS: &str = "LIB.PORTS";
 pub const RULE_LIB_FIT: &str = "LIB.FIT";
 /// Rendered corner configuration fails the deck's own DRC.
 pub const RULE_LIB_DRC: &str = "LIB.DRC";
-
-/// Builds a techlint violation. Geometry-free by construction: techlint
-/// findings name rules and scopes, not rectangles.
-pub(crate) fn lint(
-    rule_id: &str,
-    kind: RuleKind,
-    severity: Severity,
-    scope: Option<String>,
-    message: String,
-) -> Violation {
-    Violation {
-        rule_id: rule_id.to_string(),
-        kind,
-        severity,
-        layer: None,
-        scope,
-        rects: Vec::new(),
-        found: None,
-        required: None,
-        message,
-    }
-}
 
 /// Lints one deck for self-consistency (`TECH.*` rules only).
 pub fn check_tech(tech: &Technology) -> VerifyReport {

@@ -34,8 +34,6 @@ use prima_pdk::{Nm, Technology};
 use prima_primitives::{Library, PrimitiveDef};
 use prima_verify::drc::check_cell;
 
-use crate::lint;
-
 /// Corner configurations per placement pattern: the smallest tile (every
 /// pitch the tiling ever uses appears here), a multi-row tile (exercises
 /// the inter-row clearances), and a no-dummy tile (exercises row-edge
@@ -69,7 +67,7 @@ pub(crate) fn lint_library(tech: &Technology, lib: &Library) -> Vec<Violation> {
 fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     let mut ok = true;
     if tech.metals.len() < 2 {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
@@ -82,7 +80,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
         ok = false;
     }
     if tech.rules.metal.len() < tech.metals.len().min(2) {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
@@ -96,7 +94,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
         ok = false;
     }
     if tech.rules.grid("poly").is_none() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
@@ -107,7 +105,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     }
     if let Some(bottom) = tech.metals.first() {
         if tech.rules.grid(&bottom.name).is_none() {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_LIB_PINS,
                 RuleKind::Missing,
                 Severity::Error,
@@ -122,7 +120,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
         }
     }
     if tech.rules.feol("poly").is_none() || tech.rules.feol("diff").is_none() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
@@ -144,7 +142,7 @@ fn lint_fit(tech: &Technology, out: &mut Vec<Violation>) {
     let stub_rule = &tech.rules.metal[0];
     let trunk = &tech.metals[1];
     let mut fit = |kind: RuleKind, scope: String, message: String| {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LIB_FIT,
             kind,
             Severity::Error,
@@ -264,7 +262,7 @@ fn lint_fit(tech: &Technology, out: &mut Vec<Violation>) {
 /// terminals are physical plates, not device nets.
 fn lint_ports(def: &PrimitiveDef, out: &mut Vec<Violation>) {
     if def.ports.is_empty() {
-        out.push(lint(
+        out.push(Violation::new(
             crate::RULE_LIB_PORTS,
             RuleKind::Dangling,
             Severity::Error,
@@ -278,7 +276,7 @@ fn lint_ports(def: &PrimitiveDef, out: &mut Vec<Violation>) {
     let nets = def.spec.nets();
     for port in &def.ports {
         if !nets.contains(port) {
-            out.push(lint(
+            out.push(Violation::new(
                 crate::RULE_LIB_PORTS,
                 RuleKind::Dangling,
                 Severity::Error,
@@ -293,7 +291,7 @@ fn lint_ports(def: &PrimitiveDef, out: &mut Vec<Violation>) {
     for terminal in &def.tuning {
         for net in &terminal.nets {
             if !nets.contains(net) {
-                out.push(lint(
+                out.push(Violation::new(
                     crate::RULE_LIB_PORTS,
                     RuleKind::Dangling,
                     Severity::Error,
@@ -332,7 +330,7 @@ fn lint_rendered_corners(tech: &Technology, def: &PrimitiveDef, out: &mut Vec<Vi
                             continue;
                         }
                         seen.push(&v.rule_id);
-                        out.push(lint(
+                        out.push(Violation::new(
                             crate::RULE_LIB_DRC,
                             v.kind,
                             Severity::Error,
@@ -345,7 +343,7 @@ fn lint_rendered_corners(tech: &Technology, def: &PrimitiveDef, out: &mut Vec<Vi
                     }
                 }
                 Err(e) => {
-                    out.push(lint(
+                    out.push(Violation::new(
                         crate::RULE_LIB_DRC,
                         RuleKind::Lint,
                         Severity::Error,

@@ -44,20 +44,6 @@ pub struct LintInputs {
     pub ports: Vec<PortInterval>,
 }
 
-fn lint(rule_id: &str, scope: Option<String>, message: String) -> Violation {
-    Violation {
-        rule_id: rule_id.to_string(),
-        kind: RuleKind::Lint,
-        severity: Severity::Error,
-        layer: None,
-        scope,
-        rects: Vec::new(),
-        found: None,
-        required: None,
-        message,
-    }
-}
-
 /// Runs every lint over the provided inputs.
 pub fn check_lints(inputs: &LintInputs) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -76,8 +62,10 @@ pub fn lint_weights(weights: &[(String, f64)]) -> Vec<Violation> {
     let mut sum = 0.0;
     for (name, w) in weights {
         if !w.is_finite() || *w < 0.0 {
-            out.push(lint(
+            out.push(Violation::new(
                 "LINT.WEIGHTS",
+                RuleKind::Lint,
+                Severity::Error,
                 Some(name.clone()),
                 format!("metric {name}: weight {w} is not finite and non-negative"),
             ));
@@ -86,8 +74,10 @@ pub fn lint_weights(weights: &[(String, f64)]) -> Vec<Violation> {
         }
     }
     if sum <= 0.0 {
-        out.push(lint(
+        out.push(Violation::new(
             "LINT.WEIGHTS",
+            RuleKind::Lint,
+            Severity::Error,
             None,
             format!("weights sum to {sum}; normalized cost (Eq. 5-6) is undefined"),
         ));
@@ -106,8 +96,10 @@ pub fn lint_aspect_bins(candidates: &[f64], n_bins: usize) -> Vec<Violation> {
     let mut sorted = Vec::with_capacity(candidates.len());
     for &ar in candidates {
         if !ar.is_finite() || ar <= 0.0 {
-            out.push(lint(
+            out.push(Violation::new(
                 "LINT.BINS",
+                RuleKind::Lint,
+                Severity::Error,
                 None,
                 format!("aspect-ratio candidate {ar} is not finite and positive"),
             ));
@@ -116,8 +108,10 @@ pub fn lint_aspect_bins(candidates: &[f64], n_bins: usize) -> Vec<Violation> {
         }
     }
     if n_bins == 0 {
-        out.push(lint(
+        out.push(Violation::new(
             "LINT.BINS",
+            RuleKind::Lint,
+            Severity::Error,
             None,
             "selection ran with zero aspect-ratio bins".to_string(),
         ));
@@ -131,8 +125,10 @@ pub fn lint_aspect_bins(candidates: &[f64], n_bins: usize) -> Vec<Violation> {
     let bins: Vec<&[f64]> = sorted.chunks(chunk).collect();
     let covered: usize = bins.iter().map(|b| b.len()).sum();
     if covered != sorted.len() {
-        out.push(lint(
+        out.push(Violation::new(
             "LINT.BINS",
+            RuleKind::Lint,
+            Severity::Error,
             None,
             format!(
                 "bins cover {covered} of {} candidates — binning is not exhaustive",
@@ -143,8 +139,10 @@ pub fn lint_aspect_bins(candidates: &[f64], n_bins: usize) -> Vec<Violation> {
     for w in bins.windows(2) {
         let (hi_prev, lo_next) = (w[0][w[0].len() - 1], w[1][0]);
         if hi_prev > lo_next {
-            out.push(lint(
+            out.push(Violation::new(
                 "LINT.BINS",
+                RuleKind::Lint,
+                Severity::Error,
                 None,
                 format!("bin boundary decreases ({hi_prev} > {lo_next}) — bins overlap"),
             ));
@@ -159,16 +157,20 @@ pub fn lint_ports(ports: &[PortInterval]) -> Vec<Violation> {
     let mut reconciled_by_net: HashMap<&str, u32> = HashMap::new();
     for p in ports {
         if p.w_min == 0 {
-            out.push(lint(
+            out.push(Violation::new(
                 "LINT.PORTS",
+                RuleKind::Lint,
+                Severity::Error,
                 Some(p.net.clone()),
                 format!("net {}: port interval starts at width 0", p.net),
             ));
         }
         if let Some(w_max) = p.w_max {
             if w_max < p.w_min {
-                out.push(lint(
+                out.push(Violation::new(
                     "LINT.PORTS",
+                    RuleKind::Lint,
+                    Severity::Error,
                     Some(p.net.clone()),
                     format!(
                         "net {}: empty port interval [{}, {}]",
@@ -182,8 +184,10 @@ pub fn lint_ports(ports: &[PortInterval]) -> Vec<Violation> {
             let below = w < p.w_min;
             let above = p.w_max.is_some_and(|m| w > m);
             if below || above {
-                out.push(lint(
+                out.push(Violation::new(
                     "LINT.PORTS",
+                    RuleKind::Lint,
+                    Severity::Error,
                     Some(p.net.clone()),
                     format!(
                         "net {}: reconciled width {w} outside [{}, {}]",
@@ -195,8 +199,10 @@ pub fn lint_ports(ports: &[PortInterval]) -> Vec<Violation> {
             }
             if let Some(&prev) = reconciled_by_net.get(p.net.as_str()) {
                 if prev != w {
-                    out.push(lint(
+                    out.push(Violation::new(
                         "LINT.PORTS",
+                        RuleKind::Lint,
+                        Severity::Error,
                         Some(p.net.clone()),
                         format!(
                             "net {}: reconciled to both {prev} and {w} — inconsistent",

@@ -1,5 +1,5 @@
-//! Acceptance tests for PR "prima-corners": PVT corner sweeps and seeded
-//! Monte-Carlo mismatch as first-class scenarios.
+//! Acceptance tests for PVT corner sweeps and seeded Monte-Carlo
+//! mismatch as first-class flow scenarios.
 //!
 //! The contract under test: all four benchmark circuits complete the
 //! optimized flow with a five-corner set enabled on finfet7 and sky130ish

@@ -1,4 +1,4 @@
-//! Schematic static-analysis gate (prima-schem) integration tests.
+//! Schematic static-analysis gate (`prima_flow::schem`) integration tests.
 //!
 //! Three layers, mirroring `erc.rs`:
 //!
@@ -21,36 +21,15 @@ use std::time::Instant;
 use proptest::prelude::*;
 
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
+use prima_flow::schem::{ConnGraph, RULE_BIAS_V, RULE_DANGLE, RULE_FLOAT, RULE_SHORT, RULE_SIZE};
 use prima_flow::{conventional_flow, optimized_flow, schem_preflight, FlowError};
 use prima_layout::{DeviceSpec, PrimitiveSpec};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
-use prima_schem::{
-    check_schem, ConnGraph, SchemCircuit, SchemInstance, RULE_BIAS_V, RULE_DANGLE, RULE_FLOAT,
-    RULE_SHORT, RULE_SIZE,
-};
 use prima_spice::devices::FetPolarity;
 
 fn env() -> (Technology, Library) {
     (Technology::finfet7(), Library::standard())
-}
-
-fn to_schem(spec: &CircuitSpec) -> SchemCircuit {
-    SchemCircuit {
-        name: spec.name.clone(),
-        instances: spec
-            .instances
-            .iter()
-            .map(|i| SchemInstance {
-                name: i.name.clone(),
-                def: i.def.clone(),
-                total_fins: i.total_fins,
-                conn: i.conn.clone(),
-            })
-            .collect(),
-        symmetry: spec.symmetry.clone(),
-        symmetric_nets: spec.symmetric_nets.clone(),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -290,17 +269,15 @@ proptest! {
                     }
                 }
             }
-            let reference = to_schem(&spec);
-            let mut shuffled = reference.clone();
+            let mut shuffled = spec.clone();
             shuffle(&mut shuffled.instances, &mut rng);
 
-            let g_ref = ConnGraph::build(&lib, &reference);
+            let g_ref = ConnGraph::build(&lib, &spec);
             let g_shuf = ConnGraph::build(&lib, &shuffled);
             prop_assert_eq!(g_ref.signature(), g_shuf.signature());
 
-            let empty = HashMap::new();
-            let r_ref = check_schem(&tech, &lib, &reference, &empty);
-            let r_shuf = check_schem(&tech, &lib, &shuffled, &empty);
+            let r_ref = schem_preflight(&tech, &lib, &spec, None);
+            let r_shuf = schem_preflight(&tech, &lib, &shuffled, None);
             prop_assert_eq!(r_ref.violations, r_shuf.violations);
             prop_assert_eq!(r_ref.nets_checked, r_shuf.nets_checked);
         }
