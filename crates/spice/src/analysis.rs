@@ -14,7 +14,7 @@ use prima_cache::CancelToken;
 
 use crate::devices::{FetCaps, FetEval, FetInstance};
 use crate::netlist::{Circuit, Element, NodeId, Waveform};
-use crate::num::{LinearError, Matrix, Scalar};
+use crate::num::{LinearError, LuWorkspace, Matrix, Scalar};
 
 pub mod ac;
 pub mod dc;
@@ -76,8 +76,9 @@ impl From<prima_cache::Cancelled> for AnalysisError {
 #[derive(Debug, Clone)]
 pub struct Topology {
     n_nodes: usize,
-    /// element index -> branch ordinal.
-    branch_of_element: HashMap<usize, usize>,
+    n_branches: usize,
+    /// element index -> branch unknown, `None` for every other element.
+    branch_of_element: Vec<Option<usize>>,
     /// element name -> branch ordinal (for current measurements).
     branch_by_name: HashMap<String, usize>,
 }
@@ -86,17 +87,21 @@ impl Topology {
     /// Builds the unknown layout for a circuit.
     pub fn build(circuit: &Circuit) -> Self {
         let n_nodes = circuit.node_count() - 1;
-        let mut branch_of_element = HashMap::new();
+        let mut n_branches = 0;
+        let mut branch_of_element = Vec::new();
         let mut branch_by_name = HashMap::new();
-        for (idx, el) in circuit.elements().iter().enumerate() {
+        for el in circuit.elements() {
+            let mut branch = None;
             if let Element::VSource { name, .. } = el {
-                let ordinal = branch_of_element.len();
-                branch_of_element.insert(idx, ordinal);
-                branch_by_name.insert(name.to_ascii_lowercase(), ordinal);
+                branch_by_name.insert(name.to_ascii_lowercase(), n_branches);
+                branch = Some(n_nodes + n_branches);
+                n_branches += 1;
             }
+            branch_of_element.push(branch);
         }
         Topology {
             n_nodes,
+            n_branches,
             branch_of_element,
             branch_by_name,
         }
@@ -111,7 +116,7 @@ impl Topology {
     /// Total MNA dimension.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.n_nodes + self.branch_of_element.len()
+        self.n_nodes + self.n_branches
     }
 
     /// Unknown index of a node voltage (`None` for ground).
@@ -127,9 +132,7 @@ impl Topology {
     /// Unknown index of the branch current of element `element_index`.
     #[inline]
     pub fn branch_ix(&self, element_index: usize) -> Option<usize> {
-        self.branch_of_element
-            .get(&element_index)
-            .map(|&b| self.n_nodes + b)
+        self.branch_of_element.get(element_index).copied().flatten()
     }
 
     /// Unknown index of the branch current of the voltage source named
@@ -316,6 +319,54 @@ pub(crate) fn assemble_real(
     }
 }
 
+/// Every Jacobian entry that [`assemble_real`] and a transient's companion
+/// models can write for `circuit`, whatever the values: each node's gmin,
+/// the stamps of every resistor, source and FET, and a conductance across
+/// every capacitance, a FET's five included.
+pub(crate) fn stamp_pattern(circuit: &Circuit, topo: &Topology) -> Vec<(usize, usize)> {
+    let mut at: Vec<(usize, usize)> = (0..topo.node_unknowns()).map(|i| (i, i)).collect();
+    let two_terminal = |at: &mut Vec<_>, a: NodeId, b: NodeId| {
+        let (ia, ib) = (topo.vix(a), topo.vix(b));
+        at.extend(ia.map(|i| (i, i)));
+        at.extend(ib.map(|j| (j, j)));
+        if let (Some(i), Some(j)) = (ia, ib) {
+            at.extend([(i, j), (j, i)]);
+        }
+    };
+    for (idx, el) in circuit.elements().iter().enumerate() {
+        match el {
+            Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => {
+                two_terminal(&mut at, *a, *b);
+            }
+            Element::VSource { pos, neg, .. } => {
+                if let Some(k) = topo.branch_ix(idx) {
+                    for i in [*pos, *neg].into_iter().filter_map(|n| topo.vix(n)) {
+                        at.extend([(i, k), (k, i)]);
+                    }
+                }
+            }
+            Element::ISource { .. } => {}
+            Element::Fet(fet) => {
+                let terminals = [fet.d, fet.g, fet.s, fet.b];
+                for r in [fet.d, fet.s].into_iter().filter_map(|n| topo.vix(n)) {
+                    at.extend(
+                        terminals
+                            .into_iter()
+                            .filter_map(|n| topo.vix(n))
+                            .map(|c| (r, c)),
+                    );
+                }
+                // Only the terminal pairs are read, not the values.
+                let caps = fet.capacitances(0.0, 0.0, 0.0, 0.0);
+                for (a, b, _) in fet_cap_pairs(fet, &caps) {
+                    two_terminal(&mut at, a, b);
+                }
+            }
+        }
+    }
+    at
+}
+
 /// Largest node-voltage change one Newton iteration may take (V).
 const DAMPING: f64 = 0.3;
 
@@ -323,11 +374,13 @@ const DAMPING: f64 = 0.3;
 ///
 /// Each iteration clears `mat` and `rhs`, lets `assemble` stamp the system
 /// linearized at the current iterate, and solves it in place: `mat` is left
-/// holding its LU factors and `rhs` the solution. Node voltages move by
-/// at most 0.3 V per iteration; branch currents take the full step. The
-/// solve has converged once no node moves by `vtol` or more. `Ok(None)`
-/// means `max_iterations` ran out; the caller reports that in its own
-/// terms.
+/// holding its LU factors and `rhs` the solution. With `lu`, the clear and
+/// the solve go through that workspace, whose pattern must cover every
+/// stamp; without, through the dense routine. Both give the same solution.
+/// Node voltages move by at most 0.3 V per iteration; branch currents take
+/// the full step. The solve has converged once no node moves by `vtol` or
+/// more. `Ok(None)` means `max_iterations` ran out; the caller reports that
+/// in its own terms.
 ///
 /// # Errors
 ///
@@ -342,6 +395,7 @@ pub(crate) fn newton(
     cancel: Option<&CancelToken>,
     mat: &mut Matrix<f64>,
     rhs: &mut [f64],
+    mut lu: Option<&mut LuWorkspace>,
     mut assemble: impl FnMut(&[f64], &mut Matrix<f64>, &mut [f64]),
 ) -> Result<Option<Vec<f64>>, AnalysisError> {
     let mut x = x0.to_vec();
@@ -349,10 +403,16 @@ pub(crate) fn newton(
         if let Some(token) = cancel {
             token.check()?;
         }
-        mat.clear();
+        match lu.as_deref() {
+            Some(lu) => lu.clear(mat),
+            None => mat.clear(),
+        }
         rhs.iter_mut().for_each(|v| *v = 0.0);
         assemble(&x, mat, rhs);
-        mat.solve_in_place(rhs)?;
+        match lu.as_deref_mut() {
+            Some(lu) => lu.solve_in_place(mat, rhs)?,
+            None => mat.solve_in_place(rhs)?,
+        }
         let x_new = &*rhs;
         let mut max_dv: f64 = 0.0;
         for i in 0..topo.node_unknowns() {

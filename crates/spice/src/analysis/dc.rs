@@ -172,6 +172,7 @@ impl DcSolver {
             self.cancel.as_ref(),
             &mut mat,
             &mut rhs,
+            None,
             assemble,
         )
     }

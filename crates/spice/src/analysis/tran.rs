@@ -12,12 +12,12 @@
 
 use crate::devices::FetInstance;
 use crate::netlist::{Circuit, Element, NodeId, Waveform};
-use crate::num::Matrix;
+use crate::num::{LuWorkspace, Matrix};
 
 use super::dc::DcSolver;
 use super::{
-    assemble_real, fet_cap_pairs, newton, stamp_isource, stamp_two_terminal, AnalysisError,
-    Topology,
+    assemble_real, fet_cap_pairs, newton, stamp_isource, stamp_pattern, stamp_two_terminal,
+    AnalysisError, Topology,
 };
 
 /// Result of a transient run: the full solution trajectory.
@@ -118,6 +118,9 @@ impl TranSolver {
 
         let mut mat = Matrix::<f64>::zero(dim);
         let mut rhs = vec![0.0; dim];
+        // Every Newton iteration of the run shares one sparsity pattern, so
+        // they share one LU workspace.
+        let mut lu = LuWorkspace::new(dim, stamp_pattern(circuit, &topo));
         // One Newton solve of the step of length `dt` ending at `t`; `None`
         // when it runs out of iterations.
         let mut solve = |x: &[f64], states: &ReactiveState, t: f64, dt: f64, method: Method| {
@@ -136,6 +139,7 @@ impl TranSolver {
                 self.cancel.as_ref(),
                 &mut mat,
                 &mut rhs,
+                Some(&mut lu),
                 assemble,
             )
         };
@@ -381,6 +385,100 @@ mod tests {
         // After the edge: v(mid) = C1/(C1+C2) = 0.25.
         let settled = v[v.len() / 2];
         assert!((settled - 0.25).abs() < 0.01, "divider voltage {settled}");
+    }
+
+    /// The analyzed pattern holds every entry that DC assembly and either
+    /// integration method write, for every element kind, and nothing they
+    /// never write.
+    #[test]
+    fn stamp_pattern_covers_every_element_kind() {
+        use crate::devices::{FetInstance, FetModel, FetPolarity};
+        use std::collections::BTreeSet;
+        // A FET whose five capacitances can all be nonzero.
+        fn fet(name: &str, [d, g, s, b]: [NodeId; 4], polarity: FetPolarity) -> FetInstance {
+            let mut f = FetInstance::new(name, d, g, s, b, FetModel::ideal(polarity), 2e-6, 50e-9);
+            f.model.cox = 0.02;
+            f.model.cgso = 1e-10;
+            f.model.cgdo = 1e-10;
+            f.model.cj = 1e-3;
+            (f.ad, f.as_) = (1e-14, 2e-14);
+            f
+        }
+        // A label and the elements it adds to an empty circuit.
+        type Case = (&'static str, fn(&mut Circuit));
+        let cases: [Case; 7] = [
+            ("resistors", |c| {
+                let (a, b) = (c.node("a"), c.node("b"));
+                c.resistor("R1", a, b, 1e3).unwrap();
+                c.resistor("R2", b, Circuit::GROUND, 2e3).unwrap();
+            }),
+            ("capacitors", |c| {
+                let (a, b) = (c.node("a"), c.node("b"));
+                c.capacitor("C1", a, b, 1e-15).unwrap();
+                c.capacitor("C2", Circuit::GROUND, a, 2e-15).unwrap();
+            }),
+            ("voltage sources, node to ground and node to node", |c| {
+                let (a, b) = (c.node("a"), c.node("b"));
+                c.vsource("V1", a, Circuit::GROUND, 0.5);
+                c.vsource("V2", Circuit::GROUND, b, 0.2);
+                c.vsource("V3", a, b, 0.1);
+            }),
+            ("current sources", |c| {
+                let (a, b) = (c.node("a"), c.node("b"));
+                c.isource("I1", a, b, 1e-6);
+                c.isource("I2", Circuit::GROUND, a, 1e-6);
+            }),
+            ("FET with grounded source and bulk", |c| {
+                let (d, g) = (c.node("d"), c.node("g"));
+                c.fet(fet(
+                    "M",
+                    [d, g, Circuit::GROUND, Circuit::GROUND],
+                    FetPolarity::Nmos,
+                ))
+                .unwrap();
+            }),
+            ("diode-connected FET, bulk tied to source", |c| {
+                let (d, s) = (c.node("d"), c.node("s"));
+                c.fet(fet("M", [d, d, s, s], FetPolarity::Pmos)).unwrap();
+            }),
+            ("FET on four nodes", |c| {
+                let nodes = ["d", "g", "s", "b"].map(|n| c.node(n));
+                c.fet(fet("M", nodes, FetPolarity::Nmos)).unwrap();
+            }),
+        ];
+        for (what, build) in cases {
+            let mut c = Circuit::new();
+            build(&mut c);
+            let topo = Topology::build(&c);
+            let dim = topo.dim();
+            let pattern: BTreeSet<(usize, usize)> = stamp_pattern(&c, &topo).into_iter().collect();
+            let mut written = BTreeSet::new();
+            // Off and on biases, so every Meyer capacitance is nonzero in
+            // one of them.
+            for x in [vec![0.0; dim], (1..=dim).map(|i| 0.3 * i as f64).collect()] {
+                let states = ReactiveState::init(&c, &topo, &x);
+                for method in [None, Some(Method::Trapezoidal), Some(Method::BackwardEuler)] {
+                    let mut mat = Matrix::<f64>::zero(dim);
+                    let mut rhs = vec![0.0; dim];
+                    let storage = |idx: usize, mat: &mut Matrix<f64>, rhs: &mut [f64]| {
+                        if let Some(method) = method {
+                            states.stamp(idx, &topo, 1e-12, method, mat, rhs);
+                        }
+                    };
+                    let source = |w: &Waveform| w.value_at(0.0);
+                    assemble_real(&c, &topo, &x, GMIN, source, storage, &mut mat, &mut rhs);
+                    for r in 0..dim {
+                        for col in 0..dim {
+                            if mat[(r, col)] != 0.0 {
+                                assert!(pattern.contains(&(r, col)), "{what}: ({r}, {col})");
+                                written.insert((r, col));
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(written, pattern, "{what}: entries never written");
+        }
     }
 
     #[test]
