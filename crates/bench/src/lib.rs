@@ -25,15 +25,15 @@ use prima_core::{
     enumerate_configs, reconcile, route_wire, EvalLedger, Evaluated, GlobalRoute, NoFaults,
     Optimizer, Phase,
 };
-use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
+use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
     conventional_flow, manual_flow, optimized_flow, optimized_flow_resilient, optimized_flow_with,
-    schem_preflight, CachePolicy, FaultPlan, FlowError, FlowOptions, Realization, VerifyPolicy,
+    schem_preflight, techlint_preflight, CachePolicy, FaultPlan, FlowError, FlowOptions,
+    Realization,
 };
 use prima_layout::{generate, CellConfig, PlacementPattern};
 use prima_pdk::Technology;
 use prima_primitives::{evaluate_all, Bias, ExternalWire, LayoutView, Library, PrimitiveDef};
-use prima_techlint::{check_deck, diff_techs};
 
 /// Shared environment for all reports.
 pub struct Env {
@@ -56,6 +56,40 @@ impl Env {
 impl Default for Env {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The four benchmark circuits with their biases on `tech`: the CS
+/// amplifier, the 5T OTA, the StrongARM and the small (4-stage) RO-VCO,
+/// under the names the machine-readable exhibits use.
+fn benchmark_cases(
+    tech: &Technology,
+    lib: &Library,
+) -> Vec<(&'static str, CircuitSpec, HashMap<String, Bias>)> {
+    let vco = RoVco::small();
+    vec![
+        ("cs_amp", CsAmp::spec(), CsAmp::biases(tech, lib).unwrap()),
+        (
+            "ota5t",
+            FiveTOta::spec(),
+            FiveTOta::biases(tech, lib).unwrap(),
+        ),
+        (
+            "strongarm",
+            StrongArm::spec(),
+            StrongArm::biases(tech, lib).unwrap(),
+        ),
+        ("vco", vco.spec(), vco.biases(tech, lib).unwrap()),
+    ]
+}
+
+/// A benchmark case's row label in the gate exhibits, which name the
+/// ring's size.
+fn gate_label(name: &str) -> &str {
+    if name == "vco" {
+        "vco (4-stage)"
+    } else {
+        name
     }
 }
 
@@ -1092,7 +1126,7 @@ step-contribution ablation (5T OTA, UGF deviation from schematic):"
 // ---------------------------------------------------------------------------
 
 /// Per-circuit static verification summary: runs the prima-verify gate
-/// (on by default in every build) for the optimized flow on all four
+/// (which every flow runs) for the optimized flow on all four
 /// benchmark circuits plus the conventional baseline on the CS amplifier,
 /// and reports what each gate checked.
 pub fn verify_summary(env: &Env) -> String {
@@ -1110,33 +1144,11 @@ pub fn verify_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let vco = RoVco::small();
-    let cases = vec![
-        (
-            "cs_amp",
-            CsAmp::spec(),
-            CsAmp::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "ota5t",
-            FiveTOta::spec(),
-            FiveTOta::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "strongarm",
-            StrongArm::spec(),
-            StrongArm::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "vco (4-stage)",
-            vco.spec(),
-            vco.biases(tech, lib).expect("biases"),
-        ),
-    ];
-    for (name, spec, biases) in cases {
+    for (name, spec, biases) in benchmark_cases(tech, lib) {
+        let name = gate_label(name);
         match optimized_flow(tech, lib, &spec, &biases, 11) {
             Ok(outcome) => {
-                let r = outcome.verify.expect("gates are on by default");
+                let r = outcome.verify.expect("the gates always run");
                 writeln!(
                     out,
                     "{:<22} {:>8} {:>7} {:>12} {:<30}",
@@ -1171,8 +1183,8 @@ pub fn verify_summary(env: &Env) -> String {
 }
 
 /// Electrical rule check (prima-erc) summary: every benchmark circuit runs
-/// the optimized flow with its gates on (the default), and the table lists what the
-/// EM / IR / symmetry / connectivity passes covered. A flow that reaches a
+/// the optimized flow, whose gates always run, and the table lists what
+/// the EM / IR / symmetry / connectivity passes covered. A flow that reaches a
 /// row at all is ERC-clean — violations abort it — so the table doubles as
 /// the paper-level claim that the Algorithm 2 EM clamp makes optimized
 /// layouts pass electrical sign-off by construction.
@@ -1191,33 +1203,11 @@ pub fn erc_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let vco = RoVco::small();
-    let cases = vec![
-        (
-            "cs_amp",
-            CsAmp::spec(),
-            CsAmp::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "ota5t",
-            FiveTOta::spec(),
-            FiveTOta::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "strongarm",
-            StrongArm::spec(),
-            StrongArm::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "vco (4-stage)",
-            vco.spec(),
-            vco.biases(tech, lib).expect("biases"),
-        ),
-    ];
-    for (name, spec, biases) in cases {
+    for (name, spec, biases) in benchmark_cases(tech, lib) {
+        let name = gate_label(name);
         match optimized_flow(tech, lib, &spec, &biases, 11) {
             Ok(outcome) => {
-                let r = outcome.erc.expect("gates are on by default");
+                let r = outcome.erc.expect("the gates always run");
                 writeln!(
                     out,
                     "{:<22} {:>7} {:>12} {:<40}",
@@ -1279,30 +1269,8 @@ pub fn schem_summary(env: &Env) -> String {
         "circuit", "nets", "viols", "preflight"
     )
     .unwrap();
-    let vco = RoVco::small();
-    let cases = vec![
-        (
-            "cs_amp",
-            CsAmp::spec(),
-            CsAmp::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "ota5t",
-            FiveTOta::spec(),
-            FiveTOta::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "strongarm",
-            StrongArm::spec(),
-            StrongArm::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "vco (4-stage)",
-            vco.spec(),
-            vco.biases(tech, lib).expect("biases"),
-        ),
-    ];
-    for (name, spec, biases) in &cases {
+    for (name, spec, biases) in &benchmark_cases(tech, lib) {
+        let name = gate_label(name);
         // Median of repeated runs: one preflight is fast enough that a
         // single timing would mostly measure scheduler noise.
         const REPS: usize = 25;
@@ -1403,24 +1371,14 @@ pub fn schem_summary(env: &Env) -> String {
     out
 }
 
-/// Resilience exhibit: every benchmark circuit runs the optimized flow
-/// under a seeded fault plan — 30% of candidate evaluations fail and the
-/// first top-level net's detail route is forced to fail once — with both
-/// static gates on. Every circuit must still complete with passing gates;
-/// each row lists the degradations the resilience layer absorbed to get
-/// there. A zero-fault control row at the bottom shows the layer is free
-/// when nothing goes wrong.
-/// Technology static-analysis (prima-techlint) exhibit. Three parts:
+/// Technology static-analysis ([`techlint_preflight`]) exhibit. Two parts:
 ///
 /// * every bundled deck runs the full deck + library lint clean, and the
 ///   table shows what that costs per deck — the one-time price a tenant
 ///   pays at registration, before any circuit work;
 /// * three seeded deck defects on `sky130ish` each surface their exact
 ///   root-cause `TECH.*` id as the first violation (the no-cascade rule:
-///   a broken deck skips the library pass entirely);
-/// * cross-deck drift classification: a full node change invalidates the
-///   cache and the layouts, while an electrical-only recalibration keeps
-///   drawn geometry legal (re-simulate, don't regenerate).
+///   a broken deck skips the library pass entirely).
 ///
 /// The library-feasibility half issues zero simulations by construction —
 /// legality of every `(nfin, nf, m, pattern)` point follows analytically
@@ -1452,10 +1410,10 @@ pub fn techlint_summary(env: &Env) -> String {
         // single timing would mostly measure scheduler noise.
         const REPS: usize = 9;
         let mut samples = Vec::with_capacity(REPS);
-        let mut report = check_deck(tech, lib);
+        let mut report = techlint_preflight(tech, lib);
         for _ in 0..REPS {
             let t = Instant::now();
-            report = check_deck(tech, lib);
+            report = techlint_preflight(tech, lib);
             samples.push(t.elapsed());
         }
         samples.sort();
@@ -1511,7 +1469,7 @@ pub fn techlint_summary(env: &Env) -> String {
     .unwrap();
     for (name, tech) in [truncated_em, fat_enclosure, off_grid] {
         let t = Instant::now();
-        let report = check_deck(&tech, lib);
+        let report = techlint_preflight(&tech, lib);
         let elapsed = t.elapsed();
         assert!(!report.is_passing(), "seeded defect {name} must be caught");
         let first = report
@@ -1534,37 +1492,16 @@ pub fn techlint_summary(env: &Env) -> String {
         )
         .unwrap();
     }
-
-    // --- drift classification -----------------------------------------
-    let finfet7 = Technology::finfet7();
-    let sky = Technology::sky130ish();
-    let cross = diff_techs(&finfet7, &sky);
-    let retuned = {
-        let mut t = Technology::sky130ish();
-        t.electrical.em_ma_per_um *= 1.25;
-        t
-    };
-    let electrical = diff_techs(&sky, &retuned);
-    writeln!(out, "\ndeck drift classification:").unwrap();
-    writeln!(
-        out,
-        "finfet7 -> sky130ish      : {:>3} fields drifted, cache-invalidating: {}, layouts survive: {}",
-        cross.entries.len(),
-        cross.cache_invalidating(),
-        cross.layout_compatible()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "sky130ish EM recalibration: {:>3} field drifted,  cache-invalidating: {}, layouts survive: {} (re-simulate only)",
-        electrical.entries.len(),
-        electrical.cache_invalidating(),
-        electrical.layout_compatible()
-    )
-    .unwrap();
     out
 }
 
+/// Resilience exhibit: every benchmark circuit runs the optimized flow
+/// under a seeded fault plan — 30% of candidate evaluations fail and the
+/// first top-level net's detail route is forced to fail once — with all
+/// four static gates on. Every circuit must still complete with passing
+/// gates; each row lists the degradations the resilience layer absorbed to
+/// get there. A zero-fault control row at the bottom shows the layer is
+/// free when nothing goes wrong.
 pub fn resilience_summary(env: &Env) -> String {
     let Env { tech, lib } = env;
     let mut out = String::new();
@@ -1579,30 +1516,8 @@ pub fn resilience_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let vco = RoVco::small();
-    let cases = vec![
-        (
-            "cs_amp",
-            CsAmp::spec(),
-            CsAmp::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "ota5t",
-            FiveTOta::spec(),
-            FiveTOta::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "strongarm",
-            StrongArm::spec(),
-            StrongArm::biases(tech, lib).expect("biases"),
-        ),
-        (
-            "vco (4-stage)",
-            vco.spec(),
-            vco.biases(tech, lib).expect("biases"),
-        ),
-    ];
-    for (name, spec, biases) in cases {
+    for (name, spec, biases) in benchmark_cases(tech, lib) {
+        let name = gate_label(name);
         let fault_net = spec.nets().first().cloned().unwrap_or_default();
         let plan = FaultPlan::new(23)
             .with_eval_fail_rate(0.30)
@@ -1611,8 +1526,8 @@ pub fn resilience_summary(env: &Env) -> String {
         {
             Ok(outcome) => {
                 let r = &outcome.resilience;
-                let gates_ok = outcome.verify.as_ref().is_none_or(|v| v.is_passing())
-                    && outcome.erc.as_ref().is_none_or(|v| v.is_passing());
+                let gates_ok = outcome.verify.as_ref().is_some_and(|v| v.is_passing())
+                    && outcome.erc.as_ref().is_some_and(|v| v.is_passing());
                 writeln!(
                     out,
                     "{:<22} gates {}  {}",
@@ -1673,30 +1588,14 @@ pub fn cache_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let vco = RoVco::small();
-    let cases = vec![
-        ("cs_amp", CsAmp::spec(), CsAmp::biases(tech, lib).unwrap()),
-        (
-            "ota5t",
-            FiveTOta::spec(),
-            FiveTOta::biases(tech, lib).unwrap(),
-        ),
-        (
-            "strongarm",
-            StrongArm::spec(),
-            StrongArm::biases(tech, lib).unwrap(),
-        ),
-        ("vco", vco.spec(), vco.biases(tech, lib).unwrap()),
-    ];
     let mut json_rows = Vec::new();
-    for (name, spec, biases) in cases {
+    for (name, spec, biases) in benchmark_cases(tech, lib) {
         let path = std::env::temp_dir().join(format!(
             "prima-bench-cache-{}-{name}.bin",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
         let opts = FlowOptions {
-            verify: VerifyPolicy::On,
             cache: CachePolicy::Persistent(path.clone()),
             ..FlowOptions::default()
         };
@@ -1798,7 +1697,6 @@ pub fn serve_summary(env: &Env) -> String {
         ServeConfig {
             workers: 4,
             queue_capacity: 16,
-            verify: VerifyPolicy::On,
             ..ServeConfig::default()
         },
     )
@@ -1987,30 +1885,14 @@ pub fn corners_summary(env: &Env) -> String {
     )
     .unwrap();
 
-    let vco = RoVco::small();
-    let cases = vec![
-        ("cs_amp", CsAmp::spec(), CsAmp::biases(tech, lib).unwrap()),
-        (
-            "ota5t",
-            FiveTOta::spec(),
-            FiveTOta::biases(tech, lib).unwrap(),
-        ),
-        (
-            "strongarm",
-            StrongArm::spec(),
-            StrongArm::biases(tech, lib).unwrap(),
-        ),
-        ("vco", vco.spec(), vco.biases(tech, lib).unwrap()),
-    ];
     let mut json_rows = Vec::new();
-    for (name, spec, biases) in cases {
+    for (name, spec, biases) in benchmark_cases(tech, lib) {
         let path = std::env::temp_dir().join(format!(
             "prima-bench-corners-{}-{name}.bin",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
         let opts = FlowOptions {
-            verify: VerifyPolicy::On,
             cache: CachePolicy::Persistent(path.clone()),
             corners: CornerPolicy::Sweep(CornerOptions {
                 corners: Some(five.iter().map(|s| s.to_string()).collect()),
@@ -2124,24 +2006,8 @@ pub fn gds_summary(_env: &Env) -> String {
     let mut json_rows = Vec::new();
     for tech in [Technology::finfet7(), Technology::sky130ish()] {
         let lib = Library::standard();
-        let vco = RoVco::small();
-        let cases = vec![
-            ("cs_amp", CsAmp::spec(), CsAmp::biases(&tech, &lib).unwrap()),
-            (
-                "ota5t",
-                FiveTOta::spec(),
-                FiveTOta::biases(&tech, &lib).unwrap(),
-            ),
-            (
-                "strongarm",
-                StrongArm::spec(),
-                StrongArm::biases(&tech, &lib).unwrap(),
-            ),
-            ("vco", vco.spec(), vco.biases(&tech, &lib).unwrap()),
-        ];
-        for (name, spec, biases) in cases {
+        for (name, spec, biases) in benchmark_cases(&tech, &lib) {
             let opts = FlowOptions {
-                verify: VerifyPolicy::On,
                 gds: GdsPolicy::On,
                 ..FlowOptions::default()
             };

@@ -84,10 +84,16 @@ pub use selection::{
 pub use serve::{RequestReport, ServeOutcome, ServeReport};
 
 // The serving vocabulary: cancellation lives in `prima-cache` (the base
-// crate every layer can see) and solver limits in `prima-spice`; both are
-// re-exported here because core is where flows and services import from.
+// crate every layer can see) and is re-exported here because core is where
+// flows and services import from.
 pub use prima_cache::{CancelReason, CancelToken, Cancelled};
-pub use prima_spice::SolverLimits;
+
+/// Solver iteration limits: a struct with no fields, kept so existing
+/// callers of [`Optimizer::set_solver_limits`] still build. The bounds are
+/// constants of the DC and transient solvers in `prima-spice`, the same
+/// for every run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SolverLimits {}
 
 /// Errors from the optimization flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,8 +162,8 @@ pub struct Optimizer<'t> {
     tech_fp: prima_cache::Fingerprint,
     counter: SimCounter,
     cache: Option<Arc<EvalCache>>,
-    /// Solver limits + cancel token installed around every evaluation.
-    ctrl: SolveCtrl,
+    /// Cancel token installed around every evaluation.
+    cancel: Option<CancelToken>,
     /// Maximum parallel wires explored during primitive tuning.
     pub max_tuning_wires: u32,
     /// Maximum parallel routes explored during port optimization.
@@ -172,7 +178,7 @@ impl<'t> Optimizer<'t> {
             tech_fp: tech.fingerprint(),
             counter: SimCounter::new(),
             cache: None,
-            ctrl: SolveCtrl::default(),
+            cancel: None,
             max_tuning_wires: 7,
             max_port_routes: 8,
         }
@@ -207,21 +213,20 @@ impl<'t> Optimizer<'t> {
         self.cache.as_deref()
     }
 
-    /// Overrides the solver iteration limits every evaluation runs under.
-    pub fn set_solver_limits(&mut self, limits: SolverLimits) {
-        self.ctrl.limits = limits;
-    }
+    /// Does nothing: every evaluation runs under the solvers' constant
+    /// limits. Kept so existing callers still build.
+    pub fn set_solver_limits(&mut self, _limits: SolverLimits) {}
 
     /// Attaches a cancel token, checked at every candidate boundary and —
     /// via the ambient solver scope — at every Newton iteration inside the
     /// testbenches.
     pub fn set_cancel(&mut self, token: CancelToken) {
-        self.ctrl.cancel = Some(token);
+        self.cancel = Some(token);
     }
 
     /// The attached cancel token, if any.
     pub fn cancel(&self) -> Option<&CancelToken> {
-        self.ctrl.cancel.as_ref()
+        self.cancel.as_ref()
     }
 
     /// Runs one testbench evaluation through the cache, when one is attached.
@@ -243,7 +248,7 @@ impl<'t> Optimizer<'t> {
     ) -> Result<MetricValues, OptError> {
         // Candidate boundary: a cancelled request stops before touching the
         // cache or spending a single simulation.
-        if let Some(token) = &self.ctrl.cancel {
+        if let Some(token) = &self.cancel {
             token.check()?;
         }
         let key = self
@@ -264,12 +269,13 @@ impl<'t> Optimizer<'t> {
             }
         }
         // The ambient scope makes every solver the testbench constructs on
-        // *this thread* honor our limits and token; `with_solve_ctrl` must
-        // therefore be re-entered on each parallel candidate worker — which
-        // happens naturally because eval_values runs on the worker.
-        let values = with_solve_ctrl(self.ctrl.clone(), || {
-            evaluate_all(self.tech, def, view, bias, ext)
-        })?;
+        // *this thread* honor our token; `with_solve_ctrl` must therefore be
+        // re-entered on each parallel candidate worker — which happens
+        // naturally because eval_values runs on the worker.
+        let ctrl = SolveCtrl {
+            cancel: self.cancel.clone(),
+        };
+        let values = with_solve_ctrl(ctrl, || evaluate_all(self.tech, def, view, bias, ext))?;
         self.counter.record(phase, def.metrics.len());
         if let (Some(cache), Some(key)) = (self.cache.as_deref(), key) {
             cache.store(key, &values);

@@ -320,8 +320,9 @@ impl fmt::Display for Health {
 /// One degradation the flow took instead of aborting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {
-    /// Stage that degraded: `"selection"`, `"tuning"`, `"routing"`,
-    /// `"gate"`, `"erc"`.
+    /// Stage that degraded: `"tuning"`, `"routing"`, `"gate"` (a verify
+    /// or erc failure repaired by candidate fallback), `"cache"` or
+    /// `"corners"`.
     pub stage: String,
     /// Instance, net, or circuit the degradation applies to.
     pub scope: String,

@@ -57,7 +57,7 @@ use std::sync::Arc;
 use prima_cache::{EvalCache, Fingerprint, FpHasher};
 use prima_core::{
     quality_allowance, CancelToken, EvalLedger, OptError, Optimizer, Phase, ResilienceReport,
-    RuleKind, Severity, SimCounter, SolverLimits, Violation,
+    RuleKind, Severity, SimCounter, Violation,
 };
 use prima_layout::PrimitiveLayout;
 use prima_pdk::{CornerSpec, Technology};
@@ -364,8 +364,6 @@ pub(crate) struct CornerCtx<'a, 't> {
     pub copts: &'a CornerOptions,
     /// Whether tuning is enabled (fallback candidates follow the flow).
     pub tuning: bool,
-    /// Solver limits corner evaluations run under (same as nominal).
-    pub solver: &'a SolverLimits,
     /// Shared evaluation cache, if the flow opened one.
     pub cache: Option<Arc<EvalCache>>,
     /// Cooperative cancellation handle.
@@ -374,13 +372,12 @@ pub(crate) struct CornerCtx<'a, 't> {
 
 impl CornerCtx<'_, '_> {
     /// An optimizer over a perturbed deck sharing this flow's cache,
-    /// solver limits, cancel token, and simulation counter.
+    /// cancel token, and simulation counter.
     fn perturbed_opt<'p>(&self, tech: &'p Technology, counter: &SimCounter) -> Optimizer<'p> {
         let mut o = Optimizer::new(tech);
         if let Some(cache) = &self.cache {
             o.set_cache(cache.clone());
         }
-        o.set_solver_limits(self.solver.clone());
         if let Some(token) = self.cancel {
             o.set_cancel(token.clone());
         }

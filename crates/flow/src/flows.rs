@@ -49,22 +49,15 @@ pub enum FlowKind {
     Manual,
 }
 
-/// Whether the static gates (techlint, schem, DRC/LVS, ERC) run in a flow.
-/// Release and debug builds behave the same.
+/// The static-gate policy: a single variant, kept so existing
+/// [`FlowOptions`] literals still build. Every flow runs all four gates
+/// (techlint, schem, DRC/LVS, ERC) in every build; any error-severity
+/// violation fails it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifyPolicy {
-    /// Always verify (the default); any violation fails the flow.
+    /// The gates run (the only behaviour).
     #[default]
     On,
-    /// Never verify.
-    Off,
-}
-
-impl VerifyPolicy {
-    /// Whether the gates run under this policy.
-    pub fn enabled(self) -> bool {
-        matches!(self, VerifyPolicy::On)
-    }
 }
 
 /// Whether the flow streams the finished layout out as a binary GDS-II
@@ -97,14 +90,14 @@ pub struct FlowOptions {
     /// Run Algorithm 2 (port-constraint generation + reconciliation);
     /// disabled, every route keeps a single wire.
     pub port_optimization: bool,
-    /// Static DRC/LVS/lint gate policy.
+    /// Static-gate policy; one variant, since the gates always run.
     pub verify: VerifyPolicy,
     /// Content-addressed evaluation caching (prima-cache). Off by default:
     /// cached runs produce bit-identical layouts but different simulation
     /// counts, and the counts are part of the paper's exhibits.
     pub cache: CachePolicy,
-    /// Iteration/strategy bounds for the nonlinear solvers. The default
-    /// reproduces the historical hard-coded limits bit for bit.
+    /// Solver iteration limits: no fields, and nothing reads them. The
+    /// bounds are constants of the DC and transient solvers.
     pub solver: SolverLimits,
     /// Wall-clock budget for the whole flow, measured from entry. Checked
     /// cooperatively — at candidate, Newton-iteration, route, and stage
@@ -160,28 +153,27 @@ pub struct FlowOutcome {
     /// parallel-route widths, per the paper's hand-off to the detailed
     /// router).
     pub detailed: DetailedResult,
-    /// Technology/library lint report (prima-techlint: deck
-    /// self-consistency plus library feasibility on this deck), run under
-    /// the verify policy before *everything* — the zeroth gate of the
-    /// techlint → schem → layout → verify → erc chain. A populated report
-    /// is always passing — a broken deck aborts the flow with
-    /// [`FlowError::Verify`] carrying the exact `TECH.*`/`LIB.*` rule id.
+    /// Technology/library lint report ([`crate::preflight::techlint_preflight`]:
+    /// deck self-consistency plus library feasibility on this deck), run
+    /// before *everything* — the zeroth gate of the techlint → schem →
+    /// layout → verify → erc chain. Always `Some` and always passing: a
+    /// broken deck aborts the flow with [`FlowError::Verify`] carrying the
+    /// exact `TECH.*`/`LIB.*` rule id.
     pub techlint: Option<VerifyReport>,
     /// Schematic preflight report ([`crate::schem`]: connectivity-graph lints,
-    /// bias/sizing legality, topology recognition), run under the verify
-    /// policy *before* any layout or simulation. A populated report is
-    /// always passing — a failing preflight aborts the flow with
-    /// [`FlowError::Verify`] in microseconds, before the optimizer is
-    /// constructed.
+    /// bias/sizing legality, topology recognition), run *before* any layout
+    /// or simulation. Always `Some` and always passing: a failing preflight
+    /// aborts the flow with [`FlowError::Verify`] in microseconds, before
+    /// the optimizer is constructed.
     pub schem: Option<VerifyReport>,
-    /// Static verification report, when the gate ran (see
-    /// [`FlowOptions::verify`]). A populated report here is always passing
-    /// (no error-severity findings) — unrepairable errors abort the flow
-    /// with [`FlowError::Verify`]; degraded-severity findings ride along.
+    /// Static verification report (DRC + LVS-lite + lints). Always `Some`
+    /// and always passing (no error-severity findings): unrepairable
+    /// errors abort the flow with [`FlowError::Verify`]; degraded-severity
+    /// findings ride along.
     pub verify: Option<VerifyReport>,
     /// Electrical rule check report (prima-erc: EM, IR, symmetry,
-    /// connectivity hygiene), run under the same policy right after the
-    /// geometric gate. Like `verify`, a populated report is always passing.
+    /// connectivity hygiene), run right after the geometric gate. Like
+    /// `verify`, always `Some` and always passing.
     pub erc: Option<VerifyReport>,
     /// What the flow survived: candidate evaluations lost to faults or
     /// panics, routing retries, gate-driven candidate fallbacks, and the
@@ -317,9 +309,13 @@ pub fn optimized_flow(
 ///
 /// # Errors
 ///
-/// Same conditions as [`optimized_flow`], plus
-/// [`FlowError::RepairExhausted`] when a [`RepairBudgets::default`] budget
-/// runs out.
+/// Same conditions as [`optimized_flow`]. When the detail router exhausts
+/// its [`RepairBudgets::default`] attempts, the error is
+/// [`FlowError::RepairExhausted`] with stage `"detail routing"`. A gate
+/// failure that runs out of gate attempts surfaces as the gate's own
+/// [`FlowError::Verify`]; one that runs out of fallback candidates first
+/// is [`FlowError::RepairExhausted`] with stage `"verify gate"` or
+/// `"erc gate"`.
 pub fn optimized_flow_resilient(
     tech: &Technology,
     lib: &Library,
@@ -816,25 +812,12 @@ fn run_flow(
     // Zeroth gate: deck self-consistency + library feasibility. A deck
     // whose rule tables drifted from its stack dies here with an exact
     // `TECH.*`/`LIB.*` rule id instead of panicking inside a router.
-    let techlint = if options.verify.enabled() {
-        Some(gate(preflight::techlint_preflight(tech, lib))?)
-    } else {
-        None
-    };
+    let techlint = gate(preflight::techlint_preflight(tech, lib))?;
 
     // Schematic preflight: the whole lint suite costs microseconds, so a
     // malformed request dies with exact `SCHEM.*` rule ids before the
     // optimizer (and its simulation counter) even exists.
-    let schem = if options.verify.enabled() {
-        Some(gate(preflight::schem_preflight(
-            tech,
-            lib,
-            spec,
-            Some(biases),
-        ))?)
-    } else {
-        None
-    };
+    let schem = gate(preflight::schem_preflight(tech, lib, spec, Some(biases)))?;
 
     let mut opt = Optimizer::new(tech);
     // The Arc is kept: corner-perturbed optimizers share the same store
@@ -843,7 +826,6 @@ fn run_flow(
     if let Some(cache) = &cache_arc {
         opt.set_cache(cache.clone());
     }
-    opt.set_solver_limits(options.solver.clone());
     if let Some(token) = &cancel {
         opt.set_cancel(token.clone());
     }
@@ -965,7 +947,6 @@ fn run_flow(
                 opt: &opt,
                 copts,
                 tuning: options.tuning,
-                solver: &options.solver,
                 cache: cache_arc.clone(),
                 cancel: &cancel,
             },
@@ -1199,97 +1180,86 @@ fn run_flow(
         };
 
         // ---- Static verification gate (DRC + LVS-lite + lints) -----------
-        let verify = if options.verify.enabled() {
-            let outline_of: HashMap<&str, prima_geom::Rect> =
-                placed.rects.iter().map(|(n, r)| (n.as_str(), *r)).collect();
-            let mut artifacts = FlowArtifacts::new(&spec.name, tech);
-            for inst in &spec.instances {
-                let Some(&outline) = outline_of.get(inst.name.as_str()) else {
-                    continue;
-                };
-                // Re-render the chosen variant's mask geometry; the DRC
-                // pass checks the drawn rectangles, not the parasitic
-                // model.
-                let geometry = chosen.get(&inst.name).and_then(|layout| {
-                    lib.get(&inst.def)
-                        .and_then(|def| render(tech, &def.spec, &layout.config).ok())
-                });
-                artifacts.cells.push(CellArtifact {
-                    instance: inst.name.clone(),
-                    outline,
-                    geometry,
-                });
-            }
-            artifacts.pins = placed.pins.clone();
-            artifacts.routing = Some(routing);
-            artifacts.detailed = Some(&detailed);
-            artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
-            artifacts.lints = LintInputs {
-                metric_weights: {
-                    let mut seen_defs: Vec<&str> = Vec::new();
-                    let mut weights = Vec::new();
-                    for inst in &spec.instances {
-                        let Some(def) = lib.get(&inst.def) else {
-                            continue;
-                        };
-                        if seen_defs.contains(&def.name.as_str()) {
-                            continue;
-                        }
-                        seen_defs.push(&def.name);
-                        for m in &def.metrics {
-                            weights.push((format!("{}.{}", def.name, m.name), m.weight));
-                        }
-                    }
-                    weights
-                },
-                aspect_candidates: cell_options
-                    .values()
-                    .flatten()
-                    .map(|l| l.aspect_ratio())
-                    .collect(),
-                n_bins,
-                ports: if options.port_optimization {
-                    port_intervals(&per_net, &widths)
-                } else {
-                    Vec::new()
-                },
+        let outline_of: HashMap<&str, prima_geom::Rect> =
+            placed.rects.iter().map(|(n, r)| (n.as_str(), *r)).collect();
+        let mut artifacts = FlowArtifacts::new(&spec.name, tech);
+        for inst in &spec.instances {
+            let Some(&outline) = outline_of.get(inst.name.as_str()) else {
+                continue;
             };
-            Some(check_flow(&artifacts))
-        } else {
-            None
+            // Re-render the chosen variant's mask geometry; the DRC pass
+            // checks the drawn rectangles, not the parasitic model.
+            let geometry = chosen.get(&inst.name).and_then(|layout| {
+                lib.get(&inst.def)
+                    .and_then(|def| render(tech, &def.spec, &layout.config).ok())
+            });
+            artifacts.cells.push(CellArtifact {
+                instance: inst.name.clone(),
+                outline,
+                geometry,
+            });
+        }
+        artifacts.pins = placed.pins.clone();
+        artifacts.routing = Some(routing);
+        artifacts.detailed = Some(&detailed);
+        artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
+        artifacts.lints = LintInputs {
+            metric_weights: {
+                let mut seen_defs: Vec<&str> = Vec::new();
+                let mut weights = Vec::new();
+                for inst in &spec.instances {
+                    let Some(def) = lib.get(&inst.def) else {
+                        continue;
+                    };
+                    if seen_defs.contains(&def.name.as_str()) {
+                        continue;
+                    }
+                    seen_defs.push(&def.name);
+                    for m in &def.metrics {
+                        weights.push((format!("{}.{}", def.name, m.name), m.weight));
+                    }
+                }
+                weights
+            },
+            aspect_candidates: cell_options
+                .values()
+                .flatten()
+                .map(|l| l.aspect_ratio())
+                .collect(),
+            n_bins,
+            ports: if options.port_optimization {
+                port_intervals(&per_net, &widths)
+            } else {
+                Vec::new()
+            },
         };
+        let verify = check_flow(&artifacts);
 
         // Electrical gate: EM over the routed topology at the reconciled
         // widths (clean by construction thanks to the clamp above), static
         // IR on the synthesized grid, symmetry/matching lints, and
         // connectivity hygiene.
-        let erc = if options.verify.enabled() {
-            Some(electrical::erc_report(&ErcBuild {
-                tech,
-                lib,
-                spec,
-                biases: Some(biases),
-                routing: Some(routing),
-                widths: &widths,
-                pins: &placed.pins,
-                rects: &placed.rects,
-                layouts: &placed.chosen,
-                power: power.as_ref(),
-                with_currents: options.port_optimization,
-                with_symmetry: true,
-            }))
-        } else {
-            None
-        };
+        let erc = electrical::erc_report(&ErcBuild {
+            tech,
+            lib,
+            spec,
+            biases: Some(biases),
+            routing: Some(routing),
+            widths: &widths,
+            pins: &placed.pins,
+            rects: &placed.rects,
+            layouts: &placed.chosen,
+            power: power.as_ref(),
+            with_currents: options.port_optimization,
+            with_symmetry: true,
+        });
 
         // ---- Gate verdict + bounded candidate-fallback repair ------------
         let failure: Option<(&'static str, usize, String, Vec<String>)> =
-            [("verify", verify.as_ref()), ("erc", erc.as_ref())]
+            [("verify", &verify), ("erc", &erc)]
                 .into_iter()
-                .find_map(|(g, r)| {
-                    r.filter(|r| !r.is_passing())
-                        .map(|r| (g, r.error_count(), first_error(r), error_scopes(r)))
-                });
+                .find(|(_, r)| !r.is_passing())
+                .map(|(g, r)| (g, r.error_count(), first_error(r), error_scopes(r)));
         let Some((gate_name, n_errors, first, scopes)) = failure else {
             resilience.absorb_ledger(&ledger);
             let (cache_stats, cache_diagnostics) = finish_cache(opt.cache(), &mut resilience);
@@ -1311,8 +1281,8 @@ fn run_flow(
             };
             return Ok(FlowOutcome {
                 kind,
-                techlint: techlint.clone(),
-                schem: schem.clone(),
+                techlint: Some(techlint.clone()),
+                schem: Some(schem.clone()),
                 realization: Realization {
                     layouts: placed.chosen,
                     net_wires,
@@ -1323,8 +1293,8 @@ fn run_flow(
                 area_um2: placed.area_um2,
                 wirelength_um: placed.routing.total_wirelength() as f64 / 1000.0,
                 detailed,
-                verify,
-                erc,
+                verify: Some(verify),
+                erc: Some(erc),
                 resilience,
                 cache: cache_stats,
                 cache_diagnostics,
@@ -1700,9 +1670,16 @@ mod tests {
 
     #[test]
     fn gates_are_on_by_default_in_every_build() {
-        assert_eq!(FlowOptions::default().verify, VerifyPolicy::On);
-        assert!(VerifyPolicy::default().enabled());
-        assert!(!VerifyPolicy::Off.enabled());
+        // Nothing turns the gates off: the optimized flow under default
+        // options returns all four reports, each passing.
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let spec = CsAmp::spec();
+        let biases = CsAmp::biases(&tech, &lib).unwrap();
+        let out = optimized_flow(&tech, &lib, &spec, &biases, 7).unwrap();
+        for report in [out.techlint, out.schem, out.verify, out.erc] {
+            assert!(report.is_some_and(|r| r.is_passing()));
+        }
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! * **Assembly** ([`builder`]) — expands primitive instances (schematic or
 //!   extracted layouts) into one flat simulator circuit, inserting
 //!   global-route RC on the top-level nets and supply IR resistance.
-//! * **Preflight** ([`preflight`], [`schem`]) — the schematic
-//!   static-analysis gate every flow runs first: connectivity-graph lints,
-//!   bias and sizing legality, topology recognition. A malformed request
-//!   dies in microseconds with exact `SCHEM.*` rule ids instead of seconds
-//!   into a cold optimization run.
+//! * **Preflight** ([`preflight`], [`schem`], and the private `techlint`
+//!   module) — the two static gates every flow runs first. The deck gate
+//!   lints the technology and proves the primitive library manufacturable
+//!   on it (`TECH.*`/`LIB.*`); the schematic gate runs connectivity-graph
+//!   lints, bias and sizing legality, and topology recognition
+//!   (`SCHEM.*`). A malformed deck or request dies in milliseconds with
+//!   exact rule ids instead of seconds into a cold optimization run.
 //! * **Variation** — PVT corner sweeps and seeded Monte-Carlo mismatch
 //!   ([`CornerPolicy`], [`MismatchSampler`], [`CornerReport`]), run by the
 //!   optimized flow between selection and placement.
@@ -35,8 +37,19 @@ pub mod flows;
 mod gds;
 pub mod preflight;
 pub mod schem;
+mod techlint;
 #[cfg(test)]
 mod tests;
+// Unit tests of the deck gate's two rule families. They live beside the
+// gate in `techlint/` and sit at the crate root, so each keeps the
+// `deck::tests::<name>` or `library::tests::<name>` path it had while the
+// gate was a crate of its own.
+#[cfg(test)]
+#[path = "techlint/deck_tests.rs"]
+mod deck;
+#[cfg(test)]
+#[path = "techlint/library_tests.rs"]
+mod library;
 
 use std::fmt;
 
@@ -102,7 +115,9 @@ pub enum FlowError {
         /// The instance with an empty candidate set.
         instance: String,
     },
-    /// The static verification gate found violations.
+    /// A static gate (techlint, schem, verify or erc) found error-severity
+    /// violations: the preflights never repair, and a verify or erc failure
+    /// lands here once it outlasts the gate-attempt budget.
     Verify {
         /// Circuit that failed verification.
         circuit: String,
@@ -111,12 +126,14 @@ pub enum FlowError {
         /// The first violation, formatted.
         first: String,
     },
-    /// The bounded repair loop ran out of attempts or fallback candidates
-    /// without producing a gate-clean layout.
+    /// The bounded repair loop gave up: the detail router ran out of
+    /// attempts, or a failing gate ran out of fallback candidates. A gate
+    /// that runs out of attempts first surfaces as [`FlowError::Verify`].
     RepairExhausted {
         /// Circuit whose repair failed.
         circuit: String,
-        /// Stage that exhausted its budget ("routing" or "gate").
+        /// Stage that exhausted its budget: `"detail routing"`,
+        /// `"verify gate"` or `"erc gate"`.
         stage: String,
         /// Attempts spent before giving up.
         attempts: u32,

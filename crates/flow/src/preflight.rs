@@ -23,13 +23,38 @@ use prima_primitives::Library;
 
 pub use crate::schem::schem_preflight;
 
-/// Runs the static technology/library analyzer — the true zeroth gate,
-/// before the schematic preflight. Purely data-driven (deck
-/// self-consistency plus a feasibility proof for every library primitive
-/// on this deck); it performs zero simulations, and `report -- techlint`
-/// measures about 1.8 ms per deck on a 2-vCPU host.
+/// Runs the static technology/library analyzer (the crate's private
+/// `techlint` module) — the true zeroth gate, before the schematic
+/// preflight, and the analyzer's one public entry. Purely data-driven (deck self-consistency plus a
+/// feasibility proof for every library primitive on this deck); it
+/// performs zero simulations, and `report -- techlint` measures about
+/// 1.8 ms per deck on a 2-vCPU host.
+///
+/// When the deck itself has error-severity findings, the library half is
+/// skipped (and left out of `checks_run`), so the root-cause `TECH.*` id
+/// is not buried under cascaded `LIB.*` findings.
+///
+/// # Example
+///
+/// ```
+/// use prima_flow::techlint_preflight;
+/// use prima_pdk::Technology;
+/// use prima_primitives::Library;
+///
+/// // Both bundled nodes and the SKY130-flavored fixture lint clean.
+/// let lib = Library::standard();
+/// for tech in [Technology::finfet7(), Technology::bulk16(), Technology::sky130ish()] {
+///     let report = techlint_preflight(&tech, &lib);
+///     assert!(report.is_passing(), "{}: {report:?}", tech.name);
+/// }
+///
+/// // A truncated EM table is caught with a stable rule id.
+/// let mut broken = Technology::finfet7();
+/// broken.electrical.em_ma_per_cut.pop();
+/// assert!(techlint_preflight(&broken, &lib).has_rule("TECH.EM.VIA"));
+/// ```
 pub fn techlint_preflight(tech: &Technology, lib: &Library) -> VerifyReport {
-    prima_techlint::check_deck(tech, lib)
+    crate::techlint::check_deck(tech, lib)
 }
 
 #[cfg(test)]

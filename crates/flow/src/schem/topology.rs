@@ -180,7 +180,8 @@ pub fn check_symmetry(lib: &Library, circuit: &CircuitSpec) -> Vec<Violation> {
         }
     }
 
-    // SCHEM.SYM.PAIR: declared instance pairs are mirror images.
+    // SCHEM.SYM.PAIR: declared instance pairs are disjoint mirror images.
+    let mut paired: BTreeSet<&str> = BTreeSet::new();
     for (a, b) in &circuit.symmetry {
         let ia = circuit.instance(a);
         let ib = circuit.instance(b);
@@ -205,6 +206,23 @@ pub fn check_symmetry(lib: &Library, circuit: &CircuitSpec) -> Vec<Violation> {
             ));
             continue;
         }
+        // An instance mirrors one partner: a second pair naming it, the
+        // same pair repeated or reversed included, has no placement.
+        if let Some(x) = [a, b].into_iter().find(|x| paired.contains(x.as_str())) {
+            out.push(Violation::new(
+                RULE_SYM_PAIR,
+                RuleKind::Symmetry,
+                Severity::Error,
+                Some(x.clone()),
+                format!(
+                    "symmetry pair ({a}, {b}) names {x}, which an earlier pair already \
+                     names; an instance mirrors one partner only"
+                ),
+            ));
+            continue;
+        }
+        paired.insert(a);
+        paired.insert(b);
         if ia.def != ib.def || ia.total_fins != ib.total_fins {
             out.push(Violation::new(
                 RULE_SYM_PAIR,

@@ -24,7 +24,7 @@ pub(crate) fn lint_deck(tech: &Technology) -> Vec<Violation> {
 
     if tech.metals.is_empty() {
         out.push(Violation::new(
-            crate::RULE_STACK_EMPTY,
+            super::RULE_STACK_EMPTY,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -53,7 +53,7 @@ fn finite_pos(x: f64) -> bool {
 fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     if !tech.vdd.is_finite() || !(0.2..=5.5).contains(&tech.vdd) {
         out.push(Violation::new(
-            crate::RULE_SUPPLY,
+            super::RULE_SUPPLY,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -66,7 +66,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     let ir = tech.electrical.ir_frac_vdd;
     if !ir.is_finite() || ir <= 0.0 || ir > 0.5 {
         out.push(Violation::new(
-            crate::RULE_IR_BUDGET,
+            super::RULE_IR_BUDGET,
             RuleKind::Ir,
             Severity::Error,
             None,
@@ -75,7 +75,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     }
     if !finite_pos(tech.electrical.em_ma_per_um) {
         out.push(Violation::new(
-            crate::RULE_EM_WIRE,
+            super::RULE_EM_WIRE,
             RuleKind::Em,
             Severity::Error,
             None,
@@ -87,7 +87,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     }
     if tech.electrical.max_tap_distance_nm < 1 {
         out.push(Violation::new(
-            crate::RULE_TAP_RANGE,
+            super::RULE_TAP_RANGE,
             RuleKind::Tap,
             Severity::Error,
             None,
@@ -99,7 +99,7 @@ fn lint_supply_and_limits(tech: &Technology, out: &mut Vec<Violation>) {
     }
     if tech.electrical.sym_tolerance_nm < 0 {
         out.push(Violation::new(
-            crate::RULE_TAP_RANGE,
+            super::RULE_TAP_RANGE,
             RuleKind::Symmetry,
             Severity::Error,
             None,
@@ -116,7 +116,7 @@ fn lint_fin_geometry(tech: &Technology, out: &mut Vec<Violation>) {
     let fin = &tech.fin;
     let mut bad = |msg: String| {
         out.push(Violation::new(
-            crate::RULE_FIN_GEOM,
+            super::RULE_FIN_GEOM,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -168,7 +168,7 @@ fn lint_lde(lde: &LdeParams, which: &str, out: &mut Vec<Violation>) {
     for (name, value, bound) in fields {
         if !value.is_finite() || value.abs() > bound {
             out.push(Violation::new(
-                crate::RULE_LDE_RANGE,
+                super::RULE_LDE_RANGE,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(which.to_string()),
@@ -178,7 +178,7 @@ fn lint_lde(lde: &LdeParams, which: &str, out: &mut Vec<Violation>) {
     }
     if !finite_pos(lde.sc_offset) {
         out.push(Violation::new(
-            crate::RULE_LDE_RANGE,
+            super::RULE_LDE_RANGE,
             RuleKind::Lint,
             Severity::Error,
             Some(which.to_string()),
@@ -190,7 +190,7 @@ fn lint_lde(lde: &LdeParams, which: &str, out: &mut Vec<Violation>) {
     }
     if !lde.inv_sa_ref.is_finite() || lde.inv_sa_ref < 0.0 {
         out.push(Violation::new(
-            crate::RULE_LDE_RANGE,
+            super::RULE_LDE_RANGE,
             RuleKind::Lint,
             Severity::Error,
             Some(which.to_string()),
@@ -205,7 +205,7 @@ fn lint_variation(tech: &Technology, out: &mut Vec<Violation>) {
     // past 1e-6 V·√m would predict volt-scale mismatch on real devices.
     if !finite_pos(var.avth) || var.avth > 1e-6 {
         out.push(Violation::new(
-            crate::RULE_VAR_RANGE,
+            super::RULE_VAR_RANGE,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -214,7 +214,7 @@ fn lint_variation(tech: &Technology, out: &mut Vec<Violation>) {
     }
     if !var.vth_gradient_per_um.is_finite() || var.vth_gradient_per_um.abs() > 0.1 {
         out.push(Violation::new(
-            crate::RULE_VAR_RANGE,
+            super::RULE_VAR_RANGE,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -238,7 +238,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
     }
     match set.get("tt") {
         None => out.push(Violation::new(
-            crate::RULE_CORNER_TT,
+            super::RULE_CORNER_TT,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -249,7 +249,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
             ),
         )),
         Some(tt) if !tt.is_identity() => out.push(Violation::new(
-            crate::RULE_CORNER_TT,
+            super::RULE_CORNER_TT,
             RuleKind::Lint,
             Severity::Error,
             Some("tt".to_string()),
@@ -261,7 +261,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, name) in names.iter().enumerate() {
         if names[..i].contains(name) {
             out.push(Violation::new(
-                crate::RULE_CORNER_DUP,
+                super::RULE_CORNER_DUP,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(name.clone()),
@@ -283,7 +283,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
         && b.temp_c.0 <= b.temp_c.1;
     if !bounds_ok {
         out.push(Violation::new(
-            crate::RULE_CORNER_RANGE,
+            super::RULE_CORNER_RANGE,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -294,7 +294,7 @@ fn lint_corners(tech: &Technology, out: &mut Vec<Violation>) {
     for c in &set.corners {
         let mut breach = |what: String| {
             out.push(Violation::new(
-                crate::RULE_CORNER_RANGE,
+                super::RULE_CORNER_RANGE,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(c.name.clone()),
@@ -348,7 +348,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
     for pair in names.windows(2) {
         if pair[0] == pair[1] {
             out.push(Violation::new(
-                crate::RULE_NAME_DUP,
+                super::RULE_NAME_DUP,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(pair[0].to_string()),
@@ -361,7 +361,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
         let scope = Some(m.name.clone());
         if m.min_width < 1 || m.min_width > m.pitch {
             out.push(Violation::new(
-                crate::RULE_METAL_WIDTH,
+                super::RULE_METAL_WIDTH,
                 RuleKind::Width,
                 Severity::Error,
                 scope.clone(),
@@ -373,7 +373,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
         }
         if !finite_pos(m.r_ohm_per_um) || !m.c_f_per_um.is_finite() || m.c_f_per_um < 0.0 {
             out.push(Violation::new(
-                crate::RULE_METAL_RC,
+                super::RULE_METAL_RC,
                 RuleKind::Lint,
                 Severity::Error,
                 scope.clone(),
@@ -386,7 +386,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
         if let Some(next) = tech.metals.get(i + 1) {
             if m.dir == next.dir {
                 out.push(Violation::new(
-                    crate::RULE_STACK_DIR,
+                    super::RULE_STACK_DIR,
                     RuleKind::Lint,
                     Severity::Warning,
                     scope,
@@ -407,7 +407,7 @@ fn lint_stack(tech: &Technology, out: &mut Vec<Violation>) {
     let has_v = upper.iter().any(|m| m.dir == RouteDir::Vertical);
     if !(has_h && has_v) {
         out.push(Violation::new(
-            crate::RULE_ROUTE_PAIR,
+            super::RULE_ROUTE_PAIR,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -428,7 +428,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
         let (lo, hi) = (&pair[0], &pair[1]);
         if hi.r_ohm_per_um > lo.r_ohm_per_um {
             out.push(Violation::new(
-                crate::RULE_MONO_R,
+                super::RULE_MONO_R,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(hi.name.clone()),
@@ -440,7 +440,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
         }
         if hi.c_f_per_um < lo.c_f_per_um {
             out.push(Violation::new(
-                crate::RULE_MONO_C,
+                super::RULE_MONO_C,
                 RuleKind::Lint,
                 Severity::Warning,
                 Some(hi.name.clone()),
@@ -454,7 +454,7 @@ fn lint_monotonicity(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, pair) in tech.via_r.windows(2).enumerate() {
         if pair[1] > pair[0] {
             out.push(Violation::new(
-                crate::RULE_MONO_VIA,
+                super::RULE_MONO_VIA,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(format!("V{}", i + 2)),
@@ -476,7 +476,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
     let rules = &tech.rules;
     if rules.metal.len() != tech.metals.len() {
         out.push(Violation::new(
-            crate::RULE_RULES_COUNT,
+            super::RULE_RULES_COUNT,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -489,7 +489,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
     }
     if rules.vias.len() + 1 != tech.metals.len() {
         out.push(Violation::new(
-            crate::RULE_RULES_COUNT,
+            super::RULE_RULES_COUNT,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -504,7 +504,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
     for (m, r) in tech.metals.iter().zip(&rules.metal) {
         if m.name != r.layer {
             out.push(Violation::new(
-                crate::RULE_RULES_NAME,
+                super::RULE_RULES_NAME,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(m.name.clone()),
@@ -516,7 +516,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
         }
         if r.min_space < 1 || r.min_width + r.min_space > m.pitch {
             out.push(Violation::new(
-                crate::RULE_METAL_SPACE,
+                super::RULE_METAL_SPACE,
                 RuleKind::Spacing,
                 Severity::Error,
                 Some(m.name.clone()),
@@ -530,7 +530,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
         // far larger would outlaw the generator's own contact stubs.
         if r.min_area_nm2 < 1 || r.min_area_nm2 > 16 * r.min_width * r.min_width {
             out.push(Violation::new(
-                crate::RULE_METAL_AREA,
+                super::RULE_METAL_AREA,
                 RuleKind::Area,
                 Severity::Error,
                 Some(m.name.clone()),
@@ -550,7 +550,7 @@ fn lint_rule_sections(tech: &Technology, out: &mut Vec<Violation>) {
 fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
     if tech.via_r.len() + 1 != tech.metals.len() {
         out.push(Violation::new(
-            crate::RULE_VIA_COUNT,
+            super::RULE_VIA_COUNT,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -565,7 +565,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, r) in tech.via_r.iter().enumerate() {
         if !finite_pos(*r) {
             out.push(Violation::new(
-                crate::RULE_VIA_R,
+                super::RULE_VIA_R,
                 RuleKind::Lint,
                 Severity::Error,
                 Some(format!("V{}", i + 1)),
@@ -575,7 +575,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
     }
     if !tech.via_c.is_finite() || tech.via_c < 0.0 {
         out.push(Violation::new(
-            crate::RULE_VIA_R,
+            super::RULE_VIA_R,
             RuleKind::Lint,
             Severity::Error,
             None,
@@ -586,7 +586,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
         let scope = Some(via.name.clone());
         if via.cut < 1 || via.enclosure < 0 {
             out.push(Violation::new(
-                crate::RULE_VIA_FIT,
+                super::RULE_VIA_FIT,
                 RuleKind::Enclosure,
                 Severity::Error,
                 scope,
@@ -604,7 +604,7 @@ fn lint_vias(tech: &Technology, out: &mut Vec<Violation>) {
         let have = lower.min_width.min(upper.min_width);
         if need > have {
             out.push(Violation::new(
-                crate::RULE_VIA_FIT,
+                super::RULE_VIA_FIT,
                 RuleKind::Enclosure,
                 Severity::Error,
                 scope,
@@ -623,7 +623,7 @@ fn lint_em_tables(tech: &Technology, out: &mut Vec<Violation>) {
     let cuts = &tech.electrical.em_ma_per_cut;
     if cuts.len() != tech.via_r.len() {
         out.push(Violation::new(
-            crate::RULE_EM_VIA,
+            super::RULE_EM_VIA,
             RuleKind::Em,
             Severity::Error,
             None,
@@ -638,7 +638,7 @@ fn lint_em_tables(tech: &Technology, out: &mut Vec<Violation>) {
     for (i, limit) in cuts.iter().enumerate() {
         if !finite_pos(*limit) {
             out.push(Violation::new(
-                crate::RULE_EM_VIA,
+                super::RULE_EM_VIA,
                 RuleKind::Em,
                 Severity::Error,
                 Some(format!("V{}", i + 1)),
@@ -656,7 +656,7 @@ fn lint_grid_divisibility(tech: &Technology, out: &mut Vec<Violation>) {
     let g = tech.rules.grid_nm;
     if g < 1 {
         out.push(Violation::new(
-            crate::RULE_GRID_DIV,
+            super::RULE_GRID_DIV,
             RuleKind::Grid,
             Severity::Error,
             None,
@@ -667,7 +667,7 @@ fn lint_grid_divisibility(tech: &Technology, out: &mut Vec<Violation>) {
     let mut check = |what: String, v: i64| {
         if v % g != 0 {
             out.push(Violation::new(
-                crate::RULE_GRID_DIV,
+                super::RULE_GRID_DIV,
                 RuleKind::Grid,
                 Severity::Error,
                 None,
@@ -717,7 +717,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
     ] {
         if !finite_pos(v) {
             out.push(Violation::new(
-                crate::RULE_GDS_UNITS,
+                super::RULE_GDS_UNITS,
                 RuleKind::Lint,
                 Severity::Error,
                 None,
@@ -728,7 +728,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
     for name in GdsLayerMap::required_layers(&tech.metals) {
         if map.get(&name).is_none() {
             out.push(Violation::new(
-                crate::RULE_GDS_COVERAGE,
+                super::RULE_GDS_COVERAGE,
                 RuleKind::Missing,
                 Severity::Error,
                 Some(name.clone()),
@@ -740,7 +740,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
         for b in &map.entries[i + 1..] {
             if a.name == b.name {
                 out.push(Violation::new(
-                    crate::RULE_GDS_DUP,
+                    super::RULE_GDS_DUP,
                     RuleKind::Lint,
                     Severity::Error,
                     Some(a.name.clone()),
@@ -748,7 +748,7 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
                 ));
             } else if (a.layer, a.datatype) == (b.layer, b.datatype) {
                 out.push(Violation::new(
-                    crate::RULE_GDS_DUP,
+                    super::RULE_GDS_DUP,
                     RuleKind::Lint,
                     Severity::Error,
                     Some(a.name.clone()),
@@ -759,235 +759,5 @@ fn lint_gds_map(tech: &Technology, out: &mut Vec<Violation>) {
                 ));
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::check_tech;
-
-    #[test]
-    fn bundled_decks_have_no_deck_errors() {
-        for tech in [
-            Technology::finfet7(),
-            Technology::bulk16(),
-            Technology::sky130ish(),
-        ] {
-            let report = check_tech(&tech);
-            assert!(
-                report.is_passing(),
-                "{}: {:#?}",
-                tech.name,
-                report.violations
-            );
-        }
-    }
-
-    #[test]
-    fn missing_tt_corner_is_rejected() {
-        let mut tech = Technology::finfet7();
-        tech.corners.corners.retain(|c| c.name != "tt");
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_CORNER_TT));
-        assert!(!report.is_passing());
-    }
-
-    #[test]
-    fn non_identity_tt_is_rejected() {
-        let mut tech = Technology::finfet7();
-        tech.corners.corners[0].vdd_scale = 1.05;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_CORNER_TT));
-    }
-
-    #[test]
-    fn duplicate_corner_names_are_rejected() {
-        let mut tech = Technology::finfet7();
-        let dup = tech.corners.corners[1].clone();
-        tech.corners.corners.push(dup);
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_CORNER_DUP));
-    }
-
-    #[test]
-    fn out_of_bounds_corner_is_rejected() {
-        let mut tech = Technology::finfet7();
-        tech.corners.corners[1].nmos_vth_shift_v = 1.0;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_CORNER_RANGE));
-
-        let mut tech = Technology::sky130ish();
-        tech.corners.corners[5].vdd_scale = 0.55;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_CORNER_RANGE));
-
-        let mut tech = Technology::bulk16();
-        tech.corners.corners[8].temp_c = Some(400.0);
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_CORNER_RANGE));
-    }
-
-    #[test]
-    fn empty_corner_table_is_fine() {
-        let mut tech = Technology::finfet7();
-        tech.corners = prima_pdk::CornerSet::default();
-        let report = check_tech(&tech);
-        assert!(report.is_passing(), "{:#?}", report.violations);
-    }
-
-    #[test]
-    fn missing_layer_map_entry_is_rejected() {
-        let mut tech = Technology::finfet7();
-        tech.gds.entries.retain(|e| e.name != "poly");
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_GDS_COVERAGE));
-        assert!(!report.is_passing());
-    }
-
-    #[test]
-    fn empty_layer_map_is_rejected() {
-        // A deck built without a layer map.
-        let mut tech = Technology::sky130ish();
-        tech.gds = GdsLayerMap::default();
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_GDS_COVERAGE));
-    }
-
-    #[test]
-    fn colliding_layer_numbers_are_rejected() {
-        let mut tech = Technology::finfet7();
-        let (l, d) = (tech.gds.entries[0].layer, tech.gds.entries[0].datatype);
-        tech.gds.entries[1].layer = l;
-        tech.gds.entries[1].datatype = d;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_GDS_DUP));
-    }
-
-    #[test]
-    fn bad_gds_units_are_rejected() {
-        let mut tech = Technology::bulk16();
-        tech.gds.unit_in_m = 0.0;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_GDS_UNITS));
-    }
-
-    #[test]
-    fn empty_stack_is_terminal() {
-        let mut tech = Technology::finfet7();
-        tech.metals.clear();
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_STACK_EMPTY));
-        assert!(!report.is_passing());
-    }
-
-    #[test]
-    fn rising_resistance_trips_monotonicity() {
-        let mut tech = Technology::finfet7();
-        tech.metals[3].r_ohm_per_um = 500.0;
-        let report = check_tech(&tech);
-        assert!(
-            report.has_rule(crate::RULE_MONO_R),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn rising_via_resistance_trips_monotonicity() {
-        let mut tech = Technology::sky130ish();
-        tech.via_r[2] = 99.0;
-        assert!(check_tech(&tech).has_rule(crate::RULE_MONO_VIA));
-    }
-
-    #[test]
-    fn truncated_em_table_is_reported() {
-        let mut tech = Technology::bulk16();
-        tech.electrical.em_ma_per_cut.pop();
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_EM_VIA));
-        assert!(!report.is_passing());
-    }
-
-    #[test]
-    fn truncated_via_stack_is_reported() {
-        let mut tech = Technology::finfet7();
-        tech.via_r.pop();
-        assert!(check_tech(&tech).has_rule(crate::RULE_VIA_COUNT));
-    }
-
-    #[test]
-    fn oversized_via_is_reported() {
-        let mut tech = Technology::finfet7();
-        tech.rules.vias[0].enclosure = 50;
-        assert!(check_tech(&tech).has_rule(crate::RULE_VIA_FIT));
-    }
-
-    #[test]
-    fn off_grid_rule_is_reported() {
-        let mut tech = Technology::finfet7();
-        tech.rules.grid_nm = 5;
-        // finfet7 pitches (36, 54 …) are not all multiples of 5.
-        assert!(check_tech(&tech).has_rule(crate::RULE_GRID_DIV));
-    }
-
-    #[test]
-    fn width_exceeding_pitch_is_reported() {
-        let mut tech = Technology::bulk16();
-        tech.metals[1].min_width = tech.metals[1].pitch + 2;
-        assert!(check_tech(&tech).has_rule(crate::RULE_METAL_WIDTH));
-    }
-
-    #[test]
-    fn rule_row_name_drift_is_reported() {
-        let mut tech = Technology::sky130ish();
-        tech.rules.metal[0].layer = "MET1".into();
-        assert!(check_tech(&tech).has_rule(crate::RULE_RULES_NAME));
-    }
-
-    #[test]
-    fn missing_route_pair_is_reported() {
-        let mut tech = Technology::finfet7();
-        // Force everything above M2 vertical: no horizontal trunk layer.
-        for m in tech.metals.iter_mut().skip(2) {
-            m.dir = RouteDir::Vertical;
-        }
-        assert!(check_tech(&tech).has_rule(crate::RULE_ROUTE_PAIR));
-    }
-
-    #[test]
-    fn direction_repeat_is_a_warning_only() {
-        let mut tech = Technology::finfet7();
-        tech.metals[4].dir = RouteDir::Horizontal; // M4 and M5 both horizontal
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_STACK_DIR));
-        assert!(report.is_passing(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn bad_supply_and_ir_are_reported() {
-        let mut tech = Technology::finfet7();
-        tech.vdd = 48.0;
-        tech.electrical.ir_frac_vdd = 0.0;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_SUPPLY));
-        assert!(report.has_rule(crate::RULE_IR_BUDGET));
-    }
-
-    #[test]
-    fn bad_lde_and_variation_are_reported() {
-        let mut tech = Technology::bulk16();
-        tech.lde_n.sc_offset = 0.0;
-        tech.variation.avth = -1.0;
-        let report = check_tech(&tech);
-        assert!(report.has_rule(crate::RULE_LDE_RANGE));
-        assert!(report.has_rule(crate::RULE_VAR_RANGE));
-    }
-
-    #[test]
-    fn merged_gates_are_reported() {
-        let mut tech = Technology::sky130ish();
-        tech.fin.gate_length = tech.fin.poly_pitch + 10;
-        assert!(check_tech(&tech).has_rule(crate::RULE_FIN_GEOM));
     }
 }

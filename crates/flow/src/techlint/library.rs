@@ -68,7 +68,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     let mut ok = true;
     if tech.metals.len() < 2 {
         out.push(Violation::new(
-            crate::RULE_LIB_PINS,
+            super::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -81,7 +81,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     }
     if tech.rules.metal.len() < tech.metals.len().min(2) {
         out.push(Violation::new(
-            crate::RULE_LIB_PINS,
+            super::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -95,7 +95,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     }
     if tech.rules.grid("poly").is_none() {
         out.push(Violation::new(
-            crate::RULE_LIB_PINS,
+            super::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -106,7 +106,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     if let Some(bottom) = tech.metals.first() {
         if tech.rules.grid(&bottom.name).is_none() {
             out.push(Violation::new(
-                crate::RULE_LIB_PINS,
+                super::RULE_LIB_PINS,
                 RuleKind::Missing,
                 Severity::Error,
                 Some(bottom.name.clone()),
@@ -121,7 +121,7 @@ fn lint_pins(tech: &Technology, out: &mut Vec<Violation>) -> bool {
     }
     if tech.rules.feol("poly").is_none() || tech.rules.feol("diff").is_none() {
         out.push(Violation::new(
-            crate::RULE_LIB_PINS,
+            super::RULE_LIB_PINS,
             RuleKind::Missing,
             Severity::Error,
             None,
@@ -143,7 +143,7 @@ fn lint_fit(tech: &Technology, out: &mut Vec<Violation>) {
     let trunk = &tech.metals[1];
     let mut fit = |kind: RuleKind, scope: String, message: String| {
         out.push(Violation::new(
-            crate::RULE_LIB_FIT,
+            super::RULE_LIB_FIT,
             kind,
             Severity::Error,
             Some(scope),
@@ -263,7 +263,7 @@ fn lint_fit(tech: &Technology, out: &mut Vec<Violation>) {
 fn lint_ports(def: &PrimitiveDef, out: &mut Vec<Violation>) {
     if def.ports.is_empty() {
         out.push(Violation::new(
-            crate::RULE_LIB_PORTS,
+            super::RULE_LIB_PORTS,
             RuleKind::Dangling,
             Severity::Error,
             Some(def.name.clone()),
@@ -277,7 +277,7 @@ fn lint_ports(def: &PrimitiveDef, out: &mut Vec<Violation>) {
     for port in &def.ports {
         if !nets.contains(port) {
             out.push(Violation::new(
-                crate::RULE_LIB_PORTS,
+                super::RULE_LIB_PORTS,
                 RuleKind::Dangling,
                 Severity::Error,
                 Some(def.name.clone()),
@@ -292,7 +292,7 @@ fn lint_ports(def: &PrimitiveDef, out: &mut Vec<Violation>) {
         for net in &terminal.nets {
             if !nets.contains(net) {
                 out.push(Violation::new(
-                    crate::RULE_LIB_PORTS,
+                    super::RULE_LIB_PORTS,
                     RuleKind::Dangling,
                     Severity::Error,
                     Some(format!("{}/{}", def.name, terminal.name)),
@@ -331,7 +331,7 @@ fn lint_rendered_corners(tech: &Technology, def: &PrimitiveDef, out: &mut Vec<Vi
                         }
                         seen.push(&v.rule_id);
                         out.push(Violation::new(
-                            crate::RULE_LIB_DRC,
+                            super::RULE_LIB_DRC,
                             v.kind,
                             Severity::Error,
                             Some(scope.clone()),
@@ -344,7 +344,7 @@ fn lint_rendered_corners(tech: &Technology, def: &PrimitiveDef, out: &mut Vec<Vi
                 }
                 Err(e) => {
                     out.push(Violation::new(
-                        crate::RULE_LIB_DRC,
+                        super::RULE_LIB_DRC,
                         RuleKind::Lint,
                         Severity::Error,
                         Some(scope),
@@ -353,92 +353,5 @@ fn lint_rendered_corners(tech: &Technology, def: &PrimitiveDef, out: &mut Vec<Vi
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::check_library;
-
-    #[test]
-    fn standard_library_is_feasible_on_all_bundled_decks() {
-        let lib = Library::standard();
-        for tech in [
-            Technology::finfet7(),
-            Technology::bulk16(),
-            Technology::sky130ish(),
-        ] {
-            let report = check_library(&tech, &lib);
-            assert!(
-                report.is_passing(),
-                "{}: {:#?}",
-                tech.name,
-                report.violations
-            );
-        }
-    }
-
-    #[test]
-    fn single_layer_deck_fails_pins() {
-        let mut tech = Technology::finfet7();
-        tech.metals.truncate(1);
-        let report = check_library(&tech, &Library::standard());
-        assert!(report.has_rule(crate::RULE_LIB_PINS));
-        // Geometry checks must not run (they would dereference layer 2).
-        assert!(!report.has_rule(crate::RULE_LIB_DRC));
-    }
-
-    #[test]
-    fn fat_stub_layer_fails_fit_with_the_offending_nfin() {
-        let mut tech = Technology::sky130ish();
-        // A bottom layer wider than a gate pitch can never place two
-        // adjacent contact stubs.
-        tech.metals[0].min_width = tech.fin.poly_pitch;
-        let report = check_library(&tech, &Library::standard());
-        assert!(
-            report.has_rule(crate::RULE_LIB_FIT),
-            "{:#?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn starved_row_overhead_fails_fit_for_multirow_cells() {
-        let mut tech = Technology::finfet7();
-        tech.fin.cell_height_overhead = 2 * tech.fin.diff_extension; // zero poly gap
-        let report = check_library(&tech, &Library::standard());
-        assert!(report.has_rule(crate::RULE_LIB_FIT));
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.rule_id == crate::RULE_LIB_FIT && v.message.contains("m>=2")),
-            "{:#?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn unknown_port_net_is_reported() {
-        let mut lib = Library::standard();
-        let mut def = lib.get("dp").cloned().expect("dp in standard library");
-        def.ports.push("phantom".into());
-        lib.upsert(def);
-        let report = check_library(&Technology::finfet7(), &lib);
-        assert!(report.has_rule(crate::RULE_LIB_PORTS));
-    }
-
-    #[test]
-    fn corner_configs_cover_every_pattern() {
-        // The spot-proof must exercise all three placement patterns; the
-        // scope string encodes which one produced a finding.
-        let mut tech = Technology::finfet7();
-        // Break M1 spacing so every rendered corner fails.
-        tech.rules.metal[0].min_space = tech.fin.poly_pitch;
-        let report = check_library(&tech, &Library::standard());
-        // The seeded defect trips the analytic stub-spacing proof before
-        // any rendering happens — exactly the point of the static pass.
-        assert!(report.has_rule(crate::RULE_LIB_FIT));
     }
 }

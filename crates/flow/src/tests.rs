@@ -1,7 +1,8 @@
-//! Unit tests of the schematic gate ([`crate::schem`]) and of the
-//! variation types ([`crate::corners`]). They sit at the crate root so
-//! each keeps the `tests::<name>` path it had while the gate and the
-//! variation types were crates of their own.
+//! Unit tests of the schematic gate ([`crate::schem`]), of the variation
+//! types ([`crate::corners`]) and of the deck gate's entry
+//! ([`crate::techlint`]). They sit at the crate root so each keeps the
+//! `tests::<name>` path it had while the gates and the variation types
+//! were crates of their own.
 
 use std::collections::HashMap;
 
@@ -13,6 +14,7 @@ use prima_spice::devices::FetPolarity;
 use crate::circuits::CircuitSpec;
 use crate::corners::{corner_bias, instance_fingerprint, McYield, MismatchSampler};
 use crate::schem::*;
+use crate::techlint::check_deck;
 use crate::PrimitiveInst;
 
 // ---------------------------------------------------------------------
@@ -430,4 +432,33 @@ fn yield_fraction_handles_zero_samples() {
         passed: 0,
     };
     assert_eq!(y.yield_fraction(), 1.0);
+}
+
+// ---------------------------------------------------------------------
+// The deck gate
+// ---------------------------------------------------------------------
+
+#[test]
+fn bundled_decks_lint_clean() {
+    for tech in [
+        Technology::finfet7(),
+        Technology::bulk16(),
+        Technology::sky130ish(),
+    ] {
+        let report = check_deck(&tech, &Library::standard());
+        assert!(
+            report.is_passing(),
+            "{}: {:#?}",
+            tech.name,
+            report.violations
+        );
+        assert_eq!(report.checks_run, vec!["techlint.deck", "techlint.library"]);
+    }
+}
+
+#[test]
+fn reports_are_deterministic() {
+    let tech = Technology::sky130ish();
+    let lib = Library::standard();
+    assert_eq!(check_deck(&tech, &lib), check_deck(&tech, &lib));
 }

@@ -11,7 +11,7 @@
 //! construction, only evaluation changes.
 //!
 //! [`CornerBounds`] declares the envelope the deck author considers
-//! physical; `prima-techlint`'s `TECH.CORNER.*` rules reject any table
+//! physical; the deck gate's `TECH.CORNER.*` rules reject any table
 //! whose corners escape it (or that lacks an identity `tt`, or repeats a
 //! name) before a single simulation runs.
 //!

@@ -8,7 +8,7 @@
 //! invalidates cached evaluations exactly like any other deck change.
 //!
 //! Coverage and uniqueness of the table are enforced statically by
-//! prima-techlint (`TECH.GDS.*`), not at stream-out time: a deck whose
+//! the deck gate (`TECH.GDS.*`), not at stream-out time: a deck whose
 //! layer map cannot carry its own stack is refused before any simulation.
 
 use prima_cache::{Fingerprintable, FpHasher};

@@ -144,24 +144,10 @@ impl PlacementProblem {
     }
 
     /// Declares blocks `a` and `b` a symmetry pair (mirrored about a shared
-    /// vertical axis, same y).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are equal or out of range, or if a block is
-    /// already in a pair.
+    /// vertical axis, same y). [`Placer::place`] rejects a pair that names
+    /// one block twice, names a block past the block count, or names a
+    /// block an earlier pair already names.
     pub fn add_symmetry(&mut self, a: usize, b: usize) {
-        assert!(a != b, "a block cannot mirror itself");
-        assert!(
-            a < self.blocks.len() && b < self.blocks.len(),
-            "symmetry indices out of range"
-        );
-        assert!(
-            self.symmetry
-                .iter()
-                .all(|&(x, y)| x != a && y != a && x != b && y != b),
-            "block already in a symmetry pair"
-        );
         self.symmetry.push((a, b));
     }
 
@@ -270,8 +256,9 @@ impl Placer {
     /// # Errors
     ///
     /// Returns [`PlaceError::BadProblem`] for empty problems, nets naming a
-    /// block index past the block count, or symmetry pairs whose variants
-    /// cannot mirror (different sizes in every combination), and
+    /// block index past the block count, symmetry pairs that are not
+    /// disjoint pairs of two distinct blocks, or symmetry pairs whose
+    /// variants cannot mirror (different sizes in every combination), and
     /// [`PlaceError::Illegal`] when overlaps survive the schedule.
     pub fn place(&self, problem: &PlacementProblem) -> Result<Placement, PlaceError> {
         let n = problem.blocks.len();
@@ -286,6 +273,24 @@ impl Placer {
                     reason: format!("net {} names block {pin}, but there are {n}", net.name),
                 });
             }
+        }
+        let mut paired = vec![false; n];
+        for &(a, b) in &problem.symmetry {
+            let reason = if let Some(x) = [a, b].into_iter().find(|&x| x >= n) {
+                format!("symmetry pair ({a}, {b}) names block {x}, but there are {n}")
+            } else if a == b {
+                format!("block {} cannot mirror itself", problem.blocks[a].name)
+            } else if let Some(x) = [a, b].into_iter().find(|&x| paired[x]) {
+                format!(
+                    "block {} is in more than one symmetry pair",
+                    problem.blocks[x].name
+                )
+            } else {
+                paired[a] = true;
+                paired[b] = true;
+                continue;
+            };
+            return Err(PlaceError::BadProblem { reason });
         }
         let mut pair_variants = Vec::with_capacity(problem.symmetry.len());
         for &(a, b) in &problem.symmetry {
@@ -775,12 +780,32 @@ mod tests {
         ));
     }
 
+    /// The reason `place` rejects `p` with.
+    pub(super) fn rejection(p: &PlacementProblem) -> String {
+        match Placer::new(0).place(p) {
+            Err(PlaceError::BadProblem { reason }) => reason,
+            other => panic!("expected BadProblem, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "cannot mirror itself")]
-    fn self_symmetry_panics() {
+    fn self_symmetry_is_rejected() {
         let mut p = PlacementProblem::new();
         let a = p.add_block(Block::new("a", vec![(1000, 800)]));
         p.add_symmetry(a, a);
+        assert_eq!(rejection(&p), "block a cannot mirror itself");
+    }
+
+    #[test]
+    fn symmetry_index_past_the_block_count_is_rejected() {
+        let mut p = PlacementProblem::new();
+        let a = p.add_block(Block::new("a", vec![(1000, 800)]));
+        p.add_block(Block::new("b", vec![(1000, 800)]));
+        p.add_symmetry(a, 2);
+        assert_eq!(
+            rejection(&p),
+            "symmetry pair (0, 2) names block 2, but there are 2"
+        );
     }
 
     #[test]
@@ -823,14 +848,22 @@ mod negative_tests {
     }
 
     #[test]
-    #[should_panic(expected = "already in a symmetry pair")]
-    fn double_pairing_panics() {
-        let mut p = PlacementProblem::new();
-        let a = p.add_block(Block::new("a", vec![(1000, 800)]));
-        let b = p.add_block(Block::new("b", vec![(1000, 800)]));
-        let c = p.add_block(Block::new("c", vec![(1000, 800)]));
-        p.add_symmetry(a, b);
-        p.add_symmetry(a, c);
+    fn double_pairing_is_rejected() {
+        // A block shared with another pair, the same pair twice, and the
+        // same pair reversed.
+        for (second, twice) in [((0, 2), "a"), ((0, 1), "a"), ((1, 0), "b")] {
+            let mut p = PlacementProblem::new();
+            for name in ["a", "b", "c"] {
+                p.add_block(Block::new(name, vec![(1000, 800)]));
+            }
+            p.add_symmetry(0, 1);
+            p.add_symmetry(second.0, second.1);
+            assert_eq!(
+                super::tests::rejection(&p),
+                format!("block {twice} is in more than one symmetry pair"),
+                "{second:?}"
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ use prima_cache::{CacheHub, CacheStats, CancelReason, CancelToken, Fingerprintab
 use prima_core::{FaultPlan, Health, RequestReport, ServeOutcome, ServeReport, SolverLimits};
 use prima_flow::circuits::CircuitSpec;
 use prima_flow::{
-    optimized_flow_resilient, CachePolicy, FlowError, FlowOptions, GdsPolicy, VerifyPolicy,
+    optimized_flow_resilient, techlint_preflight, CachePolicy, FlowError, FlowOptions, GdsPolicy,
+    VerifyPolicy,
 };
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library, TESTBENCH_VERSION};
@@ -95,9 +96,11 @@ pub struct ServeConfig {
     /// already left the queue). Admission control triggers at this bound;
     /// `0` is treated as `1`.
     pub queue_capacity: usize,
-    /// Solver iteration bounds installed around every evaluation.
+    /// Solver iteration limits: no fields, and nothing reads them. Served
+    /// flows run under the solvers' constant bounds.
     pub solver: SolverLimits,
-    /// Static-gate policy for served flows.
+    /// Static-gate policy: one variant, and nothing reads it. Served flows
+    /// run all four gates, like every flow.
     pub verify: VerifyPolicy,
     /// When set, cache namespaces persist as sidecar files under this
     /// directory; otherwise they live in memory.
@@ -331,14 +334,14 @@ impl BatchServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadTechnology`] when `prima_techlint::check_deck`
-    /// reports any error-severity finding.
+    /// [`ServeError::BadTechnology`] when [`techlint_preflight`] reports
+    /// any error-severity finding.
     pub fn try_new(
         tech: Technology,
         lib: Library,
         mut config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        let report = prima_techlint::check_deck(&tech, &lib);
+        let report = techlint_preflight(&tech, &lib);
         if !report.is_passing() {
             return Err(ServeError::BadTechnology {
                 deck: tech.name.clone(),
@@ -648,8 +651,6 @@ fn run_request(inner: &Inner, q: Queued) -> RequestReport {
         testbench_version: TESTBENCH_VERSION,
     };
     let options = FlowOptions {
-        verify: inner.config.verify,
-        solver: inner.config.solver.clone(),
         cache: CachePolicy::Shared(inner.hub.namespace(&ns)),
         cancel: Some(q.token.clone()),
         gds: if inner.config.gds {
@@ -902,7 +903,6 @@ mod tests {
     fn static_gate_rejection_never_retries() {
         let srv = server(ServeConfig {
             workers: 1,
-            verify: VerifyPolicy::On,
             ..ServeConfig::default()
         });
         let mut req = cs_amp_request("acme");

@@ -68,21 +68,28 @@ impl OperatingPoint {
 
 /// Absolute node-voltage convergence tolerance of a Newton solve (V).
 const VTOL: f64 = 1e-9;
+/// Newton iterations per strategy rung.
+const MAX_ITERATIONS: usize = 200;
+/// The gmin continuation ladder: descending conductances to ground (S).
+const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12];
+/// The ladder's last rung, where a warm start solves.
+const GMIN_FINAL: f64 = GMIN_LADDER[GMIN_LADDER.len() - 1];
+/// Source-stepping points of the fallback strategy.
+const SOURCE_STEPS: usize = 10;
 
 /// Newton-based DC solver. Create with [`DcSolver::new`], then call
 /// [`DcSolver::solve`].
 ///
-/// [`DcSolver::new`] snapshots the ambient [`SolveCtrl`] scope (iteration
-/// limits + cancel token), so deeply-nested testbench code honors the
-/// flow's solver budget and deadline without any signature changes. The
-/// scope is the only way to bound or cancel a solve.
+/// Every solve is bounded by the same constants: 200 Newton iterations
+/// per rung of a five-rung gmin ladder, then 10 source-stepping points.
+/// [`DcSolver::new`] snapshots the ambient [`SolveCtrl`] scope's cancel
+/// token, so deeply-nested testbench code honors the flow's deadline
+/// without any signature changes. The scope is the only way to cancel a
+/// solve.
 ///
 /// [`SolveCtrl`]: crate::ctrl::SolveCtrl
 #[derive(Debug, Clone)]
 pub struct DcSolver {
-    max_iterations: usize,
-    gmin_ladder: Vec<f64>,
-    source_steps: usize,
     cancel: Option<prima_cache::CancelToken>,
 }
 
@@ -94,17 +101,10 @@ impl Default for DcSolver {
 
 impl DcSolver {
     /// Creates a solver from the ambient [`SolveCtrl`](crate::ctrl::SolveCtrl)
-    /// scope (outside any scope, the [`SolverLimits`] defaults and no
-    /// cancel token).
-    ///
-    /// [`SolverLimits`]: crate::ctrl::SolverLimits
+    /// scope (outside any scope, no cancel token).
     pub fn new() -> Self {
-        let ctrl = crate::ctrl::current_solve_ctrl();
         DcSolver {
-            max_iterations: ctrl.limits.dc_max_iterations,
-            gmin_ladder: ctrl.limits.dc_gmin_ladder,
-            source_steps: ctrl.limits.dc_source_steps,
-            cancel: ctrl.cancel,
+            cancel: crate::ctrl::current_solve_ctrl().cancel,
         }
     }
 
@@ -138,8 +138,8 @@ impl DcSolver {
         near: &OperatingPoint,
     ) -> Result<OperatingPoint, AnalysisError> {
         let topo = Topology::build(circuit);
-        if let (Some(&gmin), true) = (self.gmin_ladder.last(), near.x.len() == topo.dim()) {
-            match self.newton_at(circuit, &topo, &near.x, gmin, 1.0) {
+        if near.x.len() == topo.dim() {
+            match self.newton_at(circuit, &topo, &near.x, GMIN_FINAL, 1.0) {
                 Ok(Some(x)) => return Ok(operating_point(circuit, topo, x)),
                 Err(e @ AnalysisError::Cancelled(_)) => return Err(e),
                 Ok(None) | Err(_) => {}
@@ -168,7 +168,7 @@ impl DcSolver {
             topo,
             x0,
             VTOL,
-            self.max_iterations,
+            MAX_ITERATIONS,
             self.cancel.as_ref(),
             &mut mat,
             &mut rhs,
@@ -190,14 +190,14 @@ impl DcSolver {
             self.newton_at(circuit, topo, x0, gmin, src_scale)?
                 .ok_or_else(|| AnalysisError::NoConvergence {
                     phase: format!("dc (gmin={gmin:e}, scale={src_scale})"),
-                    iterations: self.max_iterations,
+                    iterations: MAX_ITERATIONS,
                 })
         };
 
         // Strategy 1: gmin ladder from a zero start.
         let mut x = vec![0.0; dim];
         let mut ladder_ok = true;
-        for &gmin in &self.gmin_ladder {
+        for gmin in GMIN_LADDER {
             match solve_at(&x, gmin, 1.0) {
                 Ok(next) => x = next,
                 // A cancelled rung must not fall through to source stepping:
@@ -215,8 +215,8 @@ impl DcSolver {
 
         // Strategy 2: source stepping at a fixed safe gmin, then relax gmin.
         let mut x = vec![0.0; dim];
-        for step in 1..=self.source_steps {
-            let alpha = step as f64 / self.source_steps as f64;
+        for step in 1..=SOURCE_STEPS {
+            let alpha = step as f64 / SOURCE_STEPS as f64;
             x = solve_at(&x, 1e-9, alpha)?;
         }
         for &gmin in &[1e-10, 1e-12] {
@@ -387,7 +387,6 @@ mod tests {
             with_solve_ctrl(
                 SolveCtrl {
                     cancel: Some(token),
-                    ..SolveCtrl::default()
                 },
                 || DcSolver::new().solve(&c),
             )
@@ -415,7 +414,6 @@ mod tests {
         let res = with_solve_ctrl(
             SolveCtrl {
                 cancel: Some(token),
-                ..SolveCtrl::default()
             },
             || DcSolver::new().solve(&c),
         );
@@ -477,7 +475,6 @@ mod tests {
         token.cancel();
         let ctrl = SolveCtrl {
             cancel: Some(token),
-            ..SolveCtrl::default()
         };
         let res = with_solve_ctrl(ctrl, || DcSolver::new().solve_near(&inverter(0.41), &near));
         assert!(matches!(res, Err(AnalysisError::Cancelled(_))), "{res:?}");

@@ -64,27 +64,27 @@ impl TranResult {
 const VTOL: f64 = 1e-7;
 /// Conductance from every node to ground in each step (S).
 const GMIN: f64 = 1e-12;
+/// Newton iterations per timestep.
+const MAX_NEWTON: usize = 60;
 
-/// Fixed-step transient solver. Like [`DcSolver`], construction snapshots
-/// the ambient [`SolveCtrl`](crate::ctrl::SolveCtrl) scope for its Newton
-/// cap and cancel token.
+/// Fixed-step transient solver, bounded by 60 Newton iterations per
+/// step. Like [`DcSolver`], construction snapshots the
+/// ambient [`SolveCtrl`](crate::ctrl::SolveCtrl) scope for its cancel
+/// token.
 #[derive(Debug, Clone)]
 pub struct TranSolver {
     dt: f64,
     t_stop: f64,
-    max_newton: usize,
     cancel: Option<prima_cache::CancelToken>,
 }
 
 impl TranSolver {
     /// Creates a solver with timestep `dt` running to `t_stop` (seconds).
     pub fn new(dt: f64, t_stop: f64) -> Self {
-        let ctrl = crate::ctrl::current_solve_ctrl();
         TranSolver {
             dt,
             t_stop,
-            max_newton: ctrl.limits.tran_max_newton,
-            cancel: ctrl.cancel,
+            cancel: crate::ctrl::current_solve_ctrl().cancel,
         }
     }
 
@@ -135,7 +135,7 @@ impl TranSolver {
                 &topo,
                 x,
                 VTOL,
-                self.max_newton,
+                MAX_NEWTON,
                 self.cancel.as_ref(),
                 &mut mat,
                 &mut rhs,
@@ -181,7 +181,7 @@ impl TranSolver {
                             Ok(None) | Err(_) => {
                                 return Err(AnalysisError::NoConvergence {
                                     phase: format!("tran substep at t={ts:e}"),
-                                    iterations: self.max_newton,
+                                    iterations: MAX_NEWTON,
                                 })
                             }
                         };

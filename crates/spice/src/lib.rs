@@ -60,7 +60,7 @@ pub mod num;
 pub use analysis::ac::{AcResult, AcSolver, FrequencySweep};
 pub use analysis::dc::{DcSolver, OperatingPoint};
 pub use analysis::tran::{TranResult, TranSolver};
-pub use ctrl::{current_solve_ctrl, with_solve_ctrl, SolveCtrl, SolverLimits};
+pub use ctrl::{current_solve_ctrl, with_solve_ctrl, SolveCtrl};
 pub use devices::{FetInstance, FetModel, FetPolarity};
 pub use netlist::{Circuit, NodeId, SpiceError};
 pub use num::Complex;

@@ -17,9 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use prima_cache::{CacheStats, EvalCache, EvalKey, Fingerprint, KEY_BYTES};
 use prima_core::Severity;
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{
-    optimized_flow, optimized_flow_with, CachePolicy, FlowOptions, FlowOutcome, VerifyPolicy,
-};
+use prima_flow::{optimized_flow, optimized_flow_with, CachePolicy, FlowOptions, FlowOutcome};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use proptest::prelude::*;
@@ -39,7 +37,6 @@ fn temp_path(tag: &str) -> PathBuf {
 
 fn cached(path: &std::path::Path) -> FlowOptions {
     FlowOptions {
-        verify: VerifyPolicy::On,
         cache: CachePolicy::Persistent(path.to_path_buf()),
         ..FlowOptions::default()
     }

@@ -21,7 +21,7 @@ use prima_core::Health;
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
     instance_fingerprint, optimized_flow, optimized_flow_with, CachePolicy, CornerOptions,
-    CornerPolicy, FlowError, FlowOptions, FlowOutcome, MismatchSampler, VerifyPolicy, MC_SEED,
+    CornerPolicy, FlowError, FlowOptions, FlowOutcome, MismatchSampler, MC_SEED,
 };
 use prima_pdk::{CornerBounds, CornerSpec, Technology};
 use prima_primitives::{Bias, Library};
@@ -51,10 +51,9 @@ fn benchmark_circuits(
     ]
 }
 
-/// A five-corner sweep (no Monte-Carlo) with verification gates on.
+/// A five-corner sweep with `mc_samples` Monte-Carlo draws.
 fn sweep_options(mc_samples: u32) -> FlowOptions {
     FlowOptions {
-        verify: VerifyPolicy::On,
         corners: CornerPolicy::Sweep(CornerOptions {
             corners: Some(FIVE.iter().map(|s| s.to_string()).collect()),
             mc_samples,
@@ -192,7 +191,6 @@ fn corner_killer_degrades_with_exact_id() {
     let lib = Library::standard();
     let biases = CsAmp::biases(&tech, &lib).unwrap();
     let options = FlowOptions {
-        verify: VerifyPolicy::On,
         corners: CornerPolicy::Sweep(CornerOptions {
             corners: Some(vec!["vdd_collapse".to_string()]),
             repair_attempts: 2,

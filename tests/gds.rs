@@ -15,17 +15,15 @@ use proptest::prelude::*;
 use prima_cache::Fingerprintable;
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
 use prima_flow::{
-    optimized_flow_with, CachePolicy, FlowError, FlowOptions, GdsPolicy, VerifyPolicy,
+    optimized_flow_with, techlint_preflight, CachePolicy, FlowError, FlowOptions, GdsPolicy,
 };
 use prima_gds::record::{self, datatype, rectype};
 use prima_gds::{diff, GdsElement, GdsLibrary, GdsStructure};
 use prima_pdk::Technology;
 use prima_primitives::Library;
-use prima_techlint::{check_deck, diff_techs};
 
 fn gds_options() -> FlowOptions {
     FlowOptions {
-        verify: VerifyPolicy::On,
         gds: GdsPolicy::On,
         ..FlowOptions::default()
     }
@@ -277,7 +275,7 @@ fn assert_gds_defect_caught(rule_id: &str, break_deck: impl Fn(&mut Technology))
     let mut tech = Technology::sky130ish();
     break_deck(&mut tech);
 
-    let report = check_deck(&tech, &lib);
+    let report = techlint_preflight(&tech, &lib);
     assert!(!report.is_passing(), "{rule_id}: deck unexpectedly clean");
     assert!(
         report.has_rule(rule_id),
@@ -327,8 +325,7 @@ fn nonpositive_units_are_rejected() {
 }
 
 /// The small fix: the layer map participates in the deck fingerprint, so
-/// editing it invalidates cached evaluations — while changing nothing
-/// else about the deck (layouts stay legal, drift names only `gds`).
+/// editing it invalidates cached evaluations.
 #[test]
 fn layer_map_edit_invalidates_cached_evaluations() {
     let base = Technology::finfet7();
@@ -336,18 +333,6 @@ fn layer_map_edit_invalidates_cached_evaluations() {
     edited.gds.entries[0].layer = 41;
 
     assert_ne!(base.fingerprint(), edited.fingerprint());
-    let drift = diff_techs(&base, &edited);
-    assert!(drift.cache_invalidating());
-    assert!(drift.layout_compatible(), "{:#?}", drift.entries);
-    assert_eq!(
-        drift
-            .entries
-            .iter()
-            .map(|e| e.field.as_str())
-            .collect::<Vec<_>>(),
-        vec!["gds"],
-        "a layer-map edit must change nothing but the map"
-    );
 
     // Cache-level proof: a warm run on the base deck replays stored
     // results, while the same persistent store under the edited deck gives

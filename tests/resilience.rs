@@ -10,7 +10,10 @@ use std::collections::HashMap;
 
 use prima_core::{EvalLedger, RepairCursor};
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{optimized_flow, optimized_flow_resilient, FaultPlan, FlowOptions, Health};
+use prima_flow::{
+    optimized_flow, optimized_flow_resilient, FaultPlan, FlowError, FlowOptions, FlowOutcome,
+    Health,
+};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use proptest::prelude::*;
@@ -166,6 +169,53 @@ fn zero_fault_plan_is_bit_identical_to_the_plain_flow() {
         );
         assert_eq!(resilient.resilience.health, Health::Clean, "{name}");
         assert!(resilient.resilience.is_clean(), "{name}");
+    }
+}
+
+/// The StrongARM on bulk16 (seed 42) under a tightened IR budget: the
+/// deck whose fixture drives the gate-fallback repair loop.
+fn tight_ir_strongarm(ir_frac_vdd: f64) -> Result<FlowOutcome, FlowError> {
+    let lib = Library::standard();
+    let mut tech = Technology::bulk16();
+    tech.electrical.ir_frac_vdd = ir_frac_vdd;
+    let biases = StrongArm::biases(&tech, &lib).unwrap();
+    optimized_flow(&tech, &lib, &StrongArm::spec(), &biases, 42)
+}
+
+/// At 1% of VDD the first two layouts fail ERC's `IR.BUDGET` on `dpin`.
+/// The gate-fallback loop demotes the input pair's chosen bin twice, and
+/// the third layout passes both geometric and electrical gates.
+#[test]
+fn gate_fallback_repairs_a_tight_ir_budget() {
+    let out = tight_ir_strongarm(0.01).unwrap();
+    let r = &out.resilience;
+    assert_eq!(r.health, Health::Degraded, "{}", r.summary());
+    assert_eq!(r.gate_retries, 2, "{}", r.summary());
+    let gate: Vec<String> = r
+        .degradations
+        .iter()
+        .filter(|d| d.stage == "gate")
+        .map(|d| format!("{}: {}", d.scope, d.action))
+        .collect();
+    assert_eq!(gate.len(), 2, "{gate:#?}");
+    for (g, bin) in gate.iter().zip(["bin 0", "bin 1"]) {
+        assert!(g.starts_with("dpin: erc gate failed (IR.BUDGET"), "{g}");
+        assert!(g.ends_with(&format!("{bin} fell back to rank 1")), "{g}");
+    }
+    assert!(out.verify.is_some_and(|v| v.is_passing()));
+    assert!(out.erc.is_some_and(|v| v.is_passing()));
+}
+
+/// At 0.5% of VDD no fallback passes ERC, so the gate budget runs out and
+/// the flow fails with the gate's own error, naming the first violation.
+#[test]
+fn exhausted_gate_budget_surfaces_the_gate_error() {
+    match tight_ir_strongarm(0.005) {
+        Err(FlowError::Verify { first, .. }) => {
+            assert!(first.contains("IR.BUDGET"), "{first}");
+            assert!(first.contains("dpin"), "{first}");
+        }
+        other => panic!("expected FlowError::Verify, got {other:?}"),
     }
 }
 

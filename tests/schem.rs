@@ -4,9 +4,10 @@
 //!
 //! 1. The paper's four benchmark circuits pass the schem gate with zero
 //!    diagnostics — both through `schem_preflight` directly and through
-//!    the flows (whose debug-build default runs the preflight first).
+//!    the flows (which run the preflight first).
 //! 2. Seeded-defect fixtures (supply short, floating gate, out-of-range
-//!    bias, dangling net, unfactorable sizing) are each rejected with
+//!    bias, dangling net, unfactorable sizing, repeated symmetry pair)
+//!    are each rejected with
 //!    their exact `SCHEM.*` rule id — and rejected *fail-fast*: the flow
 //!    errors out before the optimizer (and its simulation counter) is
 //!    even constructed, in a tiny fraction of a cold run's wall time.
@@ -21,7 +22,9 @@ use std::time::Instant;
 use proptest::prelude::*;
 
 use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::schem::{ConnGraph, RULE_BIAS_V, RULE_DANGLE, RULE_FLOAT, RULE_SHORT, RULE_SIZE};
+use prima_flow::schem::{
+    ConnGraph, RULE_BIAS_V, RULE_DANGLE, RULE_FLOAT, RULE_SHORT, RULE_SIZE, RULE_SYM_PAIR,
+};
 use prima_flow::{conventional_flow, optimized_flow, schem_preflight, FlowError};
 use prima_layout::{DeviceSpec, PrimitiveSpec};
 use prima_pdk::Technology;
@@ -240,6 +243,29 @@ fn unfactorable_sizing_fixture_is_rejected_not_silently_skipped() {
 // Determinism: graph construction and the lint suite are total and
 // insertion-order independent.
 // ---------------------------------------------------------------------
+
+/// An instance mirrors one partner. A StrongARM spec that names the pair
+/// `(swxa, swxb)` a second time, as given or reversed, is rejected with
+/// `SCHEM.SYM.PAIR` on the repeated instance, before the placer could be
+/// asked to mirror one block against two partners.
+#[test]
+fn repeated_symmetry_pair_fixture_is_rejected_with_exact_rule() {
+    let (tech, lib) = env();
+    let biases = StrongArm::biases(&tech, &lib).unwrap();
+    for (a, b) in [("swxa", "swxb"), ("swxb", "swxa")] {
+        let mut spec = StrongArm::spec();
+        spec.symmetry.push((a.to_string(), b.to_string()));
+        let report = schem_preflight(&tech, &lib, &spec, Some(&biases));
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.rule_id == RULE_SYM_PAIR && v.scope.as_deref() == Some(a)),
+            "({a}, {b}): {report:?}"
+        );
+        assert_flow_rejects(&tech, &lib, &spec, &biases, RULE_SYM_PAIR);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -15,10 +15,8 @@ use std::time::{Duration, Instant};
 
 use prima_cache::{CancelToken, EvalCache, Fingerprintable};
 use prima_core::{FaultPlan, ServeOutcome};
-use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco};
-use prima_flow::{
-    optimized_flow_with, CachePolicy, FlowError, FlowOptions, FlowOutcome, VerifyPolicy,
-};
+use prima_flow::circuits::{CircuitSpec, CsAmp, FiveTOta, RoVco, StrongArm};
+use prima_flow::{optimized_flow_with, CachePolicy, FlowError, FlowOptions, FlowOutcome};
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library, TESTBENCH_VERSION};
 use prima_serve::{BatchServer, Priority, ServeConfig, ServeError, ServeRequest};
@@ -123,7 +121,6 @@ fn deadline_expiry_returns_within_twice_the_deadline() {
 fn failed_requests_resolve_after_one_run() {
     let srv = server(ServeConfig {
         workers: 2,
-        verify: VerifyPolicy::On,
         ..ServeConfig::default()
     });
     // More route faults than the flow's route budget absorbs.
@@ -154,6 +151,37 @@ fn failed_requests_resolve_after_one_run() {
     assert_eq!(broken_report.attempts, 1);
     let report = srv.finish();
     assert_eq!(report.retries, 0);
+}
+
+/// A request whose spec names one symmetry pair twice resolves `Failed`
+/// with the schematic gate's rule id, and the one worker goes on to serve
+/// the next request.
+#[test]
+fn repeated_symmetry_pair_request_resolves_failed_with_its_rule() {
+    let srv = server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let tech = Technology::finfet7();
+    let lib = Library::standard();
+    let mut req = ServeRequest::new(
+        "acme",
+        StrongArm::spec(),
+        StrongArm::biases(&tech, &lib).unwrap(),
+    );
+    req.circuit
+        .symmetry
+        .push(("swxb".to_string(), "swxa".to_string()));
+    let report = srv.submit(req).unwrap().wait();
+    assert_eq!(report.outcome, ServeOutcome::Failed, "{}", report.detail);
+    assert!(
+        report.detail.contains("SCHEM.SYM.PAIR"),
+        "{}",
+        report.detail
+    );
+    let next = srv.submit(cs_amp("acme")).unwrap().wait();
+    assert_eq!(next.outcome, ServeOutcome::Completed, "{}", next.detail);
+    drop(srv.finish());
 }
 
 /// The acceptance soak: 100 mixed-tenant requests over a 4-worker pool.
@@ -272,7 +300,6 @@ fn flow_with_cache(
     cancel: Option<CancelToken>,
 ) -> Result<FlowOutcome, FlowError> {
     let options = FlowOptions {
-        verify: VerifyPolicy::On,
         cache: CachePolicy::Shared(Arc::clone(cache)),
         cancel,
         ..FlowOptions::default()

@@ -1,20 +1,21 @@
-//! Integration tests for the prima-techlint zeroth gate: every bundled
-//! deck lints clean through the flow preflight, seeded deck defects are
-//! rejected with their exact `TECH.*`/`LIB.*` rule ids before a single
-//! simulation runs, lint results are stable under the order-free parts of
-//! deck construction, and — the portability claim — all four benchmark
-//! circuits complete the optimized flow on the SKY130-flavored deck with
-//! every gate (techlint → schem → verify → erc) enforced and clean.
+//! Integration tests for the techlint zeroth gate
+//! ([`prima_flow::techlint_preflight`]): every bundled deck lints clean,
+//! seeded deck defects are rejected with their exact `TECH.*`/`LIB.*` rule
+//! ids before a single simulation runs, lint results are stable under the
+//! order-free parts of deck construction, and — the portability claim —
+//! all four benchmark circuits complete the optimized flow on the
+//! SKY130-flavored deck with every gate (techlint → schem → verify → erc)
+//! enforced and clean.
 
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 
+use prima_cache::Fingerprintable;
 use prima_flow::circuits::{CsAmp, FiveTOta, RoVco, StrongArm};
-use prima_flow::{optimized_flow_with, techlint_preflight, FlowError, FlowOptions, VerifyPolicy};
+use prima_flow::{optimized_flow_with, techlint_preflight, FlowError, FlowOptions};
 use prima_pdk::Technology;
 use prima_primitives::Library;
-use prima_techlint::{check_deck, diff_techs};
 
 /// All bundled decks pass the full preflight (deck self-consistency and
 /// library feasibility) with both check families on record.
@@ -46,7 +47,7 @@ fn assert_defect_caught(rule_id: &str, break_deck: impl Fn(&mut Technology)) {
     let mut tech = Technology::sky130ish();
     break_deck(&mut tech);
 
-    let report = check_deck(&tech, &lib);
+    let report = techlint_preflight(&tech, &lib);
     assert!(!report.is_passing(), "{rule_id}: deck unexpectedly clean");
     assert!(
         report.has_rule(rule_id),
@@ -61,11 +62,7 @@ fn assert_defect_caught(rule_id: &str, break_deck: impl Fn(&mut Technology)) {
     // The flow-level gate carries the same id out as a typed error.
     let spec = CsAmp::spec();
     let biases = CsAmp::biases(&Technology::sky130ish(), &lib).unwrap();
-    let options = FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    };
-    match optimized_flow_with(&tech, &lib, &spec, &biases, 7, options) {
+    match optimized_flow_with(&tech, &lib, &spec, &biases, 7, FlowOptions::default()) {
         Err(FlowError::Verify { first, .. }) => {
             assert!(
                 first.contains(rule_id),
@@ -133,38 +130,29 @@ fn starved_metal_space_is_rejected_as_library_infeasible() {
     });
 }
 
-/// Cross-deck drift: the two production decks differ in load-bearing
-/// fields, and the classification separates cache-invalidating drift from
-/// layout-compatible drift.
+/// Cross-deck drift invalidates caches: evaluation-cache keys embed the
+/// deck's content fingerprint, which differs between the two production
+/// decks and feeds every field, so even an electrical-only retune moves
+/// it.
 #[test]
 fn drift_between_bundled_decks_is_cache_invalidating() {
-    let drift = diff_techs(&Technology::finfet7(), &Technology::sky130ish());
-    assert!(!drift.is_identical());
-    assert!(drift.fingerprint_changed);
-    assert!(drift.cache_invalidating());
-
-    // An electrical-only retune keeps layouts valid — re-simulate, don't
-    // regenerate — but the fingerprint feeds every field, so caches keyed
-    // on it still invalidate.
+    assert_ne!(
+        Technology::finfet7().fingerprint(),
+        Technology::sky130ish().fingerprint()
+    );
     let mut retuned = Technology::sky130ish();
     retuned.electrical.em_ma_per_um *= 1.25;
-    let drift = diff_techs(&Technology::sky130ish(), &retuned);
-    assert!(drift.fingerprint_changed);
-    assert!(drift.cache_invalidating());
-    assert!(drift.layout_compatible());
+    assert_ne!(Technology::sky130ish().fingerprint(), retuned.fingerprint());
 }
 
 /// The acceptance bar for the second technology: all four benchmark
 /// circuits complete the optimized flow on the SKY130-flavored deck with
-/// every static gate enforced (`VerifyPolicy::On`) and every report clean.
+/// every static gate enforced and every report clean.
 #[test]
 fn all_four_circuits_complete_optimized_flow_on_sky130ish() {
     let tech = Technology::sky130ish();
     let lib = Library::standard();
-    let options = FlowOptions {
-        verify: VerifyPolicy::On,
-        ..FlowOptions::default()
-    };
+    let options = FlowOptions::default();
     let vco = RoVco::small();
     let runs = [
         (CsAmp::spec(), CsAmp::biases(&tech, &lib).unwrap()),
@@ -220,13 +208,13 @@ proptest! {
         if off_grid {
             base.rules.grid_nm = 7;
         }
-        let want = check_deck(&base, &lib);
+        let want = techlint_preflight(&base, &lib);
 
         let mut rng = rand::StdRng::seed_from_u64(seed);
         let mut shuffled = base.clone();
         shuffle(&mut shuffled.rules.feol, &mut rng);
         shuffle(&mut shuffled.rules.grids, &mut rng);
-        let got = check_deck(&shuffled, &lib);
+        let got = techlint_preflight(&shuffled, &lib);
 
         prop_assert_eq!(want.is_passing(), got.is_passing());
         prop_assert_eq!(want.violations, got.violations);
@@ -242,7 +230,7 @@ proptest! {
     ) {
         let mut tech = Technology::finfet7();
         tech.metals[layer].r_ohm_per_um = tech.metals[layer - 1].r_ohm_per_um * factor;
-        let report = check_deck(&tech, &Library::standard());
+        let report = techlint_preflight(&tech, &Library::standard());
         prop_assert!(report.has_rule("TECH.MONO.R"));
         prop_assert!(!report.is_passing());
     }
