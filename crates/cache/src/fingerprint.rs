@@ -160,19 +160,6 @@ impl FpHasher {
         }
     }
 
-    /// A string-keyed `u32` map, fed in sorted key order.
-    pub fn write_str_u32_map(&mut self, map: &HashMap<String, u32>) {
-        let mut keys: Vec<&String> = map.keys().collect();
-        keys.sort();
-        self.write_u64(keys.len() as u64);
-        for k in keys {
-            self.write_str(k);
-            if let Some(v) = map.get(k) {
-                self.write_u32(*v);
-            }
-        }
-    }
-
     /// Final 128-bit digest.
     pub fn finish(self) -> Fingerprint {
         let a = avalanche(self.a ^ avalanche(self.len));

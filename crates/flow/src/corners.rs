@@ -487,13 +487,11 @@ pub(crate) fn corner_stage(
     let mut total_fallbacks = 0usize;
 
     // ---- Worst-case corner gating with bounded candidate fallback -------
-    // Instances sharing (def, sizing, bias) were selected together and
-    // still share identical cursors here, so gating decisions computed for
-    // the first member are replayed onto the rest (Monte-Carlo below stays
-    // per-instance: draws are keyed by instance name).
-    type GroupKey = (String, u64, Bias);
-    // key -> (index into `instances`, representative state index)
-    let mut done: Vec<(GroupKey, usize, usize)> = Vec::new();
+    // The members of a selection group (`InstState::group`) still share
+    // identical cursors here, so the gating decisions computed for the
+    // group's leader are replayed onto the rest (Monte-Carlo below stays
+    // per-instance: draws are keyed by instance name). `instances` gains
+    // one entry per state, so a leader's entry sits at its state index.
     for si in 0..states.len() {
         checkpoint(ctx.cancel)?;
         let (name, st) = &states[si];
@@ -504,20 +502,15 @@ pub(crate) fn corner_stage(
             .ok_or_else(|| FlowError::UnknownPrimitive {
                 name: st.def.clone(),
             })?;
-        let total_fins = st
-            .active
-            .first()
-            .map(|(l, _)| l.config.total_fins())
-            .unwrap_or(0);
-        let key: GroupKey = (st.def.clone(), total_fins, st.bias.clone());
-        if let Some(&(_, idx, rep_si)) = done.iter().find(|(k, ..)| *k == key) {
-            // Replay the representative's gating outcome onto this member:
-            // same ranked bins, same bias — the gate decisions are
-            // identical, so only the cursors/actives need copying.
-            let rep = instances[idx].clone();
+        let leader = st.group;
+        if leader != si {
+            // Replay the leader's gating outcome onto this member: same
+            // ranked bins, same bias — the gate decisions are identical,
+            // so only the cursors/actives need copying.
+            let rep = instances[leader].clone();
             let (cursor, active, dead) = {
-                let (_, rs) = &states[rep_si];
-                (rs.cursor.clone(), rs.active.clone(), rs.dead.clone())
+                let (_, ls) = &states[leader];
+                (ls.cursor.clone(), ls.active.clone(), ls.dead.clone())
             };
             let (_, st) = &mut states[si];
             st.cursor = cursor;
@@ -529,6 +522,11 @@ pub(crate) fn corner_stage(
             });
             continue;
         }
+        let total_fins = st
+            .active
+            .first()
+            .map(|(l, _)| l.config.total_fins())
+            .unwrap_or(0);
 
         let (_, st) = &mut states[si];
         let live: Vec<usize> = (0..st.active.len()).filter(|&i| !st.dead[i]).collect();
@@ -648,7 +646,6 @@ pub(crate) fn corner_stage(
             None => (Vec::new(), f64::INFINITY, String::new(), f64::NAN),
         };
         total_fallbacks += inst_fallbacks;
-        done.push((key, instances.len(), si));
         instances.push(InstanceCorners {
             instance: name,
             def: st.def.clone(),

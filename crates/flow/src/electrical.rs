@@ -27,6 +27,14 @@ use crate::flows::is_power_net;
 /// operating-point record (passives, unknown defs).
 const DEFAULT_BLOCK_A: f64 = 150e-6;
 
+/// Supply current (A) of one instance: its bias record's `tail` current,
+/// else its `ref` current, else [`DEFAULT_BLOCK_A`].
+pub(crate) fn block_current(bias: Option<&Bias>) -> f64 {
+    bias.map_or(DEFAULT_BLOCK_A, |b| {
+        b.i("tail", b.i("ref", DEFAULT_BLOCK_A))
+    })
+}
+
 /// `true` when `port` reaches only transistor gates inside the primitive:
 /// it conducts no DC current.
 pub(crate) fn gate_only_port(spec: &PrimitiveSpec, port: &str) -> bool {
@@ -43,7 +51,7 @@ pub(crate) fn gate_only_port(spec: &PrimitiveSpec, port: &str) -> bool {
 /// the devices whose channel touches the port. Gate-only ports carry
 /// nothing.
 pub(crate) fn port_current_a(spec: &PrimitiveSpec, bias: &Bias, port: &str) -> f64 {
-    let base = bias.i("tail", bias.i("ref", DEFAULT_BLOCK_A));
+    let base = block_current(Some(bias));
     spec.devices
         .iter()
         .filter(|d| d.drain == port || d.source == port)
@@ -127,8 +135,6 @@ pub(crate) struct ErcBuild<'a> {
     pub routing: Option<&'a RoutingResult>,
     /// Reconciled parallel-route count per net (post EM clamp).
     pub widths: &'a HashMap<String, u32>,
-    /// Routed pin positions per net.
-    pub pins: &'a [(String, Vec<Point>)],
     /// Placed outlines — per instance (hierarchical) or per device (flat).
     pub rects: &'a [(String, Rect)],
     /// Generated layout per instance, for internal supply extraction and
@@ -136,25 +142,21 @@ pub(crate) struct ErcBuild<'a> {
     pub layouts: &'a HashMap<String, PrimitiveLayout>,
     /// Synthesized power grid, when one exists.
     pub power: Option<&'a PowerReport>,
-    /// Run the EM pass (only meaningful when Algorithm 2 chose widths —
-    /// ablated and baseline flows have no current-aware wires to check).
-    pub with_currents: bool,
+    /// Worst-case net currents for the EM pass, as [`net_currents`]
+    /// derives them; empty when Algorithm 2 chose no widths (ablated and
+    /// baseline flows have no current-aware wires to check).
+    pub currents: Vec<NetCurrent>,
     /// Check placer symmetry pairs (the flat baseline never places
     /// mirrored units, so it makes no matching claims to verify).
     pub with_symmetry: bool,
 }
 
 /// Derives the full artifact bundle and runs every electrical check.
-pub(crate) fn erc_report(b: &ErcBuild<'_>) -> VerifyReport {
+pub(crate) fn erc_report(b: ErcBuild<'_>) -> VerifyReport {
     let mut art = ErcArtifacts::new(&b.spec.name, b.tech);
     art.routing = b.routing;
     art.net_widths = b.widths.clone();
-
-    if b.with_currents {
-        if let Some(biases) = b.biases {
-            art.net_currents = net_currents(b.tech, b.lib, b.spec, biases, b.pins);
-        }
-    }
+    art.net_currents = b.currents;
 
     // Supply taps: grid feed drop per placed block (power synthesis order
     // is placement order) + the cell-internal access resistance of every
@@ -165,11 +167,7 @@ pub(crate) fn erc_report(b: &ErcBuild<'_>) -> VerifyReport {
                 continue;
             };
             let grid_drop = power.block_drops.get(i).copied().unwrap_or(0.0);
-            let bias = b.biases.and_then(|m| m.get(name));
-            let current = match bias {
-                Some(bb) => bb.i("tail", bb.i("ref", DEFAULT_BLOCK_A)),
-                None => DEFAULT_BLOCK_A,
-            };
+            let current = block_current(b.biases.and_then(|m| m.get(name)));
             let mut supply_ports: Vec<(&str, &str)> = inst
                 .conn
                 .iter()

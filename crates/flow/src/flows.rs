@@ -31,7 +31,7 @@ use prima_verify::{check_flow, CellArtifact, FlowArtifacts, VerifyReport};
 use crate::builder::Realization;
 use crate::circuits::CircuitSpec;
 use crate::corners::{CornerPolicy, CornerReport};
-use crate::electrical::{self, ErcBuild};
+use crate::electrical::{self, block_current, ErcBuild};
 use crate::preflight;
 use crate::FlowError;
 
@@ -205,14 +205,6 @@ pub struct FlowOutcome {
 /// synthesized (no placed blocks).
 pub const SUPPLY_R_OHM: f64 = 6.0;
 
-/// Estimated supply current of one instance, from its bias record.
-fn block_current(bias: Option<&Bias>) -> f64 {
-    match bias {
-        Some(b) => b.i("tail", b.i("ref", 150e-6)),
-        None => 150e-6,
-    }
-}
-
 /// Synthesizes the (manually-routed, in the paper's terms) power grid over
 /// a placement and returns the effective rail resistance together with the
 /// full grid report (strap rows and per-block feed drops feed the ERC
@@ -234,6 +226,27 @@ fn supply_grid(
 /// manually, as in the paper).
 pub(crate) fn is_power_net(net: &str) -> bool {
     matches!(net, "vdd" | "vssn" | "vdd_ext")
+}
+
+/// The global route of every routed signal net, keyed by net name.
+fn signal_routes(spec: &CircuitSpec, routing: &RoutingResult) -> HashMap<String, GlobalRoute> {
+    let mut out = HashMap::new();
+    for net in spec.nets() {
+        if is_power_net(&net) {
+            continue;
+        }
+        if let Some(route) = routing.net(&net) {
+            out.insert(
+                net,
+                GlobalRoute {
+                    layer: route.dominant_layer(),
+                    len_nm: route.total_len_nm(),
+                    via_ends: 2,
+                },
+            );
+        }
+    }
+    out
 }
 
 /// The configuration space explored for a primitive of `total_fins` — the
@@ -446,20 +459,10 @@ pub fn conventional_flow(
     let (supply_r, power) = supply_grid(tech, &blocks, placed.bbox);
 
     // Single-wire routes everywhere: k = 1.
-    let mut net_wires = HashMap::new();
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        if let Some(route) = placed.routing.net(&net) {
-            let gr = GlobalRoute {
-                layer: route.dominant_layer(),
-                len_nm: route.total_len_nm(),
-                via_ends: 2,
-            };
-            net_wires.insert(net.clone(), route_wire(tech, &gr, 1));
-        }
-    }
+    let net_wires = signal_routes(spec, &placed.routing)
+        .into_iter()
+        .map(|(net, gr)| (net, route_wire(tech, &gr, 1)))
+        .collect();
 
     let detailed = DetailRouter::new(tech)
         .assign_with_symmetry(
@@ -495,18 +498,17 @@ pub fn conventional_flow(
     // parasitics"), so the EM pass has no currents to propagate and the
     // flat placement makes no symmetry claims; IR, well-tap reach, and
     // connectivity hygiene still apply.
-    let erc = Some(gate(electrical::erc_report(&ErcBuild {
+    let erc = Some(gate(electrical::erc_report(ErcBuild {
         tech,
         lib,
         spec,
         biases: None,
         routing: Some(&placed.routing),
         widths: &HashMap::new(),
-        pins: &placed.pins,
         rects: &placed.rects,
         layouts: &layouts,
         power: power.as_ref(),
-        with_currents: false,
+        currents: Vec::new(),
         with_symmetry: false,
     }))?);
 
@@ -661,6 +663,11 @@ pub(crate) struct InstState {
     pub(crate) active: Vec<(PrimitiveLayout, f64)>,
     /// Bins dropped after exhausting their fallbacks.
     pub(crate) dead: Vec<bool>,
+    /// Index, in the flow's state list, of the first instance with this
+    /// one's definition, total fins and bias: its own index when it leads
+    /// the group. Members of a group share one selection, and the corner
+    /// stage gates the leader and replays the outcome onto the rest.
+    pub(crate) group: usize,
 }
 
 /// Why a repair loop replaces an instance's candidate, and what it needs
@@ -848,14 +855,8 @@ fn run_flow(
     // fail or panic are recorded in the ledger and skipped inside
     // `select_bins`; the bins hold the survivors.
     let mut states: Vec<(String, InstState)> = Vec::new();
-    type Memo = (
-        String,
-        u64,
-        Bias,
-        Vec<BinRanked>,
-        Vec<(PrimitiveLayout, f64)>,
-    );
-    let mut memo: Vec<Memo> = Vec::new();
+    // Each group's key and the state index of its leader.
+    let mut groups: Vec<((&str, u64, Bias), usize)> = Vec::new();
     for inst in &spec.instances {
         let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
             name: inst.def.clone(),
@@ -867,21 +868,21 @@ fn run_flow(
             .get(&inst.name)
             .cloned()
             .unwrap_or_else(|| Bias::nominal(tech, &def.class));
-        if let Some((.., bins, active)) = memo
+        if let Some(&(_, group)) = groups
             .iter()
-            .find(|(d, f, b, ..)| *d == inst.def && *f == inst.total_fins && *b == bias)
+            .find(|((d, f, b), _)| *d == inst.def && *f == inst.total_fins && *b == bias)
         {
-            states.push((
-                inst.name.clone(),
-                InstState {
-                    def: inst.def.clone(),
-                    bias: bias.clone(),
-                    cursor: RepairCursor::new(bins.len()),
-                    dead: vec![false; bins.len()],
-                    bins: bins.clone(),
-                    active: active.clone(),
-                },
-            ));
+            let leader = &states[group].1;
+            let state = InstState {
+                def: inst.def.clone(),
+                bias,
+                cursor: RepairCursor::new(leader.bins.len()),
+                dead: vec![false; leader.bins.len()],
+                bins: leader.bins.clone(),
+                active: leader.active.clone(),
+                group,
+            };
+            states.push((inst.name.clone(), state));
             continue;
         }
         let configs = config_space(inst.total_fins);
@@ -912,13 +913,8 @@ fn run_flow(
                 ));
             }
         }
-        memo.push((
-            inst.def.clone(),
-            inst.total_fins,
-            bias.clone(),
-            bins.clone(),
-            active.clone(),
-        ));
+        let group = states.len();
+        groups.push(((inst.def.as_str(), inst.total_fins, bias.clone()), group));
         states.push((
             inst.name.clone(),
             InstState {
@@ -928,6 +924,7 @@ fn run_flow(
                 dead: vec![false; bins.len()],
                 bins,
                 active,
+                group,
             },
         ));
     }
@@ -1031,22 +1028,7 @@ fn run_flow(
 
         // ---- Algorithm 2: port constraints + reconciliation --------------
         let mut per_net: HashMap<String, Vec<PortConstraint>> = HashMap::new();
-        let mut net_routes: HashMap<String, GlobalRoute> = HashMap::new();
-        for net in spec.nets() {
-            if is_power_net(&net) {
-                continue;
-            }
-            if let Some(route) = routing.net(&net) {
-                net_routes.insert(
-                    net.clone(),
-                    GlobalRoute {
-                        layer: route.dominant_layer(),
-                        len_nm: route.total_len_nm(),
-                        via_ends: 2,
-                    },
-                );
-            }
-        }
+        let net_routes = signal_routes(spec, routing);
         for inst in &spec.instances {
             let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
                 name: inst.def.clone(),
@@ -1086,9 +1068,9 @@ fn run_flow(
         // EM clamp: raise every net's width interval to the EM-safe floor
         // for its worst-case current *before* reconciliation, so the widths
         // Algorithm 2 hands the detailed router pass the electrical gate by
-        // construction. Currents only exist when port optimization runs —
-        // the ablated flow chooses no widths, so there is nothing to keep
-        // safe.
+        // construction; the electrical gate's EM pass reads the same
+        // currents. Currents only exist when port optimization runs — the
+        // ablated flow chooses no widths, so there is nothing to keep safe.
         let currents = if options.port_optimization {
             electrical::net_currents(tech, lib, spec, biases, &placed.pins)
         } else {
@@ -1239,18 +1221,17 @@ fn run_flow(
         // widths (clean by construction thanks to the clamp above), static
         // IR on the synthesized grid, symmetry/matching lints, and
         // connectivity hygiene.
-        let erc = electrical::erc_report(&ErcBuild {
+        let erc = electrical::erc_report(ErcBuild {
             tech,
             lib,
             spec,
             biases: Some(biases),
             routing: Some(routing),
             widths: &widths,
-            pins: &placed.pins,
             rects: &placed.rects,
             layouts: &placed.chosen,
             power: power.as_ref(),
-            with_currents: options.port_optimization,
+            currents,
             with_symmetry: true,
         });
 

@@ -1,7 +1,7 @@
 //! The primitive cell generator: unit-transistor tiling, diffusion-sharing
 //! analysis, and LDE geometry extraction.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use prima_geom::{Nm, Point, Rect};
@@ -222,10 +222,11 @@ pub struct PrimitiveLayout {
     pub bbox: Rect,
     /// Per-device geometry, in spec order.
     pub devices: Vec<DeviceGeometry>,
-    /// Per-net wiring model (keyed by net name).
-    pub(crate) nets: HashMap<String, NetWiring>,
+    /// Per-net wiring model (keyed by net name). Ordered maps, so `Debug`
+    /// and the fingerprint read the nets in one order in every process.
+    pub(crate) nets: BTreeMap<String, NetWiring>,
     /// Tuning state: parallel trunk wires per net (default 1).
-    pub(crate) parallel_wires: HashMap<String, u32>,
+    pub(crate) parallel_wires: BTreeMap<String, u32>,
 }
 
 impl PrimitiveLayout {
@@ -292,17 +293,33 @@ struct Region {
     polarity: FetPolarity,
 }
 
-/// Generates a primitive layout for the given configuration.
+/// The validated outline of one cell configuration: what [`generate`]
+/// extracts parasitics from and [`crate::render()`] draws masks on.
+pub(crate) struct Frame {
+    /// Device index per finger column of one row, dummies excluded.
+    pub(crate) seq: Vec<usize>,
+    /// Dummy columns at each row end.
+    pub(crate) dummy_cols: usize,
+    /// Columns per row, dummies included.
+    pub(crate) n_cols: usize,
+    /// Height of one unit row (nm).
+    pub(crate) row_height: Nm,
+    /// Cell bounding box, anchored at the origin: `n_cols` poly pitches
+    /// plus the width overhead by `m` rows.
+    pub(crate) bbox: Rect,
+}
+
+/// Validates a configuration and lays out its frame.
 ///
 /// # Errors
 ///
 /// Returns [`LayoutError::BadConfig`] when any of `nfin`, `nf`, `m` is zero,
 /// the spec has no devices, or a device ratio is zero.
-pub fn generate(
+pub(crate) fn frame(
     tech: &Technology,
     spec: &PrimitiveSpec,
     cfg: &CellConfig,
-) -> Result<PrimitiveLayout, LayoutError> {
+) -> Result<Frame, LayoutError> {
     if cfg.nfin == 0 || cfg.nf == 0 || cfg.m == 0 {
         return Err(LayoutError::BadConfig {
             reason: format!("nfin/nf/m must all be >= 1, got {cfg:?}"),
@@ -318,18 +335,41 @@ pub fn generate(
             reason: "device ratio must be >= 1".to_string(),
         });
     }
-
     let fin = &tech.fin;
-    // ---- Column sequence for one row -------------------------------------
     let seq = arrange(cfg.pattern, &spec.devices, cfg.nf);
     let dummy_cols: usize = if cfg.dummies { 2 } else { 0 };
     let n_cols = seq.len() + 2 * dummy_cols;
-
-    // ---- Cell geometry ----------------------------------------------------
     let row_height: Nm = cfg.nfin as Nm * fin.fin_pitch + fin.cell_height_overhead;
     let width: Nm = n_cols as Nm * fin.poly_pitch + fin.cell_width_overhead;
     let height: Nm = cfg.m as Nm * row_height;
-    let bbox = Rect::from_size(Point::new(0, 0), width, height);
+    Ok(Frame {
+        seq,
+        dummy_cols,
+        n_cols,
+        row_height,
+        bbox: Rect::from_size(Point::new(0, 0), width, height),
+    })
+}
+
+/// Generates a primitive layout for the given configuration.
+///
+/// # Errors
+///
+/// Returns [`LayoutError::BadConfig`] when any of `nfin`, `nf`, `m` is zero,
+/// the spec has no devices, or a device ratio is zero.
+pub fn generate(
+    tech: &Technology,
+    spec: &PrimitiveSpec,
+    cfg: &CellConfig,
+) -> Result<PrimitiveLayout, LayoutError> {
+    let Frame {
+        seq,
+        dummy_cols,
+        n_cols,
+        row_height,
+        bbox,
+    } = frame(tech, spec, cfg)?;
+    let fin = &tech.fin;
 
     // ---- Diffusion-region scan (orientation greedy for sharing) -----------
     // regions[i] sits left of column i's gate; one more region after the last.
@@ -458,7 +498,7 @@ pub fn generate(
         // ratio), common to every device in the cell: the mean over rows of
         // the distance from the row center to the nearer well edge.
         let sc_mean = {
-            let h = height as f64;
+            let h = bbox.height() as f64;
             let rh = row_height as f64;
             (0..cfg.m)
                 .map(|r| {
@@ -489,7 +529,7 @@ pub fn generate(
     }
 
     // ---- Per-net wiring & junction extraction ------------------------------
-    let mut nets: HashMap<String, NetWiring> = HashMap::new();
+    let mut nets: BTreeMap<String, NetWiring> = BTreeMap::new();
     for net in spec.nets() {
         // Attachment columns: gates for gate nets, adjacent gaps for S/D.
         let mut cols: Vec<usize> = Vec::new();
@@ -544,7 +584,7 @@ pub fn generate(
         let span_nm = span_cols * fin.poly_pitch;
         // Trunk: horizontal span per row plus reach to the cell edge (port),
         // replicated per row; vertical tie between rows when m > 1.
-        let trunk_len_nm = span_nm + width / 2 + (cfg.m as Nm - 1) * row_height;
+        let trunk_len_nm = span_nm + bbox.width() / 2 + (cfg.m as Nm - 1) * row_height;
         // Stub: each attachment drops half the finger height on M1.
         let stub_len_nm = (cfg.nfin as Nm * fin.fin_pitch) / 2;
         let attachments = cols.len() as u32 * cfg.m;
@@ -576,12 +616,12 @@ pub fn generate(
         bbox,
         devices: devices_out,
         nets,
-        parallel_wires: HashMap::new(),
+        parallel_wires: BTreeMap::new(),
     })
 }
 
 /// Produces the per-row column sequence (device index per finger column).
-pub(crate) fn arrange(pattern: PlacementPattern, devices: &[DeviceSpec], nf: u32) -> Vec<usize> {
+fn arrange(pattern: PlacementPattern, devices: &[DeviceSpec], nf: u32) -> Vec<usize> {
     let counts: Vec<u32> = devices.iter().map(|d| nf * d.ratio).collect();
     match pattern {
         PlacementPattern::Aabb => {
@@ -629,8 +669,8 @@ pub(crate) fn arrange(pattern: PlacementPattern, devices: &[DeviceSpec], nf: u32
 }
 
 // ---------------------------------------------------------------------------
-// Content fingerprints (prima-cache). PrimitiveLayout's wiring maps are fed
-// in sorted key order so the hash is independent of HashMap iteration.
+// Content fingerprints (prima-cache). PrimitiveLayout's wiring maps are
+// ordered, so they feed in key order.
 
 use prima_cache::{Fingerprintable, FpHasher};
 
@@ -702,16 +742,16 @@ impl Fingerprintable for PrimitiveLayout {
         self.config.feed(h);
         self.bbox.feed(h);
         self.devices.feed(h);
-        let mut net_names: Vec<&String> = self.nets.keys().collect();
-        net_names.sort();
-        h.write_u64(net_names.len() as u64);
-        for name in net_names {
+        h.write_u64(self.nets.len() as u64);
+        for (name, w) in &self.nets {
             h.write_str(name);
-            if let Some(w) = self.nets.get(name) {
-                w.feed(h);
-            }
+            w.feed(h);
         }
-        h.write_str_u32_map(&self.parallel_wires);
+        h.write_u64(self.parallel_wires.len() as u64);
+        for (name, &k) in &self.parallel_wires {
+            h.write_str(name);
+            h.write_u32(k);
+        }
     }
 }
 
@@ -906,6 +946,38 @@ mod tests {
         let w = l.device("MA").unwrap().w_m;
         // 8 × 20 × 6 = 960 fins × 48 nm = 46.08 µm.
         assert!((w - 46.08e-6).abs() < 1e-9, "W = {w}");
+    }
+
+    /// A dp layout with two nets tuned, as selection and tuning leave one.
+    fn tuned_dp() -> PrimitiveLayout {
+        let tech = Technology::finfet7();
+        let mut l = generate(
+            &tech,
+            &dp_spec(),
+            &CellConfig::new(8, 20, 2, PlacementPattern::Abba),
+        )
+        .unwrap();
+        l.set_parallel_wires("s", 4).unwrap();
+        l.set_parallel_wires("da", 2).unwrap();
+        l
+    }
+
+    #[test]
+    fn tuned_layout_fingerprint_is_pinned() {
+        // Cache keys depend on this digest: it moves only with the layout's
+        // content, never with how the wiring maps are stored.
+        assert_eq!(
+            tuned_dp().fingerprint().to_string(),
+            "1daedfed9d6ded7e49ed98ed821d7fbc"
+        );
+    }
+
+    #[test]
+    fn debug_of_a_tuned_layout_is_deterministic() {
+        let first = format!("{:?}", tuned_dp());
+        for _ in 0..8 {
+            assert_eq!(format!("{:?}", tuned_dp()), first);
+        }
     }
 
     #[test]

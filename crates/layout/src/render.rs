@@ -3,13 +3,14 @@
 //! trunks), plus an SVG export for quick visual inspection.
 //!
 //! The electrical path ([`crate::generate`]) reduces geometry to parasitics
-//! and LDE parameters; this module re-derives the drawn shapes from the
-//! same configuration so tests can cross-check the two views.
+//! and LDE parameters; this module draws the shapes on the same validated
+//! cell frame, so the masks the DRC gate checks and the parasitics the
+//! testbenches simulate describe one cell.
 
 use prima_geom::{Nm, Point, Rect};
 use prima_pdk::Technology;
 
-use crate::cell::{arrange, CellConfig, LayoutError, PrimitiveSpec};
+use crate::cell::{frame, CellConfig, Frame, LayoutError, PrimitiveSpec};
 
 /// Drawn mask layers of a rendered cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,32 +97,22 @@ impl CellGeometry {
 ///
 /// # Errors
 ///
-/// Same validation as [`crate::generate`]: zero structural parameters or an
-/// empty device list are rejected.
+/// Same validation as [`crate::generate`], on the same frame: zero
+/// structural parameters, an empty device list or a zero device ratio are
+/// rejected.
 pub fn render(
     tech: &Technology,
     spec: &PrimitiveSpec,
     cfg: &CellConfig,
 ) -> Result<CellGeometry, LayoutError> {
-    if cfg.nfin == 0 || cfg.nf == 0 || cfg.m == 0 {
-        return Err(LayoutError::BadConfig {
-            reason: format!("nfin/nf/m must all be >= 1, got {cfg:?}"),
-        });
-    }
-    if spec.devices.is_empty() {
-        return Err(LayoutError::BadConfig {
-            reason: "primitive has no devices".to_string(),
-        });
-    }
+    let Frame {
+        dummy_cols,
+        n_cols,
+        row_height,
+        bbox,
+        ..
+    } = frame(tech, spec, cfg)?;
     let fin = &tech.fin;
-    let seq = arrange(cfg.pattern, &spec.devices, cfg.nf);
-    let dummy_cols: usize = if cfg.dummies { 2 } else { 0 };
-    let n_cols = seq.len() + 2 * dummy_cols;
-
-    let row_height: Nm = cfg.nfin as Nm * fin.fin_pitch + fin.cell_height_overhead;
-    let width: Nm = n_cols as Nm * fin.poly_pitch + fin.cell_width_overhead;
-    let height: Nm = cfg.m as Nm * row_height;
-    let bbox = Rect::from_size(Point::new(0, 0), width, height);
 
     let mut rects: Vec<(MaskLayer, Rect)> = vec![(MaskLayer::Boundary, bbox)];
     let x0 = fin.cell_width_overhead / 2;
@@ -251,6 +242,29 @@ mod tests {
         let g = render(&tech, &dp_spec(), &cfg).unwrap();
         let l = crate::generate(&tech, &dp_spec(), &cfg).unwrap();
         assert_eq!(g.bbox, l.bbox, "renderer and extractor disagree on size");
+    }
+
+    #[test]
+    fn zero_ratio_is_rejected_by_generate_and_render() {
+        // A zero-ratio device has no columns; both views refuse the cell
+        // rather than one of them drawing it without that device.
+        let tech = Technology::finfet7();
+        let spec = PrimitiveSpec::new(
+            "cm0",
+            vec![
+                DeviceSpec::new("MREF", FetPolarity::Nmos, "in", "in", "vss"),
+                DeviceSpec::with_ratio("MOUT", FetPolarity::Nmos, "out", "in", "vss", 0),
+            ],
+        );
+        let cfg = CellConfig::new(4, 4, 1, PlacementPattern::Abba);
+        assert!(matches!(
+            crate::generate(&tech, &spec, &cfg),
+            Err(LayoutError::BadConfig { .. })
+        ));
+        assert!(matches!(
+            render(&tech, &spec, &cfg),
+            Err(LayoutError::BadConfig { .. })
+        ));
     }
 
     #[test]

@@ -171,10 +171,9 @@ fn metric_value(
         PrimitiveClass::DifferentialPair => {
             dp_metric(tech, def, kind, view, bias, externals, measured)
         }
-        PrimitiveClass::CurrentMirror { .. } => {
-            mirror_metric(tech, def, kind, view, bias, externals)
+        PrimitiveClass::CurrentMirror { .. } | PrimitiveClass::CurrentSource => {
+            output_stage_metric(tech, def, kind, view, bias, externals)
         }
-        PrimitiveClass::CurrentSource => csrc_metric(tech, def, kind, view, bias, externals),
         PrimitiveClass::Amplifier => amp_metric(tech, def, kind, view, bias, externals),
         PrimitiveClass::Load => load_metric(tech, def, kind, view, bias, externals),
         PrimitiveClass::Switch => switch_metric(tech, def, kind, view, bias, externals),
@@ -235,6 +234,35 @@ fn admittance(circuit: &Circuit, drive: &str, f: f64) -> Result<Complex, EvalErr
     // Branch current flows out of the + node through the source, so the
     // current delivered into the network is its negation.
     Ok(-branch)
+}
+
+/// Output resistance `1/Re Y` seen by the voltage source `drive` (which
+/// must carry `ac_mag = 1`) at [`F_GM`].
+fn output_resistance(circuit: &Circuit, drive: &str) -> Result<f64, EvalError> {
+    let y = admittance(circuit, drive, F_GM)?;
+    if y.re <= 0.0 {
+        return Err(EvalError::MeasurementFailed {
+            what: format!("non-positive output conductance {}", y.re),
+        });
+    }
+    Ok(1.0 / y.re)
+}
+
+/// Capacitance `Im Y / 2πf` of an admittance `y` measured at `f`.
+fn capacitance(y: Complex, f: f64) -> f64 {
+    y.im / (2.0 * std::f64::consts::PI * f)
+}
+
+/// Ties the primitive's optional rail ports: `vss` to ground, then `vdd`
+/// to the supply.
+fn tie_rails(s: &mut Scaffold, def: &PrimitiveDef, vdd: f64) {
+    if def.ports.iter().any(|p| p == "vss") {
+        ground_port(s, "vss");
+    }
+    if def.ports.iter().any(|p| p == "vdd") {
+        let n = s.at("vdd");
+        s.circuit.vsource("VSUP", n, Circuit::GROUND, vdd);
+    }
 }
 
 /// A testbench scaffold whose DC operating point is re-solved as its
@@ -476,8 +504,7 @@ fn dp_gm(s: &Scaffold) -> Result<f64, EvalError> {
 
 /// Drain capacitance (F) of a DP scaffold built with an AC drain drive.
 fn dp_drain_cap(s: &Scaffold) -> Result<f64, EvalError> {
-    let y = admittance(&s.circuit, "VDA", F_CAP)?;
-    Ok(y.im / (2.0 * std::f64::consts::PI * F_CAP))
+    Ok(capacitance(admittance(&s.circuit, "VDA", F_CAP)?, F_CAP))
 }
 
 /// `Gm/Ctotal` from a measured Gm and drain capacitance.
@@ -556,106 +583,43 @@ fn dp_metric(
 // Current mirrors / sources / loads
 // ---------------------------------------------------------------------------
 
-fn mirror_scaffold(
+/// The testbench a current mirror and a current source share. One input
+/// element sets the output current: a mirror's reference current `IREF`
+/// into `in`, or a source's gate bias `VB` at `vb`. The output stage
+/// follows: `VOUT` holds `out` (with a unit AC drive when `ac_out`), then
+/// the rail ties.
+fn output_stage_scaffold(
     tech: &Technology,
     def: &PrimitiveDef,
     view: LayoutView<'_>,
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
+    mirror: bool,
     ac_out: bool,
 ) -> Result<Scaffold, EvalError> {
     let mut s = build_scaffold(tech, def, view, externals)?;
     let vdd = bias.vdd;
     drive_supply(&mut s, vdd);
     let pol = polarity(def);
-    let iref = bias.i("ref", 100e-6);
-    let vout = bias.v(
-        "vout",
+    if mirror {
+        let iref = bias.i("ref", 100e-6);
+        let in_n = s.at("in");
         match pol {
-            FetPolarity::Nmos => 0.5 * vdd,
-            FetPolarity::Pmos => 0.5 * vdd,
-        },
-    );
-    let in_n = s.at("in");
-    match pol {
-        FetPolarity::Nmos => s.circuit.isource("IREF", Circuit::GROUND, in_n, iref),
-        FetPolarity::Pmos => s.circuit.isource("IREF", in_n, Circuit::GROUND, iref),
-    }
-    let out_n = s.at("out");
-    s.circuit.vsource_ac(
-        "VOUT",
-        out_n,
-        Circuit::GROUND,
-        vout,
-        if ac_out { 1.0 } else { 0.0 },
-    );
-    if def.ports.iter().any(|p| p == "vss") {
-        ground_port(&mut s, "vss");
-    }
-    if def.ports.iter().any(|p| p == "vdd") {
-        let n = s.at("vdd");
-        s.circuit.vsource("VSUP", n, Circuit::GROUND, vdd);
-    }
-    Ok(s)
-}
-
-fn mirror_metric(
-    tech: &Technology,
-    def: &PrimitiveDef,
-    kind: MetricKind,
-    view: LayoutView<'_>,
-    bias: &Bias,
-    externals: &HashMap<String, ExternalWire>,
-) -> Result<f64, EvalError> {
-    match kind {
-        MetricKind::OutputCurrent => {
-            let s = mirror_scaffold(tech, def, view, bias, externals, false)?;
-            let op = DcSolver::new().solve(&s.circuit)?;
-            Ok(op.branch_current("VOUT").expect("VOUT").abs())
+            FetPolarity::Nmos => s.circuit.isource("IREF", Circuit::GROUND, in_n, iref),
+            FetPolarity::Pmos => s.circuit.isource("IREF", in_n, Circuit::GROUND, iref),
         }
-        MetricKind::Cout => {
-            let s = mirror_scaffold(tech, def, view, bias, externals, true)?;
-            let y = admittance(&s.circuit, "VOUT", F_CAP)?;
-            Ok(y.im / (2.0 * std::f64::consts::PI * F_CAP))
-        }
-        MetricKind::OutputResistance => {
-            let s = mirror_scaffold(tech, def, view, bias, externals, true)?;
-            let y = admittance(&s.circuit, "VOUT", F_GM)?;
-            if y.re <= 0.0 {
-                return Err(EvalError::MeasurementFailed {
-                    what: format!("non-positive output conductance {}", y.re),
-                });
-            }
-            Ok(1.0 / y.re)
-        }
-        other => Err(EvalError::Unsupported {
-            reason: format!("metric {other:?} on a current mirror"),
-        }),
+    } else {
+        let vb = bias.v(
+            "vb",
+            match pol {
+                FetPolarity::Nmos => 0.45 * vdd,
+                FetPolarity::Pmos => 0.55 * vdd,
+            },
+        );
+        let vb_n = s.at("vb");
+        s.circuit.vsource("VB", vb_n, Circuit::GROUND, vb);
     }
-}
-
-fn csrc_scaffold(
-    tech: &Technology,
-    def: &PrimitiveDef,
-    view: LayoutView<'_>,
-    bias: &Bias,
-    externals: &HashMap<String, ExternalWire>,
-    ac_out: bool,
-) -> Result<Scaffold, EvalError> {
-    let mut s = build_scaffold(tech, def, view, externals)?;
-    let vdd = bias.vdd;
-    drive_supply(&mut s, vdd);
-    let pol = polarity(def);
-    let vb = bias.v(
-        "vb",
-        match pol {
-            FetPolarity::Nmos => 0.45 * vdd,
-            FetPolarity::Pmos => 0.55 * vdd,
-        },
-    );
     let vout = bias.v("vout", 0.5 * vdd);
-    let vb_n = s.at("vb");
-    s.circuit.vsource("VB", vb_n, Circuit::GROUND, vb);
     let out_n = s.at("out");
     s.circuit.vsource_ac(
         "VOUT",
@@ -664,17 +628,13 @@ fn csrc_scaffold(
         vout,
         if ac_out { 1.0 } else { 0.0 },
     );
-    if def.ports.iter().any(|p| p == "vss") {
-        ground_port(&mut s, "vss");
-    }
-    if def.ports.iter().any(|p| p == "vdd") {
-        let n = s.at("vdd");
-        s.circuit.vsource("VSUP", n, Circuit::GROUND, vdd);
-    }
+    tie_rails(&mut s, def, vdd);
     Ok(s)
 }
 
-fn csrc_metric(
+/// Output current, output resistance and output capacitance of a current
+/// mirror or a current source.
+fn output_stage_metric(
     tech: &Technology,
     def: &PrimitiveDef,
     kind: MetricKind,
@@ -682,29 +642,28 @@ fn csrc_metric(
     bias: &Bias,
     externals: &HashMap<String, ExternalWire>,
 ) -> Result<f64, EvalError> {
+    let mirror = matches!(def.class, PrimitiveClass::CurrentMirror { .. });
+    let scaffold = |ac_out| output_stage_scaffold(tech, def, view, bias, externals, mirror, ac_out);
     match kind {
         MetricKind::OutputCurrent => {
-            let s = csrc_scaffold(tech, def, view, bias, externals, false)?;
+            let s = scaffold(false)?;
             let op = DcSolver::new().solve(&s.circuit)?;
             Ok(op.branch_current("VOUT").expect("VOUT").abs())
         }
-        MetricKind::OutputResistance => {
-            let s = csrc_scaffold(tech, def, view, bias, externals, true)?;
-            let y = admittance(&s.circuit, "VOUT", F_GM)?;
-            if y.re <= 0.0 {
-                return Err(EvalError::MeasurementFailed {
-                    what: format!("non-positive output conductance {}", y.re),
-                });
-            }
-            Ok(1.0 / y.re)
-        }
+        MetricKind::OutputResistance => output_resistance(&scaffold(true)?.circuit, "VOUT"),
         MetricKind::Cout => {
-            let s = csrc_scaffold(tech, def, view, bias, externals, true)?;
-            let y = admittance(&s.circuit, "VOUT", F_CAP)?;
-            Ok(y.im / (2.0 * std::f64::consts::PI * F_CAP))
+            let s = scaffold(true)?;
+            Ok(capacitance(admittance(&s.circuit, "VOUT", F_CAP)?, F_CAP))
         }
         other => Err(EvalError::Unsupported {
-            reason: format!("metric {other:?} on a current source"),
+            reason: format!(
+                "metric {other:?} on {}",
+                if mirror {
+                    "a current mirror"
+                } else {
+                    "a current source"
+                }
+            ),
         }),
     }
 }
@@ -737,13 +696,7 @@ fn amp_metric(
         s.circuit
             .vsource_ac("VOUT", out_n, Circuit::GROUND, vout, ac_out);
         add_load(&mut s, bias, "out");
-        if def.ports.iter().any(|p| p == "vss") {
-            ground_port(&mut s, "vss");
-        }
-        if def.ports.iter().any(|p| p == "vdd") {
-            let n = s.at("vdd");
-            s.circuit.vsource("VSUP", n, Circuit::GROUND, vdd);
-        }
+        tie_rails(&mut s, def, vdd);
         Ok(s)
     };
     match kind {
@@ -752,20 +705,10 @@ fn amp_metric(
             let res = AcSolver::new().solve(&s.circuit, &FrequencySweep::List(vec![F_GM]))?;
             Ok(res.branch_phasor("VOUT", 0).expect("VOUT").norm())
         }
-        MetricKind::OutputResistance => {
-            let s = build(0.0, 1.0)?;
-            let y = admittance(&s.circuit, "VOUT", F_GM)?;
-            if y.re <= 0.0 {
-                return Err(EvalError::MeasurementFailed {
-                    what: format!("non-positive output conductance {}", y.re),
-                });
-            }
-            Ok(1.0 / y.re)
-        }
+        MetricKind::OutputResistance => output_resistance(&build(0.0, 1.0)?.circuit, "VOUT"),
         MetricKind::Cout => {
             let s = build(0.0, 1.0)?;
-            let y = admittance(&s.circuit, "VOUT", F_CAP)?;
-            Ok(y.im / (2.0 * std::f64::consts::PI * F_CAP))
+            Ok(capacitance(admittance(&s.circuit, "VOUT", F_CAP)?, F_CAP))
         }
         other => Err(EvalError::Unsupported {
             reason: format!("metric {other:?} on an amplifier stage"),
@@ -798,13 +741,7 @@ fn load_metric(
                     .isource_wave("IBIAS", out_n, Circuit::GROUND, Waveform::Dc(iref), ac)
             }
         }
-        if def.ports.iter().any(|p| p == "vss") {
-            ground_port(&mut s, "vss");
-        }
-        if def.ports.iter().any(|p| p == "vdd") {
-            let n = s.at("vdd");
-            s.circuit.vsource("VSUP", n, Circuit::GROUND, vdd);
-        }
+        tie_rails(&mut s, def, vdd);
         Ok(s)
     };
     let impedance = |f: f64| -> Result<Complex, EvalError> {
@@ -820,8 +757,7 @@ fn load_metric(
         }
         MetricKind::Cout => {
             let z = impedance(F_CAP)?;
-            let y = z.recip();
-            Ok(y.im.abs() / (2.0 * std::f64::consts::PI * F_CAP))
+            Ok(capacitance(z.recip(), F_CAP).abs())
         }
         other => Err(EvalError::Unsupported {
             reason: format!("metric {other:?} on a load"),
@@ -875,8 +811,7 @@ fn switch_metric(
             let s = build(1.0)?;
             let res = AcSolver::new().solve(&s.circuit, &FrequencySweep::List(vec![F_CAP]))?;
             let z = res.phasor(s.at("b"), 0);
-            let y = z.recip();
-            Ok(y.im.abs() / (2.0 * std::f64::consts::PI * F_CAP))
+            Ok(capacitance(z.recip(), F_CAP).abs())
         }
         other => Err(EvalError::Unsupported {
             reason: format!("metric {other:?} on a switch"),
@@ -926,13 +861,7 @@ fn ccpair_metric(
             let n = s.at("vbp");
             s.circuit.vsource("VBP", n, Circuit::GROUND, v);
         }
-        if def.ports.iter().any(|p| p == "vss") {
-            ground_port(&mut s, "vss");
-        }
-        if def.ports.iter().any(|p| p == "vdd") {
-            let n = s.at("vdd");
-            s.circuit.vsource("VSUP", n, Circuit::GROUND, vdd);
-        }
+        tie_rails(&mut s, def, vdd);
         Ok(s)
     };
     match kind {
@@ -947,8 +876,7 @@ fn ccpair_metric(
         }
         MetricKind::Cout => {
             let s = build(1.0, 0.0)?;
-            let y = admittance(&s.circuit, "VOP", F_CAP)?;
-            Ok(y.im.abs() / (2.0 * std::f64::consts::PI * F_CAP))
+            Ok(capacitance(admittance(&s.circuit, "VOP", F_CAP)?, F_CAP).abs())
         }
         MetricKind::GmOverCtotal => {
             // Regeneration figure of merit: gm over output capacitance.
@@ -1121,13 +1049,9 @@ fn passive_cap_metric(
     c.resistor("RB", b, Circuit::GROUND, rb.max(1e-3))
         .map_err(EvalError::Spice)?;
     match kind {
-        MetricKind::Capacitance => {
-            let y = admittance(&c, "VDRV", F_GM)?;
-            Ok(y.im / (2.0 * std::f64::consts::PI * F_GM))
-        }
+        MetricKind::Capacitance => Ok(capacitance(admittance(&c, "VDRV", F_GM)?, F_GM)),
         MetricKind::Bandwidth => {
-            let y = admittance(&c, "VDRV", F_GM)?;
-            let ceff = y.im / (2.0 * std::f64::consts::PI * F_GM);
+            let ceff = capacitance(admittance(&c, "VDRV", F_GM)?, F_GM);
             let rtot = ra + rb.max(1e-3);
             Ok(1.0 / (2.0 * std::f64::consts::PI * rtot * ceff.max(1e-21)))
         }
@@ -1176,9 +1100,8 @@ fn passive_res_metric(
             Ok(1.0 / i)
         }
         MetricKind::Cout => {
-            let y = admittance(&c, "VDRV", F_CAP)?;
             // Remove the resistive part: C = Im(Y)/ω.
-            Ok(y.im.abs() / (2.0 * std::f64::consts::PI * F_CAP))
+            Ok(capacitance(admittance(&c, "VDRV", F_CAP)?, F_CAP).abs())
         }
         other => Err(EvalError::Unsupported {
             reason: format!("metric {other:?} on a resistor"),

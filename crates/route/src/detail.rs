@@ -139,6 +139,12 @@ impl DetailedResult {
 /// Maximum track shift explored per segment before reporting congestion.
 const MAX_SHIFT: i64 = 40;
 
+/// Track shifts in search order, nearest first: 0, +1, −1, +2, −2, … ±
+/// [`MAX_SHIFT`].
+fn shift_order() -> impl Iterator<Item = i64> {
+    std::iter::once(0).chain((1..=MAX_SHIFT).flat_map(|m| [m, -m]))
+}
+
 /// The detailed router.
 #[derive(Debug, Clone)]
 pub struct DetailRouter<'t> {
@@ -347,13 +353,7 @@ impl<'t> DetailRouter<'t> {
             let partner_try = self
                 .assign_segment_shifted(&partner.net, seg_b, kp, occupied, Some(shift))
                 .ok()
-                .filter(|(b_asgn, _)| {
-                    // Layer validated when the assignment was produced.
-                    let gap = self.min_space(a_asgn.layer);
-                    !(a_asgn.layer == b_asgn.layer
-                        && !spans_clear(a_asgn.span, b_asgn.span, gap)
-                        && a_asgn.tracks.iter().any(|t| b_asgn.tracks.contains(t)))
-                });
+                .filter(|(b_asgn, _)| !self.collide(&a_asgn, b_asgn));
             let (a_asgn, b_asgn) = match partner_try {
                 Some((b_asgn, _)) => (a_asgn, b_asgn),
                 None => self.assign_pair_jointly(route, partner, ix, k, kp, occupied)?,
@@ -393,24 +393,12 @@ impl<'t> DetailRouter<'t> {
             .segments
             .get(ix)
             .ok_or(DetailError::PairDesync { net: b.net.clone() })?;
-        for shift_mag in 0..=MAX_SHIFT {
-            for sign in [1i64, -1] {
-                if shift_mag == 0 && sign < 0 {
-                    continue;
-                }
-                let shift = sign * shift_mag;
-                let ra = self.assign_segment_shifted(&a.net, seg_a, ka, occupied, Some(shift));
-                let rb = self.assign_segment_shifted(&b.net, seg_b, kb, occupied, Some(shift));
-                if let (Ok((aa, _)), Ok((bb, _))) = (ra, rb) {
-                    // The two assignments must also not collide with each
-                    // other.
-                    let gap = self.min_space(aa.layer);
-                    let overlap = aa.layer == bb.layer
-                        && !spans_clear(aa.span, bb.span, gap)
-                        && aa.tracks.iter().any(|t| bb.tracks.contains(t));
-                    if !overlap {
-                        return Ok((aa, bb));
-                    }
+        for shift in shift_order() {
+            let ra = self.assign_segment_shifted(&a.net, seg_a, ka, occupied, Some(shift));
+            let rb = self.assign_segment_shifted(&b.net, seg_b, kb, occupied, Some(shift));
+            if let (Ok((aa, _)), Ok((bb, _))) = (ra, rb) {
+                if !self.collide(&aa, &bb) {
+                    return Ok((aa, bb));
                 }
             }
         }
@@ -420,8 +408,19 @@ impl<'t> DetailRouter<'t> {
         })
     }
 
-    /// Trial assignment at a fixed shift (`Some`) or searching (`None`),
-    /// without mutating the occupancy map.
+    /// Whether two assignments of a symmetric pair collide: the same layer,
+    /// spans closer than its min-space, and a shared track.
+    fn collide(&self, a: &TrackAssignment, b: &TrackAssignment) -> bool {
+        // Layer validated when the assignment was produced.
+        let gap = self.min_space(a.layer);
+        a.layer == b.layer
+            && !spans_clear(a.span, b.span, gap)
+            && a.tracks.iter().any(|t| b.tracks.contains(t))
+    }
+
+    /// Trial assignment of `k` adjacent tracks at a fixed shift (`Some`) or
+    /// at the first free shift in [`shift_order`] (`None`), without
+    /// mutating the occupancy map.
     fn assign_segment_shifted(
         &self,
         net: &str,
@@ -439,70 +438,6 @@ impl<'t> DetailRouter<'t> {
             })?
             .pitch;
         let horizontal = seg.from.y == seg.to.y;
-        let perp = if horizontal { seg.from.y } else { seg.from.x };
-        let base_track = perp.div_euclid(pitch);
-        let span = if horizontal {
-            (seg.from.x.min(seg.to.x), seg.from.x.max(seg.to.x))
-        } else {
-            (seg.from.y.min(seg.to.y), seg.from.y.max(seg.to.y))
-        };
-        let shifts: Vec<i64> = match fixed_shift {
-            Some(sh) => vec![sh],
-            None => {
-                let mut v = vec![0];
-                for m in 1..=MAX_SHIFT {
-                    v.push(m);
-                    v.push(-m);
-                }
-                v
-            }
-        };
-        let gap = self.min_space(seg.layer);
-        for shift in shifts {
-            let start = base_track + shift;
-            let tracks: Vec<i64> = (0..k as i64).map(|d| start + d).collect();
-            let free = tracks.iter().all(|&t| {
-                occupied
-                    .get(&(seg.layer, t))
-                    .map(|spans| spans.iter().all(|&s| spans_clear(s, span, gap)))
-                    .unwrap_or(true)
-            });
-            if free {
-                return Ok((
-                    TrackAssignment {
-                        net: net.to_string(),
-                        layer: seg.layer,
-                        tracks,
-                        span,
-                    },
-                    shift,
-                ));
-            }
-        }
-        Err(DetailError::Congested {
-            net: net.to_string(),
-            layer: seg.layer,
-        })
-    }
-
-    /// Finds `k` adjacent free tracks for one segment, preferring the track
-    /// closest to the global route's position.
-    fn assign_segment(
-        &self,
-        net: &str,
-        seg: &Segment,
-        k: u32,
-        occupied: &mut HashMap<(usize, i64), Vec<(Nm, Nm)>>,
-    ) -> Result<TrackAssignment, DetailError> {
-        let pitch = self
-            .tech
-            .try_metal(seg.layer)
-            .map_err(|source| DetailError::BadLayer {
-                net: net.to_string(),
-                source,
-            })?
-            .pitch;
-        let horizontal = seg.from.y == seg.to.y;
         // Track coordinate: the perpendicular axis.
         let perp = if horizontal { seg.from.y } else { seg.from.x };
         let base_track = perp.div_euclid(pitch);
@@ -511,39 +446,47 @@ impl<'t> DetailRouter<'t> {
         } else {
             (seg.from.y.min(seg.to.y), seg.from.y.max(seg.to.y))
         };
-
-        // Search order: 0, +1, −1, +2, −2, …
         let gap = self.min_space(seg.layer);
-        for shift_mag in 0..=MAX_SHIFT {
-            for sign in [1i64, -1] {
-                if shift_mag == 0 && sign < 0 {
-                    continue;
-                }
-                let start = base_track + sign * shift_mag;
-                let tracks: Vec<i64> = (0..k as i64).map(|d| start + d).collect();
-                let free = tracks.iter().all(|&t| {
-                    occupied
-                        .get(&(seg.layer, t))
-                        .map(|spans| spans.iter().all(|&s| spans_clear(s, span, gap)))
-                        .unwrap_or(true)
-                });
-                if free {
-                    for &t in &tracks {
-                        occupied.entry((seg.layer, t)).or_default().push(span);
-                    }
-                    return Ok(TrackAssignment {
-                        net: net.to_string(),
-                        layer: seg.layer,
-                        tracks,
-                        span,
-                    });
-                }
-            }
+        let free = |shift: i64| {
+            (0..k as i64).all(|d| {
+                occupied
+                    .get(&(seg.layer, base_track + shift + d))
+                    .map(|spans| spans.iter().all(|&s| spans_clear(s, span, gap)))
+                    .unwrap_or(true)
+            })
+        };
+        let shift = match fixed_shift {
+            Some(shift) => Some(shift).filter(|&sh| free(sh)),
+            None => shift_order().find(|&sh| free(sh)),
         }
-        Err(DetailError::Congested {
+        .ok_or_else(|| DetailError::Congested {
             net: net.to_string(),
             layer: seg.layer,
-        })
+        })?;
+        let start = base_track + shift;
+        Ok((
+            TrackAssignment {
+                net: net.to_string(),
+                layer: seg.layer,
+                tracks: (0..k as i64).map(|d| start + d).collect(),
+                span,
+            },
+            shift,
+        ))
+    }
+
+    /// Finds `k` adjacent free tracks for one segment, preferring the track
+    /// closest to the global route's position, and occupies them.
+    fn assign_segment(
+        &self,
+        net: &str,
+        seg: &Segment,
+        k: u32,
+        occupied: &mut HashMap<(usize, i64), Vec<(Nm, Nm)>>,
+    ) -> Result<TrackAssignment, DetailError> {
+        let (a, _) = self.assign_segment_shifted(net, seg, k, occupied, None)?;
+        occupy(occupied, &a);
+        Ok(a)
     }
 }
 
