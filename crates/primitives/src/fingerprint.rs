@@ -17,7 +17,7 @@ use crate::metrics::{Metric, MetricKind};
 
 /// Bumped whenever a testbench changes what (or how) it measures, so
 /// persisted caches from older testbench revisions invalidate wholesale.
-pub const TESTBENCH_VERSION: u32 = 2;
+pub const TESTBENCH_VERSION: u32 = 3;
 
 impl Fingerprintable for MetricKind {
     fn feed(&self, h: &mut FpHasher) {

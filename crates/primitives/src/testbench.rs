@@ -926,6 +926,63 @@ fn csi_scaffold(
     Ok(s)
 }
 
+/// Timestep of the current-starved inverter's transient (s): 1,000 steps
+/// over its 1.5 ns horizon.
+const CSI_STEP: f64 = 1.5e-12;
+
+/// One measurement read from a shared simulation: its value, or why it
+/// could not be read.
+type Measured = Result<f64, EvalError>;
+
+/// The current-starved inverter's pulse transient at timestep `dt`: its
+/// average propagation delay and its average supply current.
+fn csi_transient(
+    tech: &Technology,
+    def: &PrimitiveDef,
+    view: LayoutView<'_>,
+    bias: &Bias,
+    externals: &HashMap<String, ExternalWire>,
+    dt: f64,
+) -> Result<(Measured, Measured), EvalError> {
+    let vdd = bias.vdd;
+    let pulse = Waveform::Pulse {
+        v1: 0.0,
+        v2: vdd,
+        delay: 0.15e-9,
+        rise: 20e-12,
+        fall: 20e-12,
+        width: 0.6e-9,
+        period: f64::INFINITY,
+    };
+    let s = csi_scaffold(tech, def, view, bias, externals, pulse)?;
+    let res = TranSolver::new(dt, 1.5e-9).solve(&s.circuit)?;
+    let t = res.times();
+    let delay = || -> Result<f64, EvalError> {
+        let vin = res.voltage(s.port["in"]);
+        let vout = res.voltage(s.port["out"]);
+        let half = vdd / 2.0;
+        let d_hl = measure::delay(t, &vin, half, Edge::Rising, 1, &vout, half, Edge::Falling)
+            .map_err(|e| EvalError::MeasurementFailed {
+                what: format!("no output fall: {e}"),
+            })?;
+        let d_lh = measure::delay(t, &vin, half, Edge::Falling, 1, &vout, half, Edge::Rising)
+            .map_err(|e| EvalError::MeasurementFailed {
+                what: format!("no output rise: {e}"),
+            })?;
+        Ok(0.5 * (d_hl + d_lh))
+    };
+    let current = || -> Result<f64, EvalError> {
+        let i = res
+            .branch_current("VSUP")
+            .ok_or(EvalError::MeasurementFailed {
+                what: "no supply branch".to_string(),
+            })?;
+        let i_abs: Vec<f64> = i.iter().map(|x| x.abs()).collect();
+        Ok(measure::average(t, &i_abs, 0.15e-9, 1.45e-9)?)
+    };
+    Ok((delay(), current()))
+}
+
 fn csi_metric(
     tech: &Technology,
     def: &PrimitiveDef,
@@ -938,48 +995,12 @@ fn csi_metric(
     let vdd = bias.vdd;
     match kind {
         MetricKind::Delay | MetricKind::OutputCurrent => {
-            let pulse = Waveform::Pulse {
-                v1: 0.0,
-                v2: vdd,
-                delay: 0.15e-9,
-                rise: 20e-12,
-                fall: 20e-12,
-                width: 0.6e-9,
-                period: f64::INFINITY,
-            };
-            let s = csi_scaffold(tech, def, view, bias, externals, pulse)?;
-            let res = TranSolver::new(1.5e-12, 1.5e-9).solve(&s.circuit)?;
-            let t = res.times();
-            let delay = || -> Result<f64, EvalError> {
-                let vin = res.voltage(s.port["in"]);
-                let vout = res.voltage(s.port["out"]);
-                let half = vdd / 2.0;
-                let d_hl =
-                    measure::delay(t, &vin, half, Edge::Rising, 1, &vout, half, Edge::Falling)
-                        .map_err(|e| EvalError::MeasurementFailed {
-                            what: format!("no output fall: {e}"),
-                        })?;
-                let d_lh =
-                    measure::delay(t, &vin, half, Edge::Falling, 1, &vout, half, Edge::Rising)
-                        .map_err(|e| EvalError::MeasurementFailed {
-                            what: format!("no output rise: {e}"),
-                        })?;
-                Ok(0.5 * (d_hl + d_lh))
-            };
-            let current = || -> Result<f64, EvalError> {
-                let i = res
-                    .branch_current("VSUP")
-                    .ok_or(EvalError::MeasurementFailed {
-                        what: "no supply branch".to_string(),
-                    })?;
-                let i_abs: Vec<f64> = i.iter().map(|x| x.abs()).collect();
-                Ok(measure::average(t, &i_abs, 0.15e-9, 1.45e-9)?)
-            };
+            let (delay, current) = csi_transient(tech, def, view, bias, externals, CSI_STEP)?;
             // One transient gives both: keep the one not asked for.
             let (v, other_kind, other) = if kind == MetricKind::Delay {
-                (delay(), MetricKind::OutputCurrent, current())
+                (delay, MetricKind::OutputCurrent, current)
             } else {
-                (current(), MetricKind::Delay, delay())
+                (current, MetricKind::Delay, delay)
             };
             if let Ok(o) = other {
                 measured.insert(other_kind, o);
@@ -1073,23 +1094,30 @@ fn passive_res_metric(
                 .to_string(),
         });
     }
+    // `VDRV` reaches port `a` through `a`'s wire, and each wire's
+    // capacitance sits at its own port.
+    let wire = |port: &str| externals.get(port).copied().unwrap_or_default();
+    let (wa, wb) = (wire("a"), wire("b"));
     let mut c = Circuit::new();
+    let drv = c.node("drv");
     let a = c.node("a");
-    let mid = c.node("mid");
-    let ra = externals.get("a").map(|w| w.r_ohm).unwrap_or(0.0);
-    let rb = externals.get("b").map(|w| w.r_ohm).unwrap_or(0.0);
-    let cext: f64 = externals.values().map(|w| w.c_f).sum();
-    c.vsource_ac("VDRV", a, Circuit::GROUND, 1.0, 1.0);
-    c.resistor("RMAIN", a, mid, (design_ohm + ra).max(1e-3))
+    let b = c.node("b");
+    c.vsource_ac("VDRV", drv, Circuit::GROUND, 1.0, 1.0);
+    c.resistor("RA", drv, a, wa.r_ohm.max(1e-3))
         .map_err(EvalError::Spice)?;
-    c.resistor("RB", mid, Circuit::GROUND, rb.max(1e-3))
+    c.resistor("RMAIN", a, b, design_ohm.max(1e-3))
         .map_err(EvalError::Spice)?;
-    if cext > 0.0 {
-        c.capacitor("CEXT", mid, Circuit::GROUND, cext)
-            .map_err(EvalError::Spice)?;
+    for (name, n, w) in [("CA", a, wa), ("CB", b, wb)] {
+        if w.c_f > 0.0 {
+            c.capacitor(name, n, Circuit::GROUND, w.c_f)
+                .map_err(EvalError::Spice)?;
+        }
     }
     match kind {
         MetricKind::Resistance => {
+            // Port `b` reaches ground through its wire.
+            c.resistor("RB", b, Circuit::GROUND, wb.r_ohm.max(1e-3))
+                .map_err(EvalError::Spice)?;
             let op = DcSolver::new().solve(&c)?;
             let i = op.branch_current("VDRV").expect("VDRV").abs();
             if i <= 0.0 {
@@ -1100,7 +1128,9 @@ fn passive_res_metric(
             Ok(1.0 / i)
         }
         MetricKind::Cout => {
-            // Remove the resistive part: C = Im(Y)/ω.
+            // Port `b`'s far end stays open, so `VDRV` sees both ports'
+            // wire capacitance, `b`'s through the resistor. Remove the
+            // resistive part: C = Im(Y)/ω.
             Ok(capacitance(admittance(&c, "VDRV", F_CAP)?, F_CAP).abs())
         }
         other => Err(EvalError::Unsupported {
@@ -1455,6 +1485,115 @@ mod tests {
         )
         .unwrap();
         assert!(g > 1.0, "inverter gain {g}");
+    }
+
+    /// The CSI's delay and supply current at its 1.5 ps step stay within
+    /// 2.5% of the same testbench at a 16× finer step: on the schematic
+    /// and on a spread of standard-space layouts, bare and with a wire on
+    /// `out`, on all three decks.
+    #[test]
+    fn csi_transient_matches_a_16x_finer_step() {
+        let lib = Library::standard();
+        let csi = lib.get("csi").unwrap();
+        let configs = [
+            (2, 8, 1, PlacementPattern::Aabb, true),
+            (4, 4, 1, PlacementPattern::Abab, true),
+            (4, 2, 2, PlacementPattern::Abba, false),
+        ];
+        let out_wire = HashMap::from([(
+            "out".to_string(),
+            ExternalWire {
+                r_ohm: 40.0,
+                c_f: 3e-15,
+            },
+        )]);
+        for tech in [
+            Technology::finfet7(),
+            Technology::bulk16(),
+            Technology::sky130ish(),
+        ] {
+            let bias = Bias::nominal(&tech, &csi.class);
+            let layouts: Vec<_> = configs
+                .iter()
+                .map(|&(nfin, nf, m, pattern, dummies)| {
+                    let mut cfg = CellConfig::new(nfin, nf, m, pattern);
+                    cfg.dummies = dummies;
+                    generate(&tech, &csi.spec, &cfg).unwrap()
+                })
+                .collect();
+            let mut views = vec![LayoutView::Schematic { total_fins: 16 }];
+            views.extend(layouts.iter().map(LayoutView::Layout));
+            for view in views {
+                for externals in [HashMap::new(), out_wire.clone()] {
+                    let run = |dt| {
+                        let (d, i) =
+                            csi_transient(&tech, csi, view, &bias, &externals, dt).unwrap();
+                        (d.unwrap(), i.unwrap())
+                    };
+                    let (d, i) = run(CSI_STEP);
+                    let (d_fine, i_fine) = run(CSI_STEP / 16.0);
+                    for (what, coarse, fine) in [("delay", d, d_fine), ("current", i, i_fine)] {
+                        let dev = (coarse - fine).abs() / fine;
+                        assert!(
+                            dev < 0.025,
+                            "{}: {what} {coarse:e} vs {fine:e} at the finer step ({:.2}%)",
+                            tech.name,
+                            100.0 * dev
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The poly resistor against closed forms: `R` is the 2 kΩ design
+    /// value plus each port's wire resistance, and `C` is the wire
+    /// capacitance at whichever port carries it (within 5%: at `F_CAP`,
+    /// ω·R·C ≈ 0.04 for 3 fF behind 2 kΩ). The bare resistor reads no `C`.
+    #[test]
+    fn passive_res_matches_closed_forms() {
+        let (tech, lib) = setup();
+        let res = lib.get("res_poly").unwrap();
+        let bias = Bias::nominal(&tech, &res.class);
+        let view = LayoutView::Schematic { total_fins: 0 };
+        let wire = |r_ohm, c_f| ExternalWire { r_ohm, c_f };
+        let cases = [
+            ("bare", HashMap::new()),
+            (
+                "wire a",
+                HashMap::from([("a".to_string(), wire(40.0, 3e-15))]),
+            ),
+            (
+                "wire b",
+                HashMap::from([("b".to_string(), wire(40.0, 3e-15))]),
+            ),
+            (
+                "wires a, b",
+                HashMap::from([
+                    ("a".to_string(), wire(25.0, 0.0)),
+                    ("b".to_string(), wire(60.0, 0.0)),
+                ]),
+            ),
+        ];
+        for (what, externals) in cases {
+            let values = evaluate_all(&tech, res, view, &bias, &externals).unwrap();
+            let port = |p: &str| externals.get(p).copied().unwrap_or_default();
+            let r_want = 2e3 + port("a").r_ohm + port("b").r_ohm;
+            let c_want = port("a").c_f + port("b").c_f;
+            let (r, c) = (values["R"], values["C"]);
+            assert!(
+                (r - r_want).abs() / r_want < 1e-5,
+                "{what}: R {r} vs {r_want}"
+            );
+            if c_want == 0.0 {
+                assert_eq!(c, 0.0, "{what}: C");
+            } else {
+                assert!(
+                    (c - c_want).abs() / c_want < 0.05,
+                    "{what}: C {c:e} vs {c_want:e}"
+                );
+            }
+        }
     }
 
     #[test]

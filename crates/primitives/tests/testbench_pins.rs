@@ -20,23 +20,23 @@ use prima_pdk::Technology;
 use prima_primitives::{evaluate_all, Bias, ExternalWire, LayoutView, Library, TESTBENCH_VERSION};
 
 /// `(primitive, view, metric, f64 bits)`, recorded at `TESTBENCH_VERSION`
-/// 2.
+/// 3.
 const PINS: &[(&str, &str, &str, u64)] = &[
-    ("csi", "schematic", "delay", 0x3d9022ae64970d70), // 3.668781920380525e-12
-    ("csi", "schematic", "I", 0x3ec96fafa8431a0f),     // 3.0322401603805558e-6
-    ("csi", "schematic", "gain", 0x40496d0ad14c4754),  // 5.085189262604277e1
-    ("csi", "4x4x2 abab", "delay", 0x3d90c35a60f5d640), // 3.811487163216018e-12
-    ("csi", "4x4x2 abab", "I", 0x3ed36daf444f5af7),    // 4.632104780597242e-6
-    ("csi", "4x4x2 abab", "gain", 0x404b91e71b5bc295), // 5.513986532192681e1
-    ("csi", "2x8x1 aabb", "delay", 0x3d96465d70816870), // 5.0647175324304875e-12
-    ("csi", "2x8x1 aabb", "I", 0x3ec7f653130b8c81),    // 2.8565174477898315e-6
-    ("csi", "2x8x1 aabb", "gain", 0x404b9882c57a4d1e), // 5.5191490826337244e1
+    ("csi", "schematic", "delay", 0x3d8fbb354cdbc3c0), // 3.607429112769439e-12
+    ("csi", "schematic", "I", 0x3ec90ef4c32d5549),     // 2.987196717022887e-6
+    ("csi", "schematic", "gain", 0x40496d0ad14c472d),  // 5.085189262604249e1
+    ("csi", "4x4x2 abab", "delay", 0x3d908c2347e483b0), // 3.762446190819929e-12
+    ("csi", "4x4x2 abab", "I", 0x3ed3533c2b082f69),    // 4.60747166687232e-6
+    ("csi", "4x4x2 abab", "gain", 0x404b91e71b5cad72), // 5.513986532235403e1
+    ("csi", "2x8x1 aabb", "delay", 0x3d9627afe1ee7160), // 5.037470033277673e-12
+    ("csi", "2x8x1 aabb", "I", 0x3ec816dd7f33f75f),    // 2.8716703980293327e-6
+    ("csi", "2x8x1 aabb", "gain", 0x404b9882c57a531b), // 5.519149082634814e1
     ("dp", "schematic", "Gm", 0x3f6e2ea9a45a7ca5),     // 3.6843598671364047e-3
     ("dp", "schematic", "Gm/Ctotal", 0x424023528bd6cbb0), // 1.386241780935913e11
     ("dp", "schematic", "offset", 0x0000000000000000), // 0e0
-    ("dp", "4x4x2 abab", "Gm", 0x3f6514d634d49478),    // 2.5734122961176796e-3
-    ("dp", "4x4x2 abab", "Gm/Ctotal", 0x42430866f05b4589), // 1.6349068511054324e11
-    ("dp", "4x4x2 abab", "offset", 0x3f06a634b226bc1c), // 4.319999995360693e-5
+    ("dp", "4x4x2 abab", "Gm", 0x3f6514d634d49474),    // 2.573412296117678e-3
+    ("dp", "4x4x2 abab", "Gm/Ctotal", 0x42430866f05b4586), // 1.6349068511054315e11
+    ("dp", "4x4x2 abab", "offset", 0x3f06a634b226d9dc), // 4.3199999953658536e-5
     ("dp", "2x8x1 aabb", "Gm", 0x3f619d1cedc62ff7),    // 2.1501126304368473e-3
     ("dp", "2x8x1 aabb", "Gm/Ctotal", 0x42404fc4c7d0ed3f), // 1.401155460178535e11
     ("dp", "2x8x1 aabb", "offset", 0x3f36a634b292e082), // 3.4560000001305363e-4
@@ -77,7 +77,7 @@ const LAYOUTS: [(&str, CellConfig); 2] = [
 #[test]
 fn testbench_metrics_are_bit_identical_to_their_pins() {
     assert_eq!(
-        TESTBENCH_VERSION, 2,
+        TESTBENCH_VERSION, 3,
         "the testbenches changed on purpose: re-record PINS"
     );
     let tech = Technology::finfet7();
@@ -113,7 +113,7 @@ const PINNED_ON_TWO_LAYOUTS: [&str; 3] = ["csi", "dp", "cm"];
 
 /// `(primitive, view, metric, f64 bits)` for every other primitive of
 /// `Library::standard()`, in library order, recorded at
-/// `TESTBENCH_VERSION` 2. A FET primitive is pinned on the schematic view
+/// `TESTBENCH_VERSION` 3. A FET primitive is pinned on the schematic view
 /// and on the first of [`LAYOUTS`]; a passive on its bare schematic and
 /// with one external wire at port `a`.
 const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
@@ -125,16 +125,16 @@ const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
     ("dp_pmos", "4x4x2 abab", "offset", 0x3f06a634b2920a9e), // 4.320000000126066e-5
     ("dp_cascode", "schematic", "Gm", 0x3f656d0c48c73db1), // 2.615474694017649e-3
     ("dp_cascode", "schematic", "Gm/Ctotal", 0x4243c62fef4b6173), // 1.6985881768676132e11
-    ("dp_cascode", "schematic", "offset", 0x3c892878224addee), // 4.3642317361849866e-17
-    ("dp_cascode", "4x4x2 abab", "Gm", 0x3f64c5ee9108d74b), // 2.5357875349766626e-3
-    ("dp_cascode", "4x4x2 abab", "Gm/Ctotal", 0x4242978901adf0c3), // 1.5970349961188095e11
-    ("dp_cascode", "4x4x2 abab", "offset", 0x3ee8a843ca264174), // 1.175750941653849e-5
-    ("dp_switched", "schematic", "Gm", 0x3f6594d17295579d), // 2.6344385884539815e-3
-    ("dp_switched", "schematic", "Gm/Ctotal", 0x4243edd2838793bf), // 1.7118875009515427e11
+    ("dp_cascode", "schematic", "offset", 0x3c8e000000000000), // 5.204170427930421e-17
+    ("dp_cascode", "4x4x2 abab", "Gm", 0x3f64c5ee9108d750), // 2.535787534976665e-3
+    ("dp_cascode", "4x4x2 abab", "Gm/Ctotal", 0x4242978901adf0c7), // 1.5970349961188107e11
+    ("dp_cascode", "4x4x2 abab", "offset", 0x3ee8a843ca27a1c6), // 1.1757509416691284e-5
+    ("dp_switched", "schematic", "Gm", 0x3f6594d1729557a8), // 2.6344385884539863e-3
+    ("dp_switched", "schematic", "Gm/Ctotal", 0x4243edd2838793c9), // 1.7118875009515457e11
     ("dp_switched", "schematic", "offset", 0x0000000000000000), // 0e0
-    ("dp_switched", "4x4x2 abab", "Gm", 0x3f650dee3a84ce7b), // 2.570119180882289e-3
-    ("dp_switched", "4x4x2 abab", "Gm/Ctotal", 0x4242e9019da443c5), // 1.6243721709652945e11
-    ("dp_switched", "4x4x2 abab", "offset", 0x3ef01ec966fd5e92), // 1.5373478560702795e-5
+    ("dp_switched", "4x4x2 abab", "Gm", 0x3f650dee3a84ce79), // 2.570119180882288e-3
+    ("dp_switched", "4x4x2 abab", "Gm/Ctotal", 0x4242e9019da443c4), // 1.6243721709652942e11
+    ("dp_switched", "4x4x2 abab", "offset", 0x3ef01ec9670c568e), // 1.537347856402651e-5
     ("cm_1to2", "schematic", "Iout", 0x3f2b0e98a85662de), // 2.064286565371031e-4
     ("cm_1to2", "schematic", "Cout", 0x3ce5022c7e768e9b), // 2.332411089212861e-15
     ("cm_1to2", "4x4x2 abab", "Iout", 0x3f2a52387e672131), // 2.008146249876746e-4
@@ -153,12 +153,12 @@ const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
     ("cm_pmos", "4x4x2 abab", "Cout", 0x3cd44d70bb1cd987), // 1.1270152248754978e-15
     ("cm_cascode", "schematic", "Iout", 0x3f1a331530f542e8), // 9.994332161978768e-5
     ("cm_cascode", "schematic", "Cout", 0x3ccc955de24e1913), // 7.933504910300239e-16
-    ("cm_cascode", "4x4x2 abab", "Iout", 0x3f1a2aa42ba03a02), // 9.981753365215926e-5
-    ("cm_cascode", "4x4x2 abab", "Cout", 0x3cd6f0fc4ce10dc6), // 1.273500738041343e-15
+    ("cm_cascode", "4x4x2 abab", "Iout", 0x3f1a2aa42ba03aeb), // 9.981753365216241e-5
+    ("cm_cascode", "4x4x2 abab", "Cout", 0x3cd6f0fc4ce10dae), // 1.2735007380413382e-15
     ("csrc", "schematic", "I", 0x3f3b78e049178080),     // 4.191920826013343e-4
     ("csrc", "schematic", "ro", 0x40c27fec494690bb),    // 9.471845986195249e3
     ("csrc", "4x4x2 abab", "I", 0x3f35d4685c2c4245),    // 3.3309505322257445e-4
-    ("csrc", "4x4x2 abab", "ro", 0x40ca26ee27e6b035),   // 1.3389860592685736e4
+    ("csrc", "4x4x2 abab", "ro", 0x40ca26ee27e6b034),   // 1.3389860592685734e4
     ("csrc_pmos", "schematic", "I", 0x3f53dd6fee619888), // 1.2124627187631038e-3
     ("csrc_pmos", "schematic", "ro", 0x40a64fef50736fce), // 2.8559674106668454e3
     ("csrc_pmos", "4x4x2 abab", "I", 0x3f4d3cbca6817f50), // 8.922501701924355e-4
@@ -185,7 +185,7 @@ const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
     ("sf", "4x4x2 abab", "ro", 0x4152499c1df5f58f),     // 4.793968468137159e6
     ("switch", "schematic", "Ron", 0x4056afb807ecc821), // 9.074560735820025e1
     ("switch", "schematic", "Cout", 0x3cc92e84b741256b), // 6.989329277277764e-16
-    ("switch", "4x4x2 abab", "Ron", 0x406137a668c64cea), // 1.3773906363230282e2
+    ("switch", "4x4x2 abab", "Ron", 0x406137a668c650ba), // 1.3773906363233056e2
     ("switch", "4x4x2 abab", "Cout", 0x3cc93d79e309569d), // 7.00554644736539e-16
     ("ccpair", "schematic", "Gm", 0x3f5faadf5e08e7bd),  // 1.9328290292279636e-3
     ("ccpair", "schematic", "Gm/Ctotal", 0x425a510d19e664ff), // 4.5211585116157806e11
@@ -193,12 +193,12 @@ const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
     ("ccpair", "4x4x2 abab", "Gm/Ctotal", 0x4257bec2fdf49910), // 4.079387913783916e11
     ("switch_pmos", "schematic", "Ron", 0x407157d91dd3833f), // 2.774905069601263e2
     ("switch_pmos", "schematic", "Cout", 0x3cc566b75be81860), // 5.940036056489848e-16
-    ("switch_pmos", "4x4x2 abab", "Ron", 0x4075972687aaf32e), // 3.454469067266208e2
-    ("switch_pmos", "4x4x2 abab", "Cout", 0x3cc9f8f967d7fa8a), // 7.208832316652321e-16
+    ("switch_pmos", "4x4x2 abab", "Ron", 0x4075972687aaf823), // 3.4544690672669293e2
+    ("switch_pmos", "4x4x2 abab", "Cout", 0x3cc9f8f967d7fa7f), // 7.20883231665231e-16
     ("latch", "schematic", "Gm", 0x3f920f48b197f099),   // 1.7636428679893432e-2
     ("latch", "schematic", "Gm/Ctotal", 0x4284cdbd58515769), // 2.8592346916269263e12
-    ("latch", "4x4x2 abab", "Gm", 0x3f8eb33b2692278d),  // 1.4990293612090056e-2
-    ("latch", "4x4x2 abab", "Gm/Ctotal", 0x42779569c2ba1ab6), // 1.6206557459536694e12
+    ("latch", "4x4x2 abab", "Gm", 0x3f8eb33b2692279b),  // 1.499029361209008e-2
+    ("latch", "4x4x2 abab", "Gm/Ctotal", 0x42779569c2ba1aba), // 1.6206557459536704e12
     ("latch_starved", "schematic", "Gm", 0x3f813645ceb3bbac), // 8.404298182055424e-3
     (
         "latch_starved",
@@ -206,13 +206,13 @@ const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
         "Gm/Ctotal",
         0x4275752e07e1d94e,
     ), // 1.4745642265895815e12
-    ("latch_starved", "4x4x2 abab", "Gm", 0x3f809cc840e4de74), // 8.111538391502672e-3
+    ("latch_starved", "4x4x2 abab", "Gm", 0x3f809cc840e4de32), // 8.111538391502558e-3
     (
         "latch_starved",
         "4x4x2 abab",
         "Gm/Ctotal",
-        0x426b5c663b0d0d8c,
-    ), // 9.401145652244233e11
+        0x426b5c663b0d0d41,
+    ), // 9.401145652244142e11
     ("inv_cc", "schematic", "Gm", 0x3f79296d67fdb887),  // 6.143023841884815e-3
     ("inv_cc", "schematic", "Gm/Ctotal", 0x426e81306c6c593d), // 1.0481316258267887e12
     ("inv_cc", "4x4x2 abab", "Gm", 0x3f77a18823fdd2ea), // 5.769283103167247e-3
@@ -221,16 +221,16 @@ const LIBRARY_PINS: &[(&str, &str, &str, u64)] = &[
     ("cap_mom", "schematic", "f", 0x4252863d0cc3ae97),  // 3.1824623694272797e11
     ("cap_mom", "wire a", "C", 0x3d3cfdeea3477ce3),     // 1.0299999990336962e-13
     ("cap_mom", "wire a", "f", 0x421ffa8c69427d56),     // 3.43368730406224e10
-    ("res_poly", "schematic", "R", 0x409f400105186da3), // 2.000000995999996e3
+    ("res_poly", "schematic", "R", 0x409f40020a2795a7), // 2.0000019918618289e3
     ("res_poly", "schematic", "C", 0x0000000000000000), // 0e0
-    ("res_poly", "wire a", "R", 0x409fe001050d955e),    // 2.0400009958383957e3
-    ("res_poly", "wire a", "C", 0x3a4c8e8cc80d06a7),    // 7.2087587918725605e-28
+    ("res_poly", "wire a", "R", 0x409fe0010401260d),    // 2.040000991838405e3
+    ("res_poly", "wire a", "C", 0x3ceb05866c8f63a0),    // 2.99999829405333e-15
 ];
 
 #[test]
 fn every_library_primitive_is_bit_identical_to_its_pins() {
     assert_eq!(
-        TESTBENCH_VERSION, 2,
+        TESTBENCH_VERSION, 3,
         "the testbenches changed on purpose: re-record LIBRARY_PINS"
     );
     let tech = Technology::finfet7();

@@ -1,14 +1,17 @@
-//! Transient analysis: trapezoidal integration with a Newton solve per step.
+//! Transient analysis: second-order Gear (BDF2) integration with a Newton
+//! solve per step.
 //!
 //! A run starts from the DC operating point. Capacitors become companion
 //! conductance/source pairs; the FET's bias-dependent Meyer capacitances are
 //! refreshed from the last accepted timepoint. Each step stamps the same
 //! real-valued system as DC, with the sources at their value at the step's
 //! time and each companion stamped after its element, and solves it with
-//! the same damped Newton loop. The first step (and any step that fails to
-//! converge under trapezoidal) uses backward Euler, which is L-stable and
-//! damps the artificial ringing trapezoidal can produce from inconsistent
-//! initial conditions.
+//! the same damped Newton loop. Gear-2 is L-stable, so a stiff node settles
+//! instead of ringing from step to step, and a quiet step converges in one
+//! Newton iteration. It needs the voltage one full step back, so the first
+//! step, and the first step after backward-Euler substeps, run backward
+//! Euler. A Gear-2 step that fails to converge retries as backward Euler,
+//! then as eight backward-Euler substeps.
 
 use crate::devices::FetInstance;
 use crate::netlist::{Circuit, Element, NodeId, Waveform};
@@ -144,19 +147,21 @@ impl TranSolver {
             )
         };
 
+        // Whether each capacitance's `v_prev` lies one full step back, as
+        // Gear-2 needs: not at the DC point, nor after substeps.
+        let mut history = false;
         for step in 1..=n_steps {
             let t = step as f64 * self.dt;
-            // First step is BE; later steps are trapezoidal with BE fallback.
-            let methods: &[Method] = if step == 1 {
-                &[Method::BackwardEuler]
+            let methods: &[Method] = if history {
+                &[Method::Gear2, Method::BackwardEuler]
             } else {
-                &[Method::Trapezoidal, Method::BackwardEuler]
+                &[Method::BackwardEuler]
             };
             let mut solved = None;
             for &method in methods {
                 match solve(&x, &states, t, self.dt, method) {
                     Ok(Some(next)) => {
-                        solved = Some((next, method));
+                        solved = Some(next);
                         break;
                     }
                     // Cancellation aborts the run; no method fallback.
@@ -165,9 +170,10 @@ impl TranSolver {
                 }
             }
             match solved {
-                Some((next, method)) => {
-                    states.advance(circuit, &topo, &next, self.dt, method);
+                Some(next) => {
+                    states.advance(circuit, &topo, &next);
                     x = next;
+                    history = true;
                 }
                 None => {
                     // Stiff step: sub-divide into backward-Euler substeps.
@@ -185,9 +191,10 @@ impl TranSolver {
                                 })
                             }
                         };
-                        states.advance(circuit, &topo, &next, sub_dt, Method::BackwardEuler);
+                        states.advance(circuit, &topo, &next);
                         x = next;
                     }
+                    history = false;
                 }
             }
             times.push(t);
@@ -200,7 +207,7 @@ impl TranSolver {
 /// Integration method for a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Method {
-    Trapezoidal,
+    Gear2,
     BackwardEuler,
 }
 
@@ -213,14 +220,14 @@ struct ReactiveState {
 }
 
 /// One capacitance from `a` to `b`: its value for the coming step, and its
-/// voltage and current at the last accepted timepoint.
+/// voltage at the last two accepted timepoints.
 #[derive(Debug, Clone, Copy)]
 struct CapState {
     a: NodeId,
     b: NodeId,
     c: f64,
     v: f64,
-    i: f64,
+    v_prev: f64,
 }
 
 /// A FET's five capacitances at its bias in `x`.
@@ -231,12 +238,15 @@ fn fet_caps_at(fet: &FetInstance, topo: &Topology, x: &[f64]) -> [(NodeId, NodeI
 
 impl ReactiveState {
     fn init(circuit: &Circuit, topo: &Topology, x: &[f64]) -> Self {
-        let slot = |(a, b, c): (NodeId, NodeId, f64)| CapState {
-            a,
-            b,
-            c,
-            v: topo.voltage_in(x, a) - topo.voltage_in(x, b),
-            i: 0.0,
+        let slot = |(a, b, c): (NodeId, NodeId, f64)| {
+            let v = topo.voltage_in(x, a) - topo.voltage_in(x, b);
+            CapState {
+                a,
+                b,
+                c,
+                v,
+                v_prev: v,
+            }
         };
         let slots = circuit
             .elements()
@@ -265,15 +275,10 @@ impl ReactiveState {
             if st.c <= 0.0 {
                 continue;
             }
+            let g = st.c / dt;
             let (geq, ieq) = match method {
-                Method::Trapezoidal => {
-                    let g = 2.0 * st.c / dt;
-                    (g, -g * st.v - st.i)
-                }
-                Method::BackwardEuler => {
-                    let g = st.c / dt;
-                    (g, -g * st.v)
-                }
+                Method::Gear2 => (1.5 * g, -g * (2.0 * st.v - 0.5 * st.v_prev)),
+                Method::BackwardEuler => (g, -g * st.v),
             };
             stamp_two_terminal(mat, topo, st.a, st.b, geq);
             stamp_isource(rhs, topo, st.a, st.b, ieq);
@@ -281,15 +286,11 @@ impl ReactiveState {
     }
 
     /// Updates states after a step is accepted at solution `x`.
-    fn advance(&mut self, circuit: &Circuit, topo: &Topology, x: &[f64], dt: f64, method: Method) {
+    fn advance(&mut self, circuit: &Circuit, topo: &Topology, x: &[f64]) {
         for (el, slots) in circuit.elements().iter().zip(&mut self.slots) {
             for st in slots.iter_mut() {
-                let v_new = topo.voltage_in(x, st.a) - topo.voltage_in(x, st.b);
-                st.i = match method {
-                    Method::Trapezoidal => 2.0 * st.c / dt * (v_new - st.v) - st.i,
-                    Method::BackwardEuler => st.c / dt * (v_new - st.v),
-                };
-                st.v = v_new;
+                st.v_prev = st.v;
+                st.v = topo.voltage_in(x, st.a) - topo.voltage_in(x, st.b);
             }
             // A FET's capacitances follow its bias: refresh them for the
             // next step.
@@ -351,6 +352,78 @@ mod tests {
                 t[i],
                 v[i],
                 expect
+            );
+        }
+    }
+
+    /// A 1 V step into `R`–`C` to ground, the edge `rise` long at
+    /// `delay`, solved at step `dt` to `t_stop`: the times and `out`.
+    fn rc_step(tau: f64, delay: f64, rise: f64, dt: f64, t_stop: f64) -> (Vec<f64>, Vec<f64>) {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let out = c.node("out");
+        let step = Waveform::Pulse {
+            v1: 0.0,
+            v2: 1.0,
+            delay,
+            rise,
+            fall: rise,
+            width: 1.0,
+            period: f64::INFINITY,
+        };
+        c.vsource_wave("V1", vin, Circuit::GROUND, step, 0.0);
+        c.resistor("R1", vin, out, 1e3).unwrap();
+        c.capacitor("C1", out, Circuit::GROUND, tau / 1e3).unwrap();
+        let res = TranSolver::new(dt, t_stop).solve(&c).unwrap();
+        (res.times().to_vec(), res.voltage(out))
+    }
+
+    /// A stiff node (τ = h/100) after a step edge settles in a few steps
+    /// and does not ring: its step-to-step change never flips sign on two
+    /// steps running. The trapezoidal rule's amplification factor is
+    /// (1 − h/2τ)/(1 + h/2τ) ≈ −0.96 here, so under it the change
+    /// alternates for hundreds of steps.
+    #[test]
+    fn stiff_node_settles_without_ringing() {
+        let dt = 1.5e-12;
+        let (t, v) = rc_step(dt / 100.0, 20.5 * dt, 0.1 * dt, dt, 80.0 * dt);
+        let edge = t.iter().position(|&ti| ti > 20.5 * dt).unwrap();
+        let dv: Vec<f64> = v.windows(2).map(|w| w[1] - w[0]).collect();
+        for k in edge..dv.len() - 2 {
+            assert!(
+                !(dv[k] * dv[k + 1] < 0.0 && dv[k + 1] * dv[k + 2] < 0.0),
+                "ringing at steps {k}..{}: {:e}, {:e}, {:e}",
+                k + 2,
+                dv[k],
+                dv[k + 1],
+                dv[k + 2]
+            );
+        }
+        let quiet = edge + 8;
+        for (k, d) in dv.iter().enumerate().skip(quiet) {
+            assert!(d.abs() < VTOL, "step {k} still moves {d:e} V");
+        }
+        assert!((v[v.len() - 1] - 1.0).abs() < VTOL, "settles at 1 V");
+    }
+
+    /// Second order: on an RC step, halving the step divides the largest
+    /// error against `1 − e^(−t/τ)` by about four.
+    #[test]
+    fn rc_step_converges_at_second_order() {
+        let tau = 1e-9;
+        let worst = |dt: f64| {
+            let (t, v) = rc_step(tau, 0.0, 1e-15, dt, 4.0 * tau);
+            t.iter()
+                .zip(&v)
+                .map(|(&ti, &vi)| (vi - (1.0 - (-ti / tau).exp())).abs())
+                .fold(0.0, f64::max)
+        };
+        let (e1, e2, e3) = (worst(tau / 20.0), worst(tau / 40.0), worst(tau / 80.0));
+        for (coarse, fine) in [(e1, e2), (e2, e3)] {
+            let ratio = coarse / fine;
+            assert!(
+                (3.0..=5.0).contains(&ratio),
+                "error {coarse:e} -> {fine:e}: ratio {ratio}"
             );
         }
     }
@@ -457,7 +530,7 @@ mod tests {
             // one of them.
             for x in [vec![0.0; dim], (1..=dim).map(|i| 0.3 * i as f64).collect()] {
                 let states = ReactiveState::init(&c, &topo, &x);
-                for method in [None, Some(Method::Trapezoidal), Some(Method::BackwardEuler)] {
+                for method in [None, Some(Method::Gear2), Some(Method::BackwardEuler)] {
                     let mut mat = Matrix::<f64>::zero(dim);
                     let mut rhs = vec![0.0; dim];
                     let storage = |idx: usize, mat: &mut Matrix<f64>, rhs: &mut [f64]| {

@@ -101,7 +101,8 @@ impl FetModel {
     /// Mobility multiplier relative to the 27 °C nominal (`T^-1.5` law).
     #[inline]
     pub fn mobility_temp_factor(&self) -> f64 {
-        ((273.15 + self.temp_c) / 300.15).powf(-1.5)
+        let t = (273.15 + self.temp_c) / 300.15;
+        1.0 / (t * t.sqrt())
     }
 
     /// Threshold shift relative to the 27 °C nominal (−1 mV/°C).
@@ -278,17 +279,19 @@ impl FetInstance {
         };
         let dveff_dvbs = -sig * dvth_dvbs;
 
-        // Smooth triode/saturation interpolation.
+        // Smooth triode/saturation interpolation of order 4:
+        // vdse = vds / (1 + r⁴)^(1/4) with r = vds / vdsat, its powers
+        // written as products and square roots.
         let vdsat = veff.max(1e-9);
-        const A: f64 = 4.0;
         let r = (vds / vdsat).max(0.0);
-        let ra = r.powf(A);
-        let d = (1.0 + ra).powf(1.0 / A);
+        let r2 = r * r;
+        let r4 = r2 * r2;
+        let d = (1.0 + r4).sqrt().sqrt();
         let vdse = vds / d;
-        // dvdse/dvds at fixed vdsat:
-        let dvdse_dvds = (1.0 + ra).powf(-(A + 1.0) / A);
-        // dvdse/dvdsat:
-        let dvdse_dvdsat = r.powf(A + 1.0) * (1.0 + ra).powf(-(A + 1.0) / A);
+        // dvdse/dvds at fixed vdsat, (1 + r⁴)^(−5/4):
+        let dvdse_dvds = 1.0 / ((1.0 + r4) * d);
+        // dvdse/dvdsat, r⁵·(1 + r⁴)^(−5/4):
+        let dvdse_dvdsat = r4 * r * dvdse_dvds;
 
         let beta = m.kp * m.mobility_temp_factor() * self.mobility_scale * (self.w / self.l);
         let clm = 1.0 + m.lambda * vds;
@@ -479,6 +482,9 @@ fn sigmoid(x: f64) -> f64 {
         1.0 / (1.0 + (-x).exp())
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,8 @@
 //!   point for sweeps),
 //! * small-signal **AC** analysis (complex MNA around the DC operating point),
 //! * **transient** analysis from the DC operating point
-//!   (trapezoidal/backward-Euler companion models with a Newton solve per
-//!   timestep), and
+//!   (second-order Gear companion models, backward Euler for restarts and
+//!   fallbacks, with a Newton solve per timestep), and
 //! * `.measure`-style post-processing ([`measure`]) for the metrics used by
 //!   primitive testbenches: gain, unity-gain frequency, phase margin, 3 dB
 //!   bandwidth, delays, oscillation frequency, and average power.

@@ -154,6 +154,31 @@ fn strongarm_flow_respects_symmetry_and_measures() {
     );
 }
 
+/// Table VI's StrongARM shape at seed 42: on delay, schematic < this work
+/// < conventional; on power, the schematic is the lowest, so power grows
+/// with layout parasitics, as in the paper.
+#[test]
+fn strongarm_table6_shape_holds() {
+    use prima_flow::circuits::StrongArm;
+    let (tech, lib) = env();
+    let spec = StrongArm::spec();
+    let biases = StrongArm::biases(&tech, &lib).unwrap();
+    let sch = StrongArm::measure(&tech, &lib, &Realization::schematic()).unwrap();
+    let conv = conventional_flow(&tech, &lib, &spec, 42).unwrap();
+    let conv = StrongArm::measure(&tech, &lib, &conv.realization).unwrap();
+    let opt = optimized_flow(&tech, &lib, &spec, &biases, 42).unwrap();
+    let opt = StrongArm::measure(&tech, &lib, &opt.realization).unwrap();
+    let rows = format!("schematic {sch}; this work {opt}; conventional {conv}");
+    assert!(
+        sch.delay_ps < opt.delay_ps && opt.delay_ps < conv.delay_ps,
+        "delay ordering: {rows}"
+    );
+    assert!(
+        sch.power_uw < opt.power_uw && sch.power_uw < conv.power_uw,
+        "power ordering: {rows}"
+    );
+}
+
 /// Detailed routing consumes the reconciled widths: a tuned net occupies
 /// that many adjacent tracks, and the assignment is conflict-free.
 #[test]
