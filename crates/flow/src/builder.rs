@@ -7,7 +7,7 @@
 //! capacitance. The supply rail sees a series IR resistance (the paper's
 //! manually-routed power with IR degradation included).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use prima_layout::PrimitiveLayout;
 use prima_pdk::Technology;
@@ -53,15 +53,17 @@ impl PrimitiveInst {
 }
 
 /// How a circuit is physically realized: which instances have layouts, what
-/// route RC sits on each net, and the supply IR resistance.
+/// route RC sits on each net, and the supply IR resistance. Both maps are
+/// ordered, so `{:?}` reads the same in every process and the circuit's
+/// route hubs are numbered in net order.
 #[derive(Debug, Clone, Default)]
 pub struct Realization {
     /// Extracted (and tuned) layout per instance; instances absent from the
     /// map are realized as ideal schematic devices.
-    pub layouts: HashMap<String, PrimitiveLayout>,
+    pub layouts: BTreeMap<String, PrimitiveLayout>,
     /// Global-route RC per top-level net (already scaled by the chosen
     /// parallel-route count).
-    pub net_wires: HashMap<String, ExternalWire>,
+    pub net_wires: BTreeMap<String, ExternalWire>,
     /// Series resistance in the supply rail (Ω).
     pub supply_r_ohm: f64,
 }

@@ -61,7 +61,7 @@ use prima_core::{
 };
 use prima_layout::PrimitiveLayout;
 use prima_pdk::{CornerSpec, Technology};
-use prima_primitives::{Bias, Library, MetricValues, PrimitiveDef};
+use prima_primitives::{Bias, MetricValues, PrimitiveDef};
 
 use crate::flows::{checkpoint, Fallback, InstState};
 use crate::FlowError;
@@ -356,8 +356,6 @@ const SIGMA_MOBILITY: f64 = 0.01;
 pub(crate) struct CornerCtx<'a, 't> {
     /// Nominal technology.
     pub tech: &'t Technology,
-    /// Primitive library.
-    pub lib: &'a Library,
     /// The nominal optimizer (fallback candidates re-tune at nominal).
     pub opt: &'a Optimizer<'t>,
     /// Sweep options.
@@ -436,7 +434,7 @@ struct SweepResult {
 
 /// Runs the corner gating + Monte-Carlo stage over the selection states.
 /// Mutates the states' cursors/active candidates through corner repair;
-/// never fails except on cancellation or a missing library definition.
+/// never fails except on cancellation.
 pub(crate) fn corner_stage(
     ctx: &CornerCtx<'_, '_>,
     states: &mut [(String, InstState)],
@@ -496,12 +494,7 @@ pub(crate) fn corner_stage(
         checkpoint(ctx.cancel)?;
         let (name, st) = &states[si];
         let name = name.clone();
-        let def = ctx
-            .lib
-            .get(&st.def)
-            .ok_or_else(|| FlowError::UnknownPrimitive {
-                name: st.def.clone(),
-            })?;
+        let def = st.def;
         let leader = st.group;
         if leader != si {
             // Replay the leader's gating outcome onto this member: same
@@ -589,7 +582,6 @@ pub(crate) fn corner_stage(
                 // Ledger the failing candidate and fall back.
                 let why = Fallback {
                     opt: ctx.opt,
-                    def,
                     tuning: ctx.tuning,
                     stage: "corners",
                     inst: &name,
@@ -648,7 +640,7 @@ pub(crate) fn corner_stage(
         total_fallbacks += inst_fallbacks;
         instances.push(InstanceCorners {
             instance: name,
-            def: st.def.clone(),
+            def: st.def.name.clone(),
             nominal_cost,
             measures,
             worst_margin,
@@ -742,12 +734,7 @@ fn run_mc(
     let mut sample_pass = vec![true; copts.mc_samples as usize];
     for (name, st) in states {
         checkpoint(ctx.cancel)?;
-        let def = ctx
-            .lib
-            .get(&st.def)
-            .ok_or_else(|| FlowError::UnknownPrimitive {
-                name: st.def.clone(),
-            })?;
+        let def = st.def;
         // The instance's best live candidate is the one gated.
         let Some((layout, nominal_cost)) = (0..st.active.len())
             .filter(|&i| !st.dead[i])
@@ -764,7 +751,7 @@ fn run_mc(
             ctx.tech.fin.weff_m((total_fins as u32).max(1)),
             ctx.tech.fin.gate_length as f64 * 1e-9,
         );
-        let fp = instance_fingerprint(name, &st.def, total_fins);
+        let fp = instance_fingerprint(name, &st.def.name, total_fins);
         let mut passed = 0u32;
         for s in 0..copts.mc_samples {
             checkpoint(ctx.cancel)?;

@@ -7,21 +7,19 @@
 //! grid plus cell-internal extraction, symmetry declarations from the
 //! circuit spec, and port/net bindings from the instance connection maps.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use prima_core::diagnostics::VerifyReport;
 use prima_erc::{
     check_erc, CentroidGroup, ErcArtifacts, NetCurrent, PortTap, SupplyTap, SymmetryPair,
 };
-use prima_geom::{Point, Rect};
+use prima_geom::Point;
 use prima_layout::{PlacementPattern, PrimitiveLayout, PrimitiveSpec};
-use prima_pdk::Technology;
-use prima_primitives::{Bias, Library};
+use prima_primitives::Bias;
 use prima_route::power::PowerReport;
-use prima_route::RoutingResult;
 
 use crate::circuits::CircuitSpec;
-use crate::flows::is_power_net;
+use crate::flows::{is_power_net, FlowKind, Inst, PlacedDesign, Run, Wires};
 
 /// Nominal supply current (A) assumed for an instance with no
 /// operating-point record (passives, unknown defs).
@@ -61,27 +59,17 @@ pub(crate) fn port_current_a(spec: &PrimitiveSpec, bias: &Bias, port: &str) -> f
 
 /// Worst-case current bound (A) of one instance's connection to a net,
 /// maximized over every port the instance puts on that net.
-fn instance_net_current(
-    tech: &Technology,
-    lib: &Library,
-    biases: &HashMap<String, Bias>,
-    inst: &crate::builder::PrimitiveInst,
-    net: &str,
-) -> f64 {
-    let Some(def) = lib.get(&inst.def) else {
+fn instance_net_current(insts: &[Inst<'_>], name: &str, net: &str) -> f64 {
+    let Some(Inst { inst, def, bias }) = insts.iter().find(|i| i.inst.name == name) else {
         return DEFAULT_BLOCK_A;
     };
     if def.spec.devices.is_empty() {
         return DEFAULT_BLOCK_A;
     }
-    let bias = biases
-        .get(&inst.name)
-        .cloned()
-        .unwrap_or_else(|| Bias::nominal(tech, &def.class));
     inst.conn
         .iter()
         .filter(|(_, n)| n.as_str() == net)
-        .map(|(port, _)| port_current_a(&def.spec, &bias, port))
+        .map(|(port, _)| port_current_a(&def.spec, bias, port))
         .fold(0.0, f64::max)
 }
 
@@ -89,10 +77,8 @@ fn instance_net_current(
 /// routing pins the placer produced (one pin per distinct instance on the
 /// net, in first-tap order — the same dedup rule `place_and_route` uses).
 pub(crate) fn net_currents(
-    tech: &Technology,
-    lib: &Library,
     spec: &CircuitSpec,
-    biases: &HashMap<String, Bias>,
+    insts: &[Inst<'_>],
     pins: &[(String, Vec<Point>)],
 ) -> Vec<NetCurrent> {
     let mut out = Vec::new();
@@ -104,7 +90,7 @@ pub(crate) fn net_currents(
                 continue;
             }
             order.push(&inst.name);
-            bounds.push(instance_net_current(tech, lib, biases, inst, net));
+            bounds.push(instance_net_current(insts, &inst.name, net));
         }
         let worst = bounds.iter().fold(0.0f64, |a, &b| a.max(b));
         if worst <= 0.0 {
@@ -124,50 +110,37 @@ pub(crate) fn net_currents(
     out
 }
 
-/// Everything a flow hands to the electrical gate.
-pub(crate) struct ErcBuild<'a> {
-    pub tech: &'a Technology,
-    pub lib: &'a Library,
-    pub spec: &'a CircuitSpec,
-    /// Operating points; `None` when the flow has none (the conventional
-    /// baseline performs no electrical evaluation at all).
-    pub biases: Option<&'a HashMap<String, Bias>>,
-    pub routing: Option<&'a RoutingResult>,
-    /// Reconciled parallel-route count per net (post EM clamp).
-    pub widths: &'a HashMap<String, u32>,
-    /// Placed outlines — per instance (hierarchical) or per device (flat).
-    pub rects: &'a [(String, Rect)],
-    /// Generated layout per instance, for internal supply extraction and
-    /// centroid data.
-    pub layouts: &'a HashMap<String, PrimitiveLayout>,
-    /// Synthesized power grid, when one exists.
-    pub power: Option<&'a PowerReport>,
-    /// Worst-case net currents for the EM pass, as [`net_currents`]
-    /// derives them; empty when Algorithm 2 chose no widths (ablated and
-    /// baseline flows have no current-aware wires to check).
-    pub currents: Vec<NetCurrent>,
-    /// Check placer symmetry pairs (the flat baseline never places
-    /// mirrored units, so it makes no matching claims to verify).
-    pub with_symmetry: bool,
-}
-
-/// Derives the full artifact bundle and runs every electrical check.
-pub(crate) fn erc_report(b: ErcBuild<'_>) -> VerifyReport {
-    let mut art = ErcArtifacts::new(&b.spec.name, b.tech);
-    art.routing = b.routing;
-    art.net_widths = b.widths.clone();
-    art.net_currents = b.currents;
+/// Stage (every flow): the electrical gate. Derives the full artifact
+/// bundle and runs every electrical check: EM over the routed topology at
+/// the reconciled widths (clean by construction thanks to the EM clamp),
+/// static IR on the synthesized grid, symmetry/matching lints, and
+/// connectivity hygiene. `layouts` are the generated cells, for internal
+/// supply extraction and centroid data. The flat baseline places no
+/// mirrored units, so it makes no matching claims, and its wires carry no
+/// currents for the EM pass.
+pub(crate) fn erc(
+    run: &Run<'_>,
+    placed: &PlacedDesign,
+    layouts: &BTreeMap<String, PrimitiveLayout>,
+    power: Option<&PowerReport>,
+    wires: &Wires,
+) -> VerifyReport {
+    let spec = run.spec;
+    let mut art = ErcArtifacts::new(&spec.name, run.tech);
+    art.routing = Some(&placed.routing);
+    art.net_widths = wires.widths.clone();
+    art.net_currents = wires.currents.clone();
 
     // Supply taps: grid feed drop per placed block (power synthesis order
     // is placement order) + the cell-internal access resistance of every
     // port tied to a rail.
-    if let Some(power) = b.power {
-        for (i, (name, _)) in b.rects.iter().enumerate() {
-            let Some(inst) = b.spec.instances.iter().find(|x| x.name == *name) else {
+    if let Some(power) = power {
+        for (i, (name, _)) in placed.rects.iter().enumerate() {
+            let Some(inst) = spec.instances.iter().find(|x| x.name == *name) else {
                 continue;
             };
             let grid_drop = power.block_drops.get(i).copied().unwrap_or(0.0);
-            let current = block_current(b.biases.and_then(|m| m.get(name)));
+            let current = block_current(run.biases.and_then(|m| m.get(name)));
             let mut supply_ports: Vec<(&str, &str)> = inst
                 .conn
                 .iter()
@@ -176,8 +149,7 @@ pub(crate) fn erc_report(b: ErcBuild<'_>) -> VerifyReport {
                 .collect();
             supply_ports.sort_unstable();
             for (port, net) in supply_ports {
-                let internal_r = b
-                    .layouts
+                let internal_r = layouts
                     .get(name)
                     .and_then(|l| l.net_parasitics(port).ok())
                     .map_or(0.0, |p| p.r_access_ohm);
@@ -193,23 +165,21 @@ pub(crate) fn erc_report(b: ErcBuild<'_>) -> VerifyReport {
         art.tap_rows = power.strap_rows.clone();
     }
 
-    art.outlines = b.rects.to_vec();
-    if b.with_symmetry {
-        art.pairs = b
-            .spec
+    art.outlines = placed.rects.clone();
+    if run.kind != FlowKind::Conventional {
+        art.pairs = spec
             .symmetry
             .iter()
-            .map(|(a, bb)| SymmetryPair {
+            .map(|(a, b)| SymmetryPair {
                 a: a.clone(),
-                b: bb.clone(),
+                b: b.clone(),
             })
             .collect();
-        art.centroid_groups = centroid_groups(b.spec, b.layouts);
+        art.centroid_groups = centroid_groups(spec, layouts);
     }
 
     // Port/net bindings for the hygiene checks, in a stable order.
-    for inst in &b.spec.instances {
-        let def = b.lib.get(&inst.def);
+    for Inst { inst, def, .. } in &run.insts {
         let mut conns: Vec<(&str, &str)> = inst
             .conn
             .iter()
@@ -217,19 +187,16 @@ pub(crate) fn erc_report(b: ErcBuild<'_>) -> VerifyReport {
             .collect();
         conns.sort_unstable();
         for (port, net) in conns {
-            let gate_only = def.map(|d| gate_only_port(&d.spec, port)).unwrap_or(false);
             art.port_taps.push(PortTap {
                 instance: inst.name.clone(),
                 port: port.to_string(),
                 net: net.to_string(),
-                is_gate_only: gate_only,
+                is_gate_only: gate_only_port(&def.spec, port),
             });
         }
-        if let Some(def) = def {
-            if !def.spec.devices.is_empty() {
-                art.declared_ports
-                    .push((inst.name.clone(), def.ports.clone()));
-            }
+        if !def.spec.devices.is_empty() {
+            art.declared_ports
+                .push((inst.name.clone(), def.ports.clone()));
         }
     }
 
@@ -258,7 +225,7 @@ pub(crate) fn erc_report(b: ErcBuild<'_>) -> VerifyReport {
 /// no coincidence claim to verify).
 fn centroid_groups(
     spec: &CircuitSpec,
-    layouts: &HashMap<String, PrimitiveLayout>,
+    layouts: &BTreeMap<String, PrimitiveLayout>,
 ) -> Vec<CentroidGroup> {
     let mut out = Vec::new();
     for inst in &spec.instances {
@@ -309,6 +276,7 @@ fn ratio_of(layout: &PrimitiveLayout, device: &str) -> u64 {
 mod tests {
     use super::*;
     use prima_layout::DeviceSpec;
+    use prima_pdk::Technology;
     use prima_spice::devices::FetPolarity;
 
     fn dp_spec() -> PrimitiveSpec {

@@ -6,33 +6,37 @@
 //! paper differs: whether primitive layouts and port wire widths are chosen
 //! by performance optimization or by defaults.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use prima_cache::{CacheEventKind, CachePolicy, CacheStats, EvalCache, Fingerprintable};
 use prima_core::{
-    clamp_to_em_floor, quality_allowance, reconcile, route_wire, BinRanked, CancelToken,
-    EvalLedger, Evaluated, FaultInjector, FaultPlan, GlobalRoute, NoFaults, Optimizer, Phase,
-    PortConstraint, RepairBudgets, RepairCursor, ResilienceReport, RuleKind, Severity,
+    clamp_to_em_floor, quality_allowance, reconcile, route_wire, std_config_space, BinRanked,
+    CancelToken, EvalLedger, Evaluated, FaultInjector, FaultPlan, GlobalRoute, NoFaults, Optimizer,
+    Phase, PortConstraint, RepairBudgets, RepairCursor, ResilienceReport, RuleKind, Severity,
     SolverLimits, Violation,
 };
+use prima_erc::NetCurrent;
+use prima_gds::GdsArtifact;
 use prima_geom::Point;
 use prima_layout::{generate, render, CellConfig, PlacementPattern, PrimitiveLayout};
 use prima_pdk::Technology;
-use prima_place::{Block, Net, PlacementProblem, Placer};
-use prima_primitives::{Bias, Library, PrimitiveDef, TESTBENCH_VERSION};
+use prima_place::{Block, Net, Placement, PlacementProblem, Placer};
+use prima_primitives::{Bias, ExternalWire, Library, PrimitiveDef, TESTBENCH_VERSION};
 use prima_route::detail::{DetailError, DetailRouter, DetailedResult};
 use prima_route::power::{synthesize, PowerGridSpec, PowerReport};
 use prima_route::{GlobalRouter, NetRoute, RoutingProblem, RoutingResult};
 use prima_verify::lints::{LintInputs, PortInterval};
 use prima_verify::{check_flow, CellArtifact, FlowArtifacts, VerifyReport};
 
-use crate::builder::Realization;
+use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::CircuitSpec;
-use crate::corners::{CornerPolicy, CornerReport};
-use crate::electrical::{self, block_current, ErcBuild};
-use crate::preflight;
+use crate::corners::{corner_stage, CornerCtx, CornerPolicy, CornerReport};
+use crate::electrical::{self, block_current, erc};
+use crate::gds::{stream_out_stage, GdsCtx};
+use crate::preflight::{schem_preflight, techlint_preflight};
 use crate::FlowError;
 
 /// Which flow produced a result.
@@ -144,7 +148,7 @@ pub struct FlowOutcome {
     /// Wall-clock runtime of the flow (Table VIII).
     pub runtime: Duration,
     /// Simulation counts per optimization phase (Table V).
-    pub sims: HashMap<&'static str, usize>,
+    pub sims: BTreeMap<&'static str, usize>,
     /// Placement bounding-box area (µm²).
     pub area_um2: f64,
     /// Total global-route wirelength (µm).
@@ -198,29 +202,12 @@ pub struct FlowOutcome {
     /// stream-out. Carries the serialized bytes plus the in-memory
     /// [`prima_gds::GdsLibrary`] they were written from, so callers can
     /// re-parse and diff without touching disk.
-    pub gds: Option<prima_gds::GdsArtifact>,
+    pub gds: Option<GdsArtifact>,
 }
 
 /// Fallback supply-rail series resistance when the power grid cannot be
 /// synthesized (no placed blocks).
 pub const SUPPLY_R_OHM: f64 = 6.0;
-
-/// Synthesizes the (manually-routed, in the paper's terms) power grid over
-/// a placement and returns the effective rail resistance together with the
-/// full grid report (strap rows and per-block feed drops feed the ERC
-/// gate's IR and well-tap checks).
-fn supply_grid(
-    tech: &Technology,
-    placement_blocks: &[(prima_geom::Rect, f64)],
-    bbox: prima_geom::Rect,
-) -> (f64, Option<PowerReport>) {
-    if placement_blocks.is_empty() {
-        return (SUPPLY_R_OHM, None);
-    }
-    let report = synthesize(tech, bbox, placement_blocks, &PowerGridSpec::for_tech(tech));
-    let r = report.effective_r_ohm.clamp(0.05, 25.0);
-    (r, Some(report))
-}
 
 /// Nets excluded from signal routing/port optimization (power is routed
 /// manually, as in the paper).
@@ -249,14 +236,6 @@ fn signal_routes(spec: &CircuitSpec, routing: &RoutingResult) -> HashMap<String,
     out
 }
 
-/// The configuration space explored for a primitive of `total_fins` — the
-/// standard space the schematic preflight's `SCHEM.SIZE` rule validates
-/// against, so an instance that reaches the optimizer always has at least
-/// one candidate.
-fn config_space(total_fins: u64) -> Vec<CellConfig> {
-    prima_core::std_config_space(total_fins)
-}
-
 /// A deterministic "default" configuration for the conventional flow: the
 /// blocked pattern whose cell is closest to square — geometric constraints
 /// met (a layout tool always targets compact, near-square cells), but no
@@ -266,7 +245,7 @@ fn default_config(
     spec: &prima_layout::PrimitiveSpec,
     total_fins: u64,
 ) -> Option<CellConfig> {
-    let mut configs = config_space(total_fins);
+    let mut configs = std_config_space(total_fins);
     configs.retain(|c| c.pattern == PlacementPattern::Aabb);
     // Geometry-only flows skip the LDE countermeasures: no edge dummies
     // (the paper lists dummy insertion among the optimizations with an
@@ -301,16 +280,9 @@ pub fn optimized_flow(
     biases: &HashMap<String, Bias>,
     seed: u64,
 ) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Optimized,
-        FlowOptions::default(),
-        &NoFaults,
-    )
+    let (kind, options) = (FlowKind::Optimized, FlowOptions::default());
+    let run = Run::new(tech, lib, spec, Some(biases), seed, kind, options);
+    run_flow(run, &NoFaults)
 }
 
 /// Runs the optimized flow under a fault-injection plan with bounded
@@ -338,16 +310,9 @@ pub fn optimized_flow_resilient(
     options: FlowOptions,
     plan: &FaultPlan,
 ) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Optimized,
-        options,
-        plan,
-    )
+    let kind = FlowKind::Optimized;
+    let run = Run::new(tech, lib, spec, Some(biases), seed, kind, options);
+    run_flow(run, plan)
 }
 
 /// Runs the optimized flow with individual steps ablated (for the
@@ -364,16 +329,9 @@ pub fn optimized_flow_with(
     seed: u64,
     options: FlowOptions,
 ) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Optimized,
-        options,
-        &NoFaults,
-    )
+    let kind = FlowKind::Optimized;
+    let run = Run::new(tech, lib, spec, Some(biases), seed, kind, options);
+    run_flow(run, &NoFaults)
 }
 
 /// Runs the manual-layout proxy: the optimized flow with a wider search.
@@ -388,16 +346,9 @@ pub fn manual_flow(
     biases: &HashMap<String, Bias>,
     seed: u64,
 ) -> Result<FlowOutcome, FlowError> {
-    run_flow(
-        tech,
-        lib,
-        spec,
-        biases,
-        seed,
-        FlowKind::Manual,
-        FlowOptions::default(),
-        &NoFaults,
-    )
+    let (kind, options) = (FlowKind::Manual, FlowOptions::default());
+    let run = Run::new(tech, lib, spec, Some(biases), seed, kind, options);
+    run_flow(run, &NoFaults)
 }
 
 /// Runs the conventional geometry-only baseline.
@@ -416,124 +367,915 @@ pub fn manual_flow(
 /// # Errors
 ///
 /// Propagates placement/routing/generation failures, and gate
-/// violations as [`FlowError::Verify`].
+/// violations as [`FlowError::Verify`]. When the detail router exhausts
+/// its [`RepairBudgets::default`] attempts, the error is
+/// [`FlowError::RepairExhausted`] with stage `"detail routing"`.
 pub fn conventional_flow(
     tech: &Technology,
     lib: &Library,
     spec: &CircuitSpec,
     seed: u64,
 ) -> Result<FlowOutcome, FlowError> {
-    let start = Instant::now();
+    let (kind, options) = (FlowKind::Conventional, FlowOptions::default());
+    let run = Run::new(tech, lib, spec, None, seed, kind, options);
+    let [techlint, schem] = preflight(&run)?;
+    let layouts = default_cells(&run)?;
+    let placed = flat_place_and_route(&run)?;
+    let (supply_r_ohm, power) = supply_grid(&run, &placed);
+    let wires = single_wires(&run, &placed);
+    let mut resilience = ResilienceReport::new();
+    let router = detail_router(&run, &NoFaults);
+    let detailed = detail_route(&run, &router, &placed, &wires.widths, &mut resilience)?;
+    let verify = gate(verify(&run, &placed, &detailed, LintInputs::default()))?;
+    let erc = gate(erc(&run, &placed, &layouts, power.as_ref(), &wires))?;
+    let reports = [techlint, schem, verify, erc];
+    let realization = Realization {
+        layouts,
+        net_wires: wires.net_wires,
+        supply_r_ohm,
+    };
+    let outcome = finish(&run, reports, realization, &placed, detailed);
+    Ok(FlowOutcome {
+        resilience,
+        ..outcome
+    })
+}
 
-    // Zeroth gate: the deck itself must be self-consistent and able to
-    // carry the primitive library before any request-specific checking.
-    let techlint = Some(gate(preflight::techlint_preflight(tech, lib))?);
+/// One instance of a run, resolved once: its definition and the bias it is
+/// evaluated under.
+pub(crate) struct Inst<'a> {
+    /// The circuit instance: name, sizing and connections.
+    pub(crate) inst: &'a PrimitiveInst,
+    /// Its primitive definition.
+    pub(crate) def: &'a PrimitiveDef,
+    /// Its bias record, else the nominal bias of its class.
+    pub(crate) bias: Bias,
+}
 
-    // Schematic preflight: reject malformed requests before generating any
-    // geometry. The baseline has no bias records; nominal per-class biases
-    // are library invariants and need no re-check.
-    let schem = Some(gate(preflight::schem_preflight(tech, lib, spec, None))?);
+/// The fixed inputs of one flow run, shared by every stage.
+pub(crate) struct Run<'a> {
+    pub(crate) tech: &'a Technology,
+    pub(crate) lib: &'a Library,
+    pub(crate) spec: &'a CircuitSpec,
+    seed: u64,
+    /// Per-instance operating points; the conventional baseline has none.
+    pub(crate) biases: Option<&'a HashMap<String, Bias>>,
+    pub(crate) kind: FlowKind,
+    options: FlowOptions,
+    /// The caller's token, a deadline token, or both merged.
+    cancel: Option<CancelToken>,
+    start: Instant,
+    /// Every instance whose definition the library holds, in spec order.
+    /// The schematic gate (`SCHEM.DEF`) rejects any other before a stage
+    /// reads this.
+    pub(crate) insts: Vec<Inst<'a>>,
+}
 
-    // Default layouts: squarest blocked configuration, untuned.
-    let mut layouts: HashMap<String, PrimitiveLayout> = HashMap::new();
-    for inst in &spec.instances {
-        let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-            name: inst.def.clone(),
-        })?;
-        if def.spec.devices.is_empty() {
-            continue;
-        }
-        if let Some(cfg) = default_config(tech, &def.spec, inst.total_fins) {
-            let layout = generate(tech, &def.spec, &cfg).map_err(prima_core::OptError::from)?;
-            layouts.insert(inst.name.clone(), layout);
+impl<'a> Run<'a> {
+    fn new(
+        tech: &'a Technology,
+        lib: &'a Library,
+        spec: &'a CircuitSpec,
+        biases: Option<&'a HashMap<String, Bias>>,
+        seed: u64,
+        kind: FlowKind,
+        options: FlowOptions,
+    ) -> Self {
+        let start = Instant::now();
+        let cancel = effective_cancel(&options);
+        let insts = spec
+            .instances
+            .iter()
+            .filter_map(|inst| {
+                let def = lib.get(&inst.def)?;
+                let bias = biases
+                    .and_then(|b| b.get(&inst.name))
+                    .cloned()
+                    .unwrap_or_else(|| Bias::nominal(tech, &def.class));
+                Some(Inst { inst, def, bias })
+            })
+            .collect();
+        Run {
+            tech,
+            lib,
+            spec,
+            seed,
+            biases,
+            kind,
+            options,
+            cancel,
+            start,
+            insts,
         }
     }
 
-    // Flat placement: one block per transistor.
-    let placed = flat_place_and_route(tech, lib, spec, seed)?;
+    /// The instances with devices: passives are neither optimized nor
+    /// laid out.
+    fn sized(&self) -> impl Iterator<Item = &Inst<'a>> {
+        self.insts.iter().filter(|i| !i.def.spec.devices.is_empty())
+    }
+
+    /// The definition of the instance named `name`.
+    fn def_of(&self, name: &str) -> Option<&'a PrimitiveDef> {
+        self.insts
+            .iter()
+            .find(|i| i.inst.name == name)
+            .map(|i| i.def)
+    }
+
+    /// Aspect-ratio bins per primitive: the manual proxy searches one more.
+    fn n_bins(&self) -> usize {
+        match self.kind {
+            FlowKind::Manual => 4,
+            _ => 3,
+        }
+    }
+}
+
+/// Shared optimized/manual pipeline with fault isolation and repair
+/// bounded by [`RepairBudgets::default`]. With [`NoFaults`] and no organic
+/// failures every loop below runs exactly once and the result is
+/// bit-identical to the pre-resilience flow.
+fn run_flow(run: Run<'_>, injector: &dyn FaultInjector) -> Result<FlowOutcome, FlowError> {
+    let [techlint, schem] = preflight(&run)?;
+    let (opt, cache) = optimizer(&run);
+    let mut resilience = ResilienceReport::new();
+    let mut ledger = EvalLedger::new();
+    let mut states = select(&run, &opt, injector, &mut ledger, &mut resilience)?;
+    let corners = corner_sweep(&run, &opt, cache, &mut states, &mut ledger, &mut resilience)?;
+    let router = detail_router(&run, injector);
+    let metric_weights = metric_weights(&run);
+    let mut gate_attempt: u32 = 0;
+    loop {
+        gate_attempt += 1;
+        checkpoint(&run.cancel)?;
+        let cells = cell_options(&run, &states)?;
+        let mut placed = place_and_route(&run, &cells)?;
+        let (supply_r_ohm, power) = supply_grid(&run, &placed);
+        let wires = ports(&run, &opt, &placed)?;
+        let detailed = detail_route(&run, &router, &placed, &wires.widths, &mut resilience)?;
+        let lints = LintInputs {
+            metric_weights: metric_weights.clone(),
+            aspect_candidates: cells
+                .values()
+                .flatten()
+                .map(|(_, l)| l.aspect_ratio())
+                .collect(),
+            n_bins: run.n_bins(),
+            ports: port_intervals(&run, &wires),
+        };
+        let verify = verify(&run, &placed, &detailed, lints);
+        let erc = erc(&run, &placed, &placed.chosen, power.as_ref(), &wires);
+        let failing = [("verify", &verify), ("erc", &erc)]
+            .into_iter()
+            .find(|(_, r)| !r.is_passing());
+        let Some((gate_name, report)) = failing else {
+            resilience.absorb_ledger(&ledger);
+            let (cache, cache_diagnostics) = finish_cache(opt.cache(), &mut resilience);
+            let gds = stream_out(&run, &placed, &detailed)?;
+            let realization = Realization {
+                layouts: std::mem::take(&mut placed.chosen),
+                net_wires: wires.net_wires,
+                supply_r_ohm,
+            };
+            let reports = [techlint, schem, verify, erc];
+            return Ok(FlowOutcome {
+                sims: sim_counts(&opt),
+                resilience,
+                cache,
+                cache_diagnostics,
+                corners,
+                gds,
+                ..finish(&run, reports, realization, &placed, detailed)
+            });
+        };
+        if gate_attempt >= RepairBudgets::default().gate_attempts {
+            // Out of budget: surface the gate failure itself.
+            return Err(gate_error(report));
+        }
+        let failure = (gate_name, report);
+        let on_trial = &placed.chosen_bin;
+        if !repair(
+            &opt,
+            &run,
+            &mut states,
+            on_trial,
+            failure,
+            &mut ledger,
+            &mut resilience,
+        ) {
+            return Err(FlowError::RepairExhausted {
+                circuit: run.spec.name.clone(),
+                stage: format!("{gate_name} gate"),
+                attempts: gate_attempt,
+                last: first_error(report),
+            });
+        }
+        resilience.gate_retries += 1;
+    }
+}
+
+/// Stage (every flow): the deck gate, then the schematic gate. A deck whose
+/// rule tables drifted from its stack dies with an exact `TECH.*`/`LIB.*`
+/// rule id instead of panicking inside a router, and a malformed request
+/// with exact `SCHEM.*` ids before any optimizer exists. Also refuses to
+/// start a run whose budget is already spent.
+fn preflight(run: &Run<'_>) -> Result<[VerifyReport; 2], FlowError> {
+    checkpoint(&run.cancel)?;
+    let techlint = gate(techlint_preflight(run.tech, run.lib))?;
+    let schem = gate(schem_preflight(run.tech, run.lib, run.spec, run.biases))?;
+    Ok([techlint, schem])
+}
+
+/// The run's optimizer: the evaluation cache and cancel token, and the
+/// manual proxy's wider tuning and port search. The cache handle is
+/// returned too: corner-perturbed optimizers share the same store under
+/// their own key address space (see `Optimizer::set_cache`).
+fn optimizer<'a>(run: &Run<'a>) -> (Optimizer<'a>, Option<Arc<EvalCache>>) {
+    let mut opt = Optimizer::new(run.tech);
+    let cache = open_cache(&run.options.cache, run.tech);
+    if let Some(cache) = &cache {
+        opt.set_cache(cache.clone());
+    }
+    if let Some(token) = &run.cancel {
+        opt.set_cancel(token.clone());
+    }
+    if run.kind == FlowKind::Manual {
+        opt.max_tuning_wires = 10;
+        opt.max_port_routes = 10;
+    }
+    (opt, cache)
+}
+
+/// Stage (optimized and manual): Algorithm 1 per primitive, selection then
+/// tuning of each bin's winner. Instances sharing (definition, sizing,
+/// bias) — e.g. the sixteen identical current-starved inverters of the
+/// VCO — are optimized once and start from the same ranked bins; the
+/// repair loop may then walk their fallback cursors apart per instance.
+/// Candidate evaluations that fail or panic are recorded in the ledger and
+/// skipped inside `select_bins`; the bins hold the survivors.
+fn select<'a>(
+    run: &Run<'a>,
+    opt: &Optimizer,
+    injector: &dyn FaultInjector,
+    ledger: &mut EvalLedger,
+    resilience: &mut ResilienceReport,
+) -> Result<Vec<(String, InstState<'a>)>, FlowError> {
+    let mut states: Vec<(String, InstState<'a>)> = Vec::new();
+    // Each group's key and the state index of its leader.
+    let mut groups: Vec<((&str, u64, &Bias), usize)> = Vec::new();
+    for Inst { inst, def, bias } in run.sized() {
+        if let Some(&(_, group)) = groups
+            .iter()
+            .find(|((d, f, b), _)| *d == inst.def && *f == inst.total_fins && *b == bias)
+        {
+            let leader = &states[group].1;
+            let state = InstState {
+                def,
+                bias: bias.clone(),
+                cursor: RepairCursor::new(leader.bins.len()),
+                dead: vec![false; leader.bins.len()],
+                bins: leader.bins.clone(),
+                active: leader.active.clone(),
+                group,
+            };
+            states.push((inst.name.clone(), state));
+            continue;
+        }
+        let configs = std_config_space(inst.total_fins);
+        let bins: Vec<BinRanked> = opt
+            .select_bins(def, bias, &configs, run.n_bins(), injector, ledger)?
+            .into_iter()
+            .filter(|b| !b.ranked.is_empty())
+            .collect();
+        if bins.is_empty() {
+            return Err(FlowError::NoCandidates {
+                instance: inst.name.clone(),
+            });
+        }
+        let tuning = run.options.tuning;
+        let active = bins
+            .iter()
+            .filter_map(|bin| bin.ranked.first())
+            .map(|pick| tuned_candidate(opt, def, bias, pick, tuning, resilience, &inst.name))
+            .collect();
+        let group = states.len();
+        groups.push(((inst.def.as_str(), inst.total_fins, bias), group));
+        let state = InstState {
+            def,
+            bias: bias.clone(),
+            cursor: RepairCursor::new(bins.len()),
+            dead: vec![false; bins.len()],
+            bins,
+            active,
+            group,
+        };
+        states.push((inst.name.clone(), state));
+    }
+    Ok(states)
+}
+
+/// Stage (optimized and manual, under [`CornerPolicy::Sweep`]): PVT corner
+/// gating and Monte-Carlo mismatch of the surviving candidates, between
+/// selection and placement. Exhaustion degrades (`CORNER.*` diagnostics),
+/// never errors; cancellation unwinds.
+fn corner_sweep(
+    run: &Run<'_>,
+    opt: &Optimizer,
+    cache: Option<Arc<EvalCache>>,
+    states: &mut [(String, InstState<'_>)],
+    ledger: &mut EvalLedger,
+    resilience: &mut ResilienceReport,
+) -> Result<Option<CornerReport>, FlowError> {
+    let CornerPolicy::Sweep(copts) = &run.options.corners else {
+        return Ok(None);
+    };
+    let ctx = CornerCtx {
+        tech: run.tech,
+        opt,
+        copts,
+        tuning: run.options.tuning,
+        cache,
+        cancel: &run.cancel,
+    };
+    Ok(Some(corner_stage(&ctx, states, ledger, resilience)?))
+}
+
+/// Stage (conventional): the default layout of every sized instance, the
+/// squarest blocked configuration, untuned.
+fn default_cells(run: &Run<'_>) -> Result<BTreeMap<String, PrimitiveLayout>, FlowError> {
+    let mut layouts = BTreeMap::new();
+    for Inst { inst, def, .. } in run.sized() {
+        if let Some(cfg) = default_config(run.tech, &def.spec, inst.total_fins) {
+            let layout = generate(run.tech, &def.spec, &cfg).map_err(prima_core::OptError::from)?;
+            layouts.insert(inst.name.clone(), layout);
+        }
+    }
+    Ok(layouts)
+}
+
+/// Each instance's current option set: the live bins' active candidates,
+/// each with its bin. Quality guard: the placer chooses among these by
+/// geometry alone, so aspect-ratio options whose cost is far off the best
+/// are dropped — they would let a pathological bin winner into the layout.
+fn cell_options(
+    run: &Run<'_>,
+    states: &[(String, InstState<'_>)],
+) -> Result<HashMap<String, Vec<(usize, PrimitiveLayout)>>, FlowError> {
+    let mut cells = HashMap::new();
+    for (name, st) in states {
+        let live: Vec<usize> = (0..st.active.len()).filter(|&i| !st.dead[i]).collect();
+        if live.is_empty() {
+            return Err(FlowError::NoCandidates {
+                instance: name.clone(),
+            });
+        }
+        let best = live
+            .iter()
+            .map(|&i| st.active[i].1)
+            .fold(f64::INFINITY, f64::min);
+        let mut keep: Vec<usize> = live
+            .iter()
+            .copied()
+            .filter(|&i| st.active[i].1 <= quality_allowance(best))
+            .collect();
+        if keep.is_empty() {
+            keep = live.clone();
+        }
+        if run.kind == FlowKind::Manual {
+            // The expert commits to the single best-performing cell and
+            // hand-fits the floorplan around it.
+            let best_bin = live
+                .iter()
+                .copied()
+                .min_by(|&a, &b| st.active[a].1.total_cmp(&st.active[b].1));
+            keep = best_bin.into_iter().collect();
+        }
+        let options = keep.iter().map(|&i| (i, st.active[i].0.clone())).collect();
+        cells.insert(name.clone(), options);
+    }
+    Ok(cells)
+}
+
+/// Stage (optimized and manual): places the cells, choosing an option per
+/// instance, and global-routes the signal nets.
+fn place_and_route(
+    run: &Run<'_>,
+    options: &HashMap<String, Vec<(usize, PrimitiveLayout)>>,
+) -> Result<PlacedDesign, FlowError> {
+    let spec = run.spec;
+    let mut problem = PlacementProblem::new();
+    let mut blocks: Vec<(String, usize)> = Vec::new();
+    let mut index_of: HashMap<String, usize> = HashMap::new();
+    for inst in &spec.instances {
+        let variants: Vec<(i64, i64)> = match options.get(&inst.name) {
+            Some(layouts) if !layouts.is_empty() => layouts
+                .iter()
+                .map(|(_, l)| (l.bbox.width(), l.bbox.height()))
+                .collect(),
+            // Passives / unoptimized: a nominal footprint.
+            _ => vec![(1000, 1000)],
+        };
+        let ix = problem.add_block(Block::new(&inst.name, variants));
+        index_of.insert(inst.name.clone(), ix);
+        blocks.push((inst.name.clone(), ix));
+    }
+    for net in spec.nets() {
+        if is_power_net(&net) {
+            continue;
+        }
+        let mut pins: Vec<usize> = spec
+            .taps(&net)
+            .iter()
+            .map(|(inst, _)| index_of[&inst.name])
+            .collect();
+        pins.sort_unstable();
+        pins.dedup();
+        if pins.len() >= 2 {
+            problem.add_net(Net::new(&net, pins));
+        }
+    }
+    for (a, b) in &spec.symmetry {
+        if let (Some(&ia), Some(&ib)) = (index_of.get(a), index_of.get(b)) {
+            problem.add_symmetry(ia, ib);
+        }
+    }
+    let placement = Placer::new(run.seed).place(&problem)?;
+
+    // Chosen layout per instance = the variant the placer picked.
+    let mut chosen = BTreeMap::new();
+    let mut chosen_bin = HashMap::new();
+    for inst in &spec.instances {
+        if let Some(layouts) = options.get(&inst.name).filter(|l| !l.is_empty()) {
+            let v = placement.variants[index_of[&inst.name]].min(layouts.len() - 1);
+            let (bin, layout) = &layouts[v];
+            chosen.insert(inst.name.clone(), layout.clone());
+            chosen_bin.insert(inst.name.clone(), *bin);
+        }
+    }
+
+    // Routing: pins at per-net port positions inside each block. A cell's
+    // ports sit at distinct boundary locations, so each net gets a
+    // deterministic offset from the block center derived from its name —
+    // this is what lets the detailed router keep symmetric pairs apart.
+    let placed = global_route(run, &problem, &placement, &blocks, |net| {
+        let mut pins: Vec<Point> = Vec::new();
+        let mut seen = Vec::new();
+        for (inst, port) in spec.taps(net) {
+            if seen.contains(&inst.name) {
+                continue;
+            }
+            seen.push(inst.name.clone());
+            let r = placement.rect(&problem, index_of[&inst.name]);
+            let c = r.center();
+            let h = port_hash(port);
+            let dx = (h % 1024) as i64 * (r.width() / 2) / 1024 - r.width() / 4;
+            let dy = ((h / 1024) % 1024) as i64 * (r.height() / 2) / 1024 - r.height() / 4;
+            pins.push(Point::new(c.x + dx, c.y + dy));
+        }
+        pins
+    })?;
+    Ok(PlacedDesign {
+        chosen,
+        chosen_bin,
+        ..placed
+    })
+}
+
+/// Stage (conventional): flat, transistor-level placement and routing.
+/// Each device of each primitive is its own block, and every signal net
+/// pins onto every connected device individually.
+fn flat_place_and_route(run: &Run<'_>) -> Result<PlacedDesign, FlowError> {
+    let tech = run.tech;
+    let mut problem = PlacementProblem::new();
+    // (instance, block ix) per block, plus which nets its terminals use.
+    let mut blocks: Vec<(String, usize)> = Vec::new();
+    let mut block_nets: Vec<Vec<String>> = Vec::new();
+    for Inst { inst, def, .. } in run.sized() {
+        for d in &def.spec.devices {
+            // A lone transistor block: square-ish footprint from its fin
+            // count on the technology grid.
+            let fins = (inst.total_fins * d.ratio as u64).max(1);
+            let area_nm2 =
+                fins as f64 * tech.fin.fin_pitch as f64 * tech.fin.poly_pitch as f64 * 2.0;
+            let side = (area_nm2.sqrt() as i64).max(200);
+            let ix = problem.add_block(Block::new(
+                &format!("{}::{}", inst.name, d.name),
+                vec![(side, side)],
+            ));
+            blocks.push((inst.name.clone(), ix));
+            let nets: Vec<String> = [&d.drain, &d.gate, &d.source]
+                .iter()
+                .filter_map(|port| inst.net_of(port).map(str::to_string))
+                .collect();
+            block_nets.push(nets);
+        }
+    }
+    // The blocks whose terminals touch `net`.
+    let on_net = |net: &str| -> Vec<usize> {
+        (0..block_nets.len())
+            .filter(|&i| block_nets[i].iter().any(|n| n == net))
+            .collect()
+    };
+    for net in run.spec.nets() {
+        if is_power_net(&net) {
+            continue;
+        }
+        let pins = on_net(&net);
+        if pins.len() >= 2 {
+            problem.add_net(Net::new(&net, pins));
+        }
+    }
+    let placement = Placer::new(run.seed).place(&problem)?;
+    global_route(run, &problem, &placement, &blocks, |net| {
+        on_net(net)
+            .into_iter()
+            .map(|i| placement.rect(&problem, i).center())
+            .collect()
+    })
+}
+
+/// The tail both placements share: global-routes every signal net over the
+/// pins `pins_of` gives it (a net with fewer than two stays unrouted) and
+/// assembles the hand-off, with no cells chosen. `blocks` names each
+/// reported outline and gives its block index.
+fn global_route(
+    run: &Run<'_>,
+    problem: &PlacementProblem,
+    placement: &Placement,
+    blocks: &[(String, usize)],
+    pins_of: impl Fn(&str) -> Vec<Point>,
+) -> Result<PlacedDesign, FlowError> {
+    let mut routing_problem = RoutingProblem::new();
+    let mut pins: Vec<(String, Vec<Point>)> = Vec::new();
+    for net in run.spec.nets() {
+        if is_power_net(&net) {
+            continue;
+        }
+        let net_pins = pins_of(&net);
+        if net_pins.len() >= 2 {
+            routing_problem.add_net(&net, net_pins.clone());
+            pins.push((net, net_pins));
+        }
+    }
+    let routing = GlobalRouter::new(run.tech).route(&routing_problem)?;
+    let bbox = placement.bbox(problem);
+    Ok(PlacedDesign {
+        area_um2: bbox.area() as f64 * 1e-6,
+        routing,
+        chosen: BTreeMap::new(),
+        chosen_bin: HashMap::new(),
+        bbox,
+        rects: blocks
+            .iter()
+            .map(|(name, ix)| (name.clone(), placement.rect(problem, *ix)))
+            .collect(),
+        pins,
+    })
+}
+
+/// Stage (every flow): synthesizes the (manually-routed, in the paper's
+/// terms) power grid over the placement. Returns the effective rail
+/// resistance and the grid report, whose strap rows and per-block feed
+/// drops feed the ERC gate's IR and well-tap checks.
+fn supply_grid(run: &Run<'_>, placed: &PlacedDesign) -> (f64, Option<PowerReport>) {
+    if placed.rects.is_empty() {
+        return (SUPPLY_R_OHM, None);
+    }
     let blocks: Vec<(prima_geom::Rect, f64)> = placed
         .rects
         .iter()
-        .map(|(_, r)| (*r, block_current(None)))
+        .map(|(name, r)| (*r, block_current(run.biases.and_then(|b| b.get(name)))))
         .collect();
-    let (supply_r, power) = supply_grid(tech, &blocks, placed.bbox);
+    let spec = PowerGridSpec::for_tech(run.tech);
+    let report = synthesize(run.tech, placed.bbox, &blocks, &spec);
+    (report.effective_r_ohm.clamp(0.05, 25.0), Some(report))
+}
 
-    // Single-wire routes everywhere: k = 1.
-    let net_wires = signal_routes(spec, &placed.routing)
+/// What Algorithm 2 hands on: the wire RC per net, the parallel-route count
+/// the detailed router and ERC read, the currents ERC's EM pass checks and
+/// the port constraints the lints fold.
+#[derive(Default)]
+pub(crate) struct Wires {
+    net_wires: BTreeMap<String, ExternalWire>,
+    pub(crate) widths: HashMap<String, u32>,
+    pub(crate) currents: Vec<NetCurrent>,
+    per_net: HashMap<String, Vec<PortConstraint>>,
+}
+
+/// Stage (optimized and manual): Algorithm 2. Port constraints per
+/// primitive, reconciled per net into a parallel-route count.
+fn ports(run: &Run<'_>, opt: &Optimizer, placed: &PlacedDesign) -> Result<Wires, FlowError> {
+    let port_optimization = run.options.port_optimization;
+    let net_routes = signal_routes(run.spec, &placed.routing);
+    let mut per_net: HashMap<String, Vec<PortConstraint>> = HashMap::new();
+    for Inst { inst, def, bias } in run.sized() {
+        // The routes at this primitive's ports, keyed by port net name.
+        let routes: HashMap<String, GlobalRoute> = inst
+            .conn
+            .iter()
+            .filter_map(|(port, net)| net_routes.get(net).map(|gr| (port.clone(), *gr)))
+            .collect();
+        if routes.is_empty() {
+            continue;
+        }
+        let layout = placed.chosen.get(&inst.name);
+        for c in opt.port_constraints(def, bias, layout, inst.total_fins, &routes)? {
+            // Back-map the port name to the circuit net.
+            if let Some(net) = inst.net_of(&c.net) {
+                let net = net.to_string();
+                let c = PortConstraint {
+                    net: net.clone(),
+                    ..c
+                };
+                per_net.entry(net).or_default().push(c);
+            }
+        }
+    }
+    // EM clamp: raise every net's width interval to the EM-safe floor for
+    // its worst-case current *before* reconciliation, so the widths handed
+    // to the detailed router pass the electrical gate by construction; the
+    // gate's EM pass reads the same currents. Currents only exist when
+    // port optimization runs — the ablated flow chooses no widths, so there
+    // is nothing to keep safe.
+    let currents = if port_optimization {
+        electrical::net_currents(run.spec, &run.insts, &placed.pins)
+    } else {
+        Vec::new()
+    };
+    let mut floors: HashMap<String, u32> = HashMap::new();
+    for nc in &currents {
+        if let Some(route) = placed.routing.net(&nc.net) {
+            let floor = prima_erc::em::em_floor(run.tech, route, nc.worst_a);
+            floors.insert(nc.net.clone(), floor);
+        }
+    }
+    for (net, constraints) in &mut per_net {
+        if let Some(&floor) = floors.get(net) {
+            clamp_to_em_floor(constraints, floor);
+        }
+    }
+    let mut widths: HashMap<String, u32> = HashMap::new();
+    for (net, constraints) in &per_net {
+        let w = if port_optimization {
+            reconcile(constraints).w
+        } else {
+            1
+        };
+        widths.insert(net.clone(), w);
+    }
+    // Routed nets no primitive constrained still get the EM-safe width
+    // (single wires when the net carries no known current).
+    let mut net_wires = BTreeMap::new();
+    for (net, gr) in &net_routes {
+        let floor = || floors.get(net).copied().unwrap_or(1);
+        let w = *widths.entry(net.clone()).or_insert_with(floor);
+        net_wires.insert(net.clone(), route_wire(run.tech, gr, w));
+    }
+    Ok(Wires {
+        net_wires,
+        widths,
+        currents,
+        per_net,
+    })
+}
+
+/// Stage (conventional): single-wire routes everywhere, k = 1. The
+/// baseline chooses no widths and has no operating points, so its wires
+/// carry no currents for ERC's EM pass.
+fn single_wires(run: &Run<'_>, placed: &PlacedDesign) -> Wires {
+    let net_wires = signal_routes(run.spec, &placed.routing)
         .into_iter()
-        .map(|(net, gr)| (net, route_wire(tech, &gr, 1)))
+        .map(|(net, gr)| (net, route_wire(run.tech, &gr, 1)))
         .collect();
+    Wires {
+        net_wires,
+        ..Wires::default()
+    }
+}
 
-    let detailed = DetailRouter::new(tech)
-        .assign_with_symmetry(
-            placed.routing.routes(),
-            &HashMap::new(),
-            &spec.symmetric_nets,
-        )
-        .map_err(|e| FlowError::Measurement {
-            what: format!("detailed routing failed: {e}"),
-        })?;
+/// The run's detailed router, one for the whole run: injected route faults
+/// are consumed by the attempt that trips over them and stay consumed, so a
+/// retry can succeed.
+fn detail_router<'a>(run: &Run<'a>, injector: &dyn FaultInjector) -> DetailRouter<'a> {
+    let mut router = DetailRouter::new(run.tech);
+    router.set_cancel(run.cancel.clone());
+    for net in run.spec.nets() {
+        let n = injector.route_failures(&net);
+        if n > 0 {
+            router.inject_failure(&net, n);
+        }
+    }
+    router
+}
 
-    // Verification gate: the flat flow has no rendered cell masks (blocks
-    // are abstract per-transistor footprints), so the pass covers
-    // placement legality, routing DRC, and connectivity.
-    let mut artifacts = FlowArtifacts::new(&spec.name, tech);
+/// Stage (every flow): detailed routing at the reconciled widths (paper
+/// §I: "the optimized widths are a requirement for the detailed router").
+/// A failed attempt is retried with a perturbed net order — the failing
+/// net first — up to the route budget.
+fn detail_route(
+    run: &Run<'_>,
+    router: &DetailRouter<'_>,
+    placed: &PlacedDesign,
+    widths: &HashMap<String, u32>,
+    resilience: &mut ResilienceReport,
+) -> Result<DetailedResult, FlowError> {
+    let mut routes: Cow<'_, [NetRoute]> = Cow::Borrowed(placed.routing.routes());
+    let mut attempt: u32 = 0;
+    loop {
+        attempt += 1;
+        let e = match router.assign_with_symmetry(&routes, widths, &run.spec.symmetric_nets) {
+            Ok(d) => return Ok(d),
+            Err(e) => e,
+        };
+        let net = match &e {
+            DetailError::Congested { net, .. }
+            | DetailError::ZeroWidth { net }
+            | DetailError::PairDesync { net }
+            | DetailError::BadLayer { net, .. } => net.clone(),
+            // Cancellation is not a routing failure: no retry, no
+            // perturbed re-attempt — unwind immediately.
+            DetailError::Cancelled(c) => return Err(FlowError::Cancelled(*c)),
+        };
+        if attempt >= RepairBudgets::default().route_attempts {
+            return Err(FlowError::RepairExhausted {
+                circuit: run.spec.name.clone(),
+                stage: "detail routing".to_string(),
+                attempts: attempt,
+                last: e.to_string(),
+            });
+        }
+        resilience.route_retries += 1;
+        let action = format!("attempt {attempt} failed ({e}); retrying with perturbed net order");
+        resilience.record("routing", &net, action);
+        routes = Cow::Owned(perturb_routes(routes.into_owned(), &net, attempt as usize));
+    }
+}
+
+/// The cost weights of every distinct definition's metrics, in instance
+/// order, for the weight lint.
+fn metric_weights(run: &Run<'_>) -> Vec<(String, f64)> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut weights = Vec::new();
+    for Inst { def, .. } in &run.insts {
+        if seen.contains(&def.name.as_str()) {
+            continue;
+        }
+        seen.push(&def.name);
+        for m in &def.metrics {
+            weights.push((format!("{}.{}", def.name, m.name), m.weight));
+        }
+    }
+    weights
+}
+
+/// Stage (every flow): the static verification gate (DRC + LVS-lite +
+/// lints) over each placed block. A chosen cell's mask geometry is
+/// re-rendered, since the DRC pass checks the drawn rectangles, not the
+/// parasitic model; the flat flow's per-transistor blocks carry none, so
+/// its pass covers placement legality, routing DRC and connectivity.
+fn verify(
+    run: &Run<'_>,
+    placed: &PlacedDesign,
+    detailed: &DetailedResult,
+    lints: LintInputs,
+) -> VerifyReport {
+    let mut artifacts = FlowArtifacts::new(&run.spec.name, run.tech);
     artifacts.cells = placed
         .rects
         .iter()
-        .map(|(name, r)| CellArtifact {
+        .map(|(name, outline)| CellArtifact {
             instance: name.clone(),
-            outline: *r,
-            geometry: None,
+            outline: *outline,
+            geometry: placed.chosen.get(name).and_then(|layout| {
+                let def = run.def_of(name)?;
+                render(run.tech, &def.spec, &layout.config).ok()
+            }),
         })
         .collect();
     artifacts.pins = placed.pins.clone();
     artifacts.routing = Some(&placed.routing);
-    artifacts.detailed = Some(&detailed);
+    artifacts.detailed = Some(detailed);
     artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
-    let verify = Some(gate(check_flow(&artifacts))?);
+    artifacts.lints = lints;
+    check_flow(&artifacts)
+}
 
-    // Electrical gate. The baseline has no operating-point data (the
-    // paper's conventional flow "performs no optimizations for
-    // parasitics"), so the EM pass has no currents to propagate and the
-    // flat placement makes no symmetry claims; IR, well-tap reach, and
-    // connectivity hygiene still apply.
-    let erc = Some(gate(electrical::erc_report(ErcBuild {
-        tech,
-        lib,
-        spec,
-        biases: None,
-        routing: Some(&placed.routing),
-        widths: &HashMap::new(),
+/// Stage (optimized and manual, under [`GdsPolicy::On`]): GDS-II
+/// stream-out, run only on the gate-clean geometry.
+fn stream_out(
+    run: &Run<'_>,
+    placed: &PlacedDesign,
+    detailed: &DetailedResult,
+) -> Result<Option<GdsArtifact>, FlowError> {
+    if !run.options.gds.enabled() {
+        return Ok(None);
+    }
+    let ctx = GdsCtx {
+        tech: run.tech,
+        lib: run.lib,
+        spec: run.spec,
+        chosen: &placed.chosen,
         rects: &placed.rects,
-        layouts: &layouts,
-        power: power.as_ref(),
-        currents: Vec::new(),
-        with_symmetry: false,
-    }))?);
+        pins: &placed.pins,
+        bbox: placed.bbox,
+        detailed,
+    };
+    Ok(Some(stream_out_stage(&ctx)?))
+}
 
-    Ok(FlowOutcome {
-        kind: FlowKind::Conventional,
-        techlint,
-        schem,
-        realization: Realization {
-            layouts,
-            net_wires,
-            supply_r_ohm: supply_r,
-        },
-        runtime: start.elapsed(),
-        sims: HashMap::new(),
+/// Simulation counts per optimization phase.
+fn sim_counts(opt: &Optimizer) -> BTreeMap<&'static str, usize> {
+    let count = |phase| opt.counter().count(phase);
+    BTreeMap::from([
+        ("selection", count(Phase::Selection)),
+        ("tuning", count(Phase::Tuning)),
+        ("ports", count(Phase::PortConstraints)),
+        ("corners", count(Phase::Corners)),
+    ])
+}
+
+/// Stage (every flow): the outcome of a run whose four gates passed, in
+/// gate order. Each flow sets its own resilience record over this, and the
+/// optimized flow its simulation counts, cache, corner and GDS results.
+fn finish(
+    run: &Run<'_>,
+    [techlint, schem, verify, erc]: [VerifyReport; 4],
+    realization: Realization,
+    placed: &PlacedDesign,
+    detailed: DetailedResult,
+) -> FlowOutcome {
+    FlowOutcome {
+        kind: run.kind,
+        realization,
+        runtime: run.start.elapsed(),
+        sims: BTreeMap::new(),
         area_um2: placed.area_um2,
         wirelength_um: placed.routing.total_wirelength() as f64 / 1000.0,
         detailed,
-        verify,
-        erc,
-        resilience: ResilienceReport::default(),
+        techlint: Some(techlint),
+        schem: Some(schem),
+        verify: Some(verify),
+        erc: Some(erc),
+        resilience: ResilienceReport::new(),
         cache: None,
         cache_diagnostics: Vec::new(),
         corners: None,
         gds: None,
-    })
+    }
+}
+
+/// Gate repair (optimized and manual): demotes one instance's bin on trial
+/// — the candidate the placer actually put in the layout — to its next
+/// candidate, or drops the bin. Victim priority: instances a violation
+/// names, then instances tapping a violation's net, then spec order; the
+/// first with a usable fallback is repaired. Returns whether one was.
+fn repair(
+    opt: &Optimizer,
+    run: &Run<'_>,
+    states: &mut [(String, InstState<'_>)],
+    on_trial: &HashMap<String, usize>,
+    (gate_name, report): (&str, &VerifyReport),
+    ledger: &mut EvalLedger,
+    resilience: &mut ResilienceReport,
+) -> bool {
+    let first = first_error(report);
+    let mut victims: Vec<String> = Vec::new();
+    for scope in error_scopes(report) {
+        if states.iter().any(|(n, _)| *n == scope) {
+            victims.push(scope);
+        } else {
+            victims.extend(run.spec.taps(&scope).iter().map(|(i, _)| i.name.clone()));
+        }
+    }
+    victims.extend(states.iter().map(|(n, _)| n.clone()));
+    let mut uniq: Vec<String> = Vec::new();
+    for v in victims {
+        if !uniq.contains(&v) {
+            uniq.push(v);
+        }
+    }
+    for name in uniq {
+        let Some((_, st)) = states.iter_mut().find(|(n, _)| *n == name) else {
+            continue;
+        };
+        let Some(&bin) = on_trial.get(&name) else {
+            continue;
+        };
+        let why = Fallback {
+            opt,
+            tuning: run.options.tuning,
+            stage: "gate",
+            inst: &name,
+            cause: format!("{gate_name} gate failed ({first})"),
+            note: format!("failed {gate_name} gate: {first}"),
+        };
+        let fell_back = st.fall_back(bin, &why, ledger, resilience);
+        if fell_back.is_some() || st.drop_bin(bin, &why, resilience) {
+            return true;
+        }
+    }
+    false
 }
 
 /// Opens the evaluation cache `policy` asks for, keyed under this
@@ -650,9 +1392,10 @@ fn first_error(report: &VerifyReport) -> String {
 /// ranked aspect-ratio bins from Algorithm 1, the fallback cursor, the
 /// currently active (tuned) candidate per bin, and which bins have been
 /// exhausted and dropped.
-pub(crate) struct InstState {
-    /// Primitive definition name (the [`EvalLedger`] key).
-    pub(crate) def: String,
+pub(crate) struct InstState<'a> {
+    /// The instance's primitive definition (its name is the
+    /// [`EvalLedger`] key).
+    pub(crate) def: &'a PrimitiveDef,
     /// Bias record the candidates were evaluated under.
     pub(crate) bias: Bias,
     /// Ranked candidates per aspect-ratio bin, best-first.
@@ -675,8 +1418,6 @@ pub(crate) struct InstState {
 pub(crate) struct Fallback<'a> {
     /// Optimizer the replacement is re-tuned with.
     pub(crate) opt: &'a Optimizer<'a>,
-    /// The instance's primitive definition.
-    pub(crate) def: &'a PrimitiveDef,
     /// Whether the flow tunes selected candidates.
     pub(crate) tuning: bool,
     /// Degradation stage the repair is recorded under.
@@ -689,7 +1430,7 @@ pub(crate) struct Fallback<'a> {
     pub(crate) note: String,
 }
 
-impl InstState {
+impl InstState<'_> {
     /// Replaces the candidate `bin` fields: ledgers it as failed (unless it
     /// already is), demotes the bin to its next candidate not ledgered as
     /// failed, re-tunes that pick and records the fallback. Returns the new
@@ -701,17 +1442,18 @@ impl InstState {
         ledger: &mut EvalLedger,
         resilience: &mut ResilienceReport,
     ) -> Option<usize> {
+        let key = &self.def.name;
         let cur = self.cursor.current(bin);
         if let Some(&cand) = self.bins[bin].candidates.get(cur) {
-            if !ledger.is_failed(&self.def, cand) {
-                ledger.record(&self.def, cand, false, why.note.clone());
+            if !ledger.is_failed(key, cand) {
+                ledger.record(key, cand, false, why.note.clone());
             }
         }
-        let pairs = self.bins[bin].id_pairs(&self.def);
+        let pairs = self.bins[bin].id_pairs(key);
         let rank = self.cursor.demote(bin, &pairs, ledger)?;
         let pick = self.bins[bin].ranked.get(rank)?;
         self.active[bin] = tuned_candidate(
-            why.opt, why.def, &self.bias, pick, why.tuning, resilience, why.inst,
+            why.opt, self.def, &self.bias, pick, why.tuning, resilience, why.inst,
         );
         resilience.record(
             why.stage,
@@ -793,580 +1535,17 @@ fn error_scopes(report: &VerifyReport) -> Vec<String> {
         .collect()
 }
 
-/// Shared optimized/manual implementation with fault isolation and repair
-/// bounded by [`RepairBudgets::default`]. With [`NoFaults`] and no organic
-/// failures every loop below runs exactly once and the result is
-/// bit-identical to the pre-resilience flow.
-#[allow(clippy::too_many_arguments)]
-fn run_flow(
-    tech: &Technology,
-    lib: &Library,
-    spec: &CircuitSpec,
-    biases: &HashMap<String, Bias>,
-    seed: u64,
-    kind: FlowKind,
-    options: FlowOptions,
-    injector: &dyn FaultInjector,
-) -> Result<FlowOutcome, FlowError> {
-    let start = Instant::now();
-    let budgets = RepairBudgets::default();
-
-    // Cancellation: merge the caller's token with the options deadline, and
-    // refuse to start a run whose budget is already spent.
-    let cancel = effective_cancel(&options);
-    checkpoint(&cancel)?;
-
-    // Zeroth gate: deck self-consistency + library feasibility. A deck
-    // whose rule tables drifted from its stack dies here with an exact
-    // `TECH.*`/`LIB.*` rule id instead of panicking inside a router.
-    let techlint = gate(preflight::techlint_preflight(tech, lib))?;
-
-    // Schematic preflight: the whole lint suite costs microseconds, so a
-    // malformed request dies with exact `SCHEM.*` rule ids before the
-    // optimizer (and its simulation counter) even exists.
-    let schem = gate(preflight::schem_preflight(tech, lib, spec, Some(biases)))?;
-
-    let mut opt = Optimizer::new(tech);
-    // The Arc is kept: corner-perturbed optimizers share the same store
-    // under their own key address space (see `Optimizer::set_cache`).
-    let cache_arc = open_cache(&options.cache, tech);
-    if let Some(cache) = &cache_arc {
-        opt.set_cache(cache.clone());
-    }
-    if let Some(token) = &cancel {
-        opt.set_cancel(token.clone());
-    }
-    let n_bins = match kind {
-        FlowKind::Manual => 4,
-        _ => 3,
-    };
-    if kind == FlowKind::Manual {
-        opt.max_tuning_wires = 10;
-        opt.max_port_routes = 10;
-    }
-    let mut resilience = ResilienceReport::new();
-    let mut ledger = EvalLedger::new();
-
-    // ---- Algorithm 1 per primitive: selection + tuning -------------------
-    // Instances sharing (definition, sizing, bias) — e.g. the sixteen
-    // identical current-starved inverters of the VCO — are optimized once
-    // and start from the same ranked bins; the repair loop may then walk
-    // their fallback cursors apart per instance. Candidate evaluations that
-    // fail or panic are recorded in the ledger and skipped inside
-    // `select_bins`; the bins hold the survivors.
-    let mut states: Vec<(String, InstState)> = Vec::new();
-    // Each group's key and the state index of its leader.
-    let mut groups: Vec<((&str, u64, Bias), usize)> = Vec::new();
-    for inst in &spec.instances {
-        let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-            name: inst.def.clone(),
-        })?;
-        if def.spec.devices.is_empty() {
-            continue;
-        }
-        let bias = biases
-            .get(&inst.name)
-            .cloned()
-            .unwrap_or_else(|| Bias::nominal(tech, &def.class));
-        if let Some(&(_, group)) = groups
-            .iter()
-            .find(|((d, f, b), _)| *d == inst.def && *f == inst.total_fins && *b == bias)
-        {
-            let leader = &states[group].1;
-            let state = InstState {
-                def: inst.def.clone(),
-                bias,
-                cursor: RepairCursor::new(leader.bins.len()),
-                dead: vec![false; leader.bins.len()],
-                bins: leader.bins.clone(),
-                active: leader.active.clone(),
-                group,
-            };
-            states.push((inst.name.clone(), state));
-            continue;
-        }
-        let configs = config_space(inst.total_fins);
-        if configs.is_empty() {
-            continue;
-        }
-        let bins: Vec<BinRanked> = opt
-            .select_bins(def, &bias, &configs, n_bins, injector, &mut ledger)?
-            .into_iter()
-            .filter(|b| !b.ranked.is_empty())
-            .collect();
-        if bins.is_empty() {
-            return Err(FlowError::NoCandidates {
-                instance: inst.name.clone(),
-            });
-        }
-        let mut active = Vec::with_capacity(bins.len());
-        for bin in &bins {
-            if let Some(pick) = bin.ranked.first() {
-                active.push(tuned_candidate(
-                    &opt,
-                    def,
-                    &bias,
-                    pick,
-                    options.tuning,
-                    &mut resilience,
-                    &inst.name,
-                ));
-            }
-        }
-        let group = states.len();
-        groups.push(((inst.def.as_str(), inst.total_fins, bias.clone()), group));
-        states.push((
-            inst.name.clone(),
-            InstState {
-                def: inst.def.clone(),
-                bias,
-                cursor: RepairCursor::new(bins.len()),
-                dead: vec![false; bins.len()],
-                bins,
-                active,
-                group,
-            },
-        ));
-    }
-
-    // ---- Variation stage: PVT corner gating + Monte-Carlo mismatch ------
-    // Runs between selection/tuning and placement: surviving bin
-    // candidates are re-evaluated across the enabled corner set and gated
-    // on worst-case satisfaction, with corner-only failures repaired by
-    // next-best-candidate fallback under the corner budget. Exhaustion
-    // degrades (CORNER.* diagnostics), never errors; cancellation unwinds.
-    let corner_report = match &options.corners {
-        CornerPolicy::Off => None,
-        CornerPolicy::Sweep(copts) => Some(crate::corners::corner_stage(
-            &crate::corners::CornerCtx {
-                tech,
-                lib,
-                opt: &opt,
-                copts,
-                tuning: options.tuning,
-                cache: cache_arc.clone(),
-                cancel: &cancel,
-            },
-            &mut states,
-            &mut ledger,
-            &mut resilience,
-        )?),
-    };
-
-    // One detail router for the whole run: injected route faults are
-    // consumed by the attempt that trips over them and stay consumed, so a
-    // retry can succeed.
-    let mut router = DetailRouter::new(tech);
-    router.set_cancel(cancel.clone());
-    for net in spec.nets() {
-        let n = injector.route_failures(&net);
-        if n > 0 {
-            router.inject_failure(&net, n);
-        }
-    }
-
-    // ---- Place/route + Algorithm 2 + gates, with bounded repair ----------
-    let mut gate_attempt: u32 = 0;
-    loop {
-        gate_attempt += 1;
-        checkpoint(&cancel)?;
-
-        // Current option set per instance: the live bins' active
-        // candidates. Quality guard: the placer chooses among these by
-        // geometry alone, so drop aspect-ratio options whose cost is far
-        // off the best — they would let a pathological bin winner into the
-        // layout.
-        let mut cell_options: HashMap<String, Vec<PrimitiveLayout>> = HashMap::new();
-        let mut kept_bins: HashMap<String, Vec<usize>> = HashMap::new();
-        for (name, st) in &states {
-            let live: Vec<usize> = (0..st.active.len()).filter(|&i| !st.dead[i]).collect();
-            if live.is_empty() {
-                return Err(FlowError::NoCandidates {
-                    instance: name.clone(),
-                });
-            }
-            let best = live
-                .iter()
-                .map(|&i| st.active[i].1)
-                .fold(f64::INFINITY, f64::min);
-            let mut keep: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|&i| st.active[i].1 <= quality_allowance(best))
-                .collect();
-            if keep.is_empty() {
-                keep = live.clone();
-            }
-            if kind == FlowKind::Manual {
-                // The expert commits to the single best-performing cell and
-                // hand-fits the floorplan around it.
-                let bi = live
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| st.active[a].1.total_cmp(&st.active[b].1))
-                    .ok_or_else(|| FlowError::NoCandidates {
-                        instance: name.clone(),
-                    })?;
-                keep = vec![bi];
-            }
-            cell_options.insert(
-                name.clone(),
-                keep.iter().map(|&i| st.active[i].0.clone()).collect(),
-            );
-            kept_bins.insert(name.clone(), keep);
-        }
-
-        // ---- Place (variant selection) and global-route ------------------
-        let placed = place_and_route(tech, spec, &cell_options, seed)?;
-        let (routing, chosen) = (&placed.routing, &placed.chosen);
-        let blocks: Vec<(prima_geom::Rect, f64)> = placed
-            .rects
-            .iter()
-            .map(|(name, r)| (*r, block_current(biases.get(name))))
-            .collect();
-        let (supply_r, power) = supply_grid(tech, &blocks, placed.bbox);
-
-        // ---- Algorithm 2: port constraints + reconciliation --------------
-        let mut per_net: HashMap<String, Vec<PortConstraint>> = HashMap::new();
-        let net_routes = signal_routes(spec, routing);
-        for inst in &spec.instances {
-            let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-                name: inst.def.clone(),
-            })?;
-            if def.spec.devices.is_empty() {
-                continue;
-            }
-            let bias = biases
-                .get(&inst.name)
-                .cloned()
-                .unwrap_or_else(|| Bias::nominal(tech, &def.class));
-            // The routes at this primitive's ports, keyed by port net name.
-            let mut routes: HashMap<String, GlobalRoute> = HashMap::new();
-            for (port, net) in &inst.conn {
-                if let Some(gr) = net_routes.get(net) {
-                    routes.insert(port.clone(), *gr);
-                }
-            }
-            if routes.is_empty() {
-                continue;
-            }
-            let layout = chosen.get(&inst.name);
-            let cons = opt.port_constraints(def, &bias, layout, inst.total_fins, &routes)?;
-            for c in cons {
-                // Back-map the port name to the circuit net.
-                if let Some(net) = inst.net_of(&c.net) {
-                    per_net
-                        .entry(net.to_string())
-                        .or_default()
-                        .push(PortConstraint {
-                            net: net.to_string(),
-                            ..c
-                        });
-                }
-            }
-        }
-        // EM clamp: raise every net's width interval to the EM-safe floor
-        // for its worst-case current *before* reconciliation, so the widths
-        // Algorithm 2 hands the detailed router pass the electrical gate by
-        // construction; the electrical gate's EM pass reads the same
-        // currents. Currents only exist when port optimization runs — the
-        // ablated flow chooses no widths, so there is nothing to keep safe.
-        let currents = if options.port_optimization {
-            electrical::net_currents(tech, lib, spec, biases, &placed.pins)
-        } else {
-            Vec::new()
-        };
-        let mut floors: HashMap<String, u32> = HashMap::new();
-        for nc in &currents {
-            if let Some(route) = routing.net(&nc.net) {
-                floors.insert(
-                    nc.net.clone(),
-                    prima_erc::em::em_floor(tech, route, nc.worst_a),
-                );
-            }
-        }
-        for (net, constraints) in &mut per_net {
-            if let Some(&floor) = floors.get(net) {
-                clamp_to_em_floor(constraints, floor);
-            }
-        }
-        let mut net_wires = HashMap::new();
-        let mut widths: HashMap<String, u32> = HashMap::new();
-        for (net, constraints) in &per_net {
-            let w = if options.port_optimization {
-                reconcile(constraints).w
-            } else {
-                1
-            };
-            widths.insert(net.clone(), w);
-            if let Some(gr) = net_routes.get(net) {
-                net_wires.insert(net.clone(), route_wire(tech, gr, w));
-            }
-        }
-        // Routed nets no primitive constrained still get the EM-safe width
-        // (single wires when the net carries no known current).
-        for (net, gr) in &net_routes {
-            if !widths.contains_key(net) {
-                let k = floors.get(net).copied().unwrap_or(1);
-                widths.insert(net.clone(), k);
-                net_wires.insert(net.clone(), route_wire(tech, gr, k));
-            }
-        }
-
-        let mut sims = HashMap::new();
-        sims.insert("selection", opt.counter().count(Phase::Selection));
-        sims.insert("tuning", opt.counter().count(Phase::Tuning));
-        sims.insert("ports", opt.counter().count(Phase::PortConstraints));
-        sims.insert("corners", opt.counter().count(Phase::Corners));
-
-        // Hand the reconciled widths to the detailed router (paper §I: "the
-        // optimized widths are a requirement for the detailed router"),
-        // retrying with a perturbed net ordering — the failing net first —
-        // when an attempt fails, up to the route budget.
-        let mut routes: Vec<NetRoute> = routing.routes().to_vec();
-        let mut route_attempt: u32 = 0;
-        let detailed = loop {
-            route_attempt += 1;
-            match router.assign_with_symmetry(&routes, &widths, &spec.symmetric_nets) {
-                Ok(d) => break d,
-                Err(e) => {
-                    let net = match &e {
-                        DetailError::Congested { net, .. }
-                        | DetailError::ZeroWidth { net }
-                        | DetailError::PairDesync { net }
-                        | DetailError::BadLayer { net, .. } => net.clone(),
-                        // Cancellation is not a routing failure: no retry,
-                        // no perturbed re-attempt — unwind immediately.
-                        DetailError::Cancelled(c) => return Err(FlowError::Cancelled(*c)),
-                    };
-                    if route_attempt >= budgets.route_attempts {
-                        return Err(FlowError::RepairExhausted {
-                            circuit: spec.name.clone(),
-                            stage: "detail routing".to_string(),
-                            attempts: route_attempt,
-                            last: e.to_string(),
-                        });
-                    }
-                    resilience.route_retries += 1;
-                    resilience.record(
-                        "routing",
-                        &net,
-                        format!(
-                            "attempt {route_attempt} failed ({e}); \
-                             retrying with perturbed net order"
-                        ),
-                    );
-                    routes = perturb_routes(routes, &net, route_attempt as usize);
-                }
-            }
-        };
-
-        // ---- Static verification gate (DRC + LVS-lite + lints) -----------
-        let outline_of: HashMap<&str, prima_geom::Rect> =
-            placed.rects.iter().map(|(n, r)| (n.as_str(), *r)).collect();
-        let mut artifacts = FlowArtifacts::new(&spec.name, tech);
-        for inst in &spec.instances {
-            let Some(&outline) = outline_of.get(inst.name.as_str()) else {
-                continue;
-            };
-            // Re-render the chosen variant's mask geometry; the DRC pass
-            // checks the drawn rectangles, not the parasitic model.
-            let geometry = chosen.get(&inst.name).and_then(|layout| {
-                lib.get(&inst.def)
-                    .and_then(|def| render(tech, &def.spec, &layout.config).ok())
-            });
-            artifacts.cells.push(CellArtifact {
-                instance: inst.name.clone(),
-                outline,
-                geometry,
-            });
-        }
-        artifacts.pins = placed.pins.clone();
-        artifacts.routing = Some(routing);
-        artifacts.detailed = Some(&detailed);
-        artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
-        artifacts.lints = LintInputs {
-            metric_weights: {
-                let mut seen_defs: Vec<&str> = Vec::new();
-                let mut weights = Vec::new();
-                for inst in &spec.instances {
-                    let Some(def) = lib.get(&inst.def) else {
-                        continue;
-                    };
-                    if seen_defs.contains(&def.name.as_str()) {
-                        continue;
-                    }
-                    seen_defs.push(&def.name);
-                    for m in &def.metrics {
-                        weights.push((format!("{}.{}", def.name, m.name), m.weight));
-                    }
-                }
-                weights
-            },
-            aspect_candidates: cell_options
-                .values()
-                .flatten()
-                .map(|l| l.aspect_ratio())
-                .collect(),
-            n_bins,
-            ports: if options.port_optimization {
-                port_intervals(&per_net, &widths)
-            } else {
-                Vec::new()
-            },
-        };
-        let verify = check_flow(&artifacts);
-
-        // Electrical gate: EM over the routed topology at the reconciled
-        // widths (clean by construction thanks to the clamp above), static
-        // IR on the synthesized grid, symmetry/matching lints, and
-        // connectivity hygiene.
-        let erc = electrical::erc_report(ErcBuild {
-            tech,
-            lib,
-            spec,
-            biases: Some(biases),
-            routing: Some(routing),
-            widths: &widths,
-            rects: &placed.rects,
-            layouts: &placed.chosen,
-            power: power.as_ref(),
-            currents,
-            with_symmetry: true,
-        });
-
-        // ---- Gate verdict + bounded candidate-fallback repair ------------
-        let failure: Option<(&'static str, usize, String, Vec<String>)> =
-            [("verify", &verify), ("erc", &erc)]
-                .into_iter()
-                .find(|(_, r)| !r.is_passing())
-                .map(|(g, r)| (g, r.error_count(), first_error(r), error_scopes(r)));
-        let Some((gate_name, n_errors, first, scopes)) = failure else {
-            resilience.absorb_ledger(&ledger);
-            let (cache_stats, cache_diagnostics) = finish_cache(opt.cache(), &mut resilience);
-            // Stream-out runs only on the gate-clean geometry, just before
-            // `placed.chosen` is moved into the realization.
-            let gds = if options.gds.enabled() {
-                Some(crate::gds::stream_out_stage(&crate::gds::GdsCtx {
-                    tech,
-                    lib,
-                    spec,
-                    chosen: &placed.chosen,
-                    rects: &placed.rects,
-                    pins: &placed.pins,
-                    bbox: placed.bbox,
-                    detailed: &detailed,
-                })?)
-            } else {
-                None
-            };
-            return Ok(FlowOutcome {
-                kind,
-                techlint: Some(techlint.clone()),
-                schem: Some(schem.clone()),
-                realization: Realization {
-                    layouts: placed.chosen,
-                    net_wires,
-                    supply_r_ohm: supply_r,
-                },
-                runtime: start.elapsed(),
-                sims,
-                area_um2: placed.area_um2,
-                wirelength_um: placed.routing.total_wirelength() as f64 / 1000.0,
-                detailed,
-                verify: Some(verify),
-                erc: Some(erc),
-                resilience,
-                cache: cache_stats,
-                cache_diagnostics,
-                corners: corner_report.clone(),
-                gds,
-            });
-        };
-        if gate_attempt >= budgets.gate_attempts {
-            // Out of budget: surface the gate failure itself.
-            return Err(FlowError::Verify {
-                circuit: spec.name.clone(),
-                violations: n_errors,
-                first,
-            });
-        }
-
-        // Victim priority: instances a violation names, then instances
-        // tapping a violation's net, then spec order. The first victim with
-        // a usable fallback gets its chosen bin demoted (the candidate on
-        // trial is the one the placer actually put in the layout).
-        let mut victims: Vec<String> = Vec::new();
-        for scope in &scopes {
-            if states.iter().any(|(n, _)| n == scope) {
-                victims.push(scope.clone());
-            } else {
-                for (inst, _) in spec.taps(scope) {
-                    victims.push(inst.name.clone());
-                }
-            }
-        }
-        victims.extend(states.iter().map(|(n, _)| n.clone()));
-        let mut uniq: Vec<String> = Vec::new();
-        for v in victims {
-            if !uniq.contains(&v) {
-                uniq.push(v);
-            }
-        }
-
-        let mut repaired = false;
-        for name in uniq {
-            let Some((_, st)) = states.iter_mut().find(|(n, _)| *n == name) else {
-                continue;
-            };
-            let Some(bin) = placed
-                .chosen_variant
-                .get(&name)
-                .and_then(|&v| kept_bins.get(&name).and_then(|ks| ks.get(v)))
-                .copied()
-            else {
-                continue;
-            };
-            let def = lib.get(&st.def).ok_or(FlowError::UnknownPrimitive {
-                name: st.def.clone(),
-            })?;
-            let why = Fallback {
-                opt: &opt,
-                def,
-                tuning: options.tuning,
-                stage: "gate",
-                inst: &name,
-                cause: format!("{gate_name} gate failed ({first})"),
-                note: format!("failed {gate_name} gate: {first}"),
-            };
-            let fell_back = st.fall_back(bin, &why, &mut ledger, &mut resilience);
-            if fell_back.is_some() || st.drop_bin(bin, &why, &mut resilience) {
-                repaired = true;
-                break;
-            }
-        }
-        if !repaired {
-            return Err(FlowError::RepairExhausted {
-                circuit: spec.name.clone(),
-                stage: format!("{gate_name} gate"),
-                attempts: gate_attempt,
-                last: first,
-            });
-        }
-        resilience.gate_retries += 1;
-    }
-}
-
 /// Folds each net's port constraints into lint intervals: when the
 /// intervals intersect, the reconciled width must lie in the intersection;
 /// disjoint intervals (the Algorithm-2 cost-sum fallback) are checked
-/// individually for well-formedness only.
-fn port_intervals(
-    per_net: &HashMap<String, Vec<PortConstraint>>,
-    widths: &HashMap<String, u32>,
-) -> Vec<PortInterval> {
+/// individually for well-formedness only. The ablated flow reconciles
+/// nothing, so it has no intervals to check.
+fn port_intervals(run: &Run<'_>, wires: &Wires) -> Vec<PortInterval> {
     let mut out = Vec::new();
-    for (net, constraints) in per_net {
+    if !run.options.port_optimization {
+        return out;
+    }
+    for (net, constraints) in &wires.per_net {
         let lo = constraints.iter().map(|c| c.w_min).max().unwrap_or(1);
         let hi = constraints.iter().filter_map(|c| c.w_max).min();
         let overlapped = hi.is_none_or(|h| lo <= h);
@@ -1375,7 +1554,7 @@ fn port_intervals(
                 net: net.clone(),
                 w_min: lo,
                 w_max: hi,
-                reconciled: widths.get(net).copied(),
+                reconciled: wires.widths.get(net).copied(),
             });
         } else {
             for c in constraints {
@@ -1389,96 +1568,6 @@ fn port_intervals(
         }
     }
     out
-}
-
-/// Flat (transistor-level) placement and routing for the conventional
-/// baseline: each device of each primitive is its own block, and every
-/// signal net pins onto every connected device individually.
-fn flat_place_and_route(
-    tech: &Technology,
-    lib: &Library,
-    spec: &CircuitSpec,
-    seed: u64,
-) -> Result<PlacedDesign, FlowError> {
-    let mut problem = PlacementProblem::new();
-    // (instance, device) blocks plus which net each block's terminals use.
-    let mut block_nets: Vec<Vec<String>> = Vec::new();
-    let mut index_of: Vec<(String, usize)> = Vec::new(); // (inst, block ix)
-    for inst in &spec.instances {
-        let def = lib.get(&inst.def).ok_or(FlowError::UnknownPrimitive {
-            name: inst.def.clone(),
-        })?;
-        if def.spec.devices.is_empty() {
-            continue;
-        }
-        for d in &def.spec.devices {
-            // A lone transistor block: square-ish footprint from its fin
-            // count on the technology grid.
-            let fins = (inst.total_fins * d.ratio as u64).max(1);
-            let area_nm2 =
-                fins as f64 * tech.fin.fin_pitch as f64 * tech.fin.poly_pitch as f64 * 2.0;
-            let side = (area_nm2.sqrt() as i64).max(200);
-            let ix = problem.add_block(Block::new(
-                &format!("{}::{}", inst.name, d.name),
-                vec![(side, side)],
-            ));
-            index_of.push((inst.name.clone(), ix));
-            let nets: Vec<String> = [&d.drain, &d.gate, &d.source]
-                .iter()
-                .filter_map(|port| inst.net_of(port).map(str::to_string))
-                .collect();
-            block_nets.push(nets);
-        }
-    }
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let pins: Vec<usize> = block_nets
-            .iter()
-            .enumerate()
-            .filter(|(_, nets)| nets.contains(&net))
-            .map(|(i, _)| i)
-            .collect();
-        if pins.len() >= 2 {
-            problem.add_net(Net::new(&net, pins));
-        }
-    }
-    let placement = Placer::new(seed).place(&problem)?;
-    let area = placement.bbox(&problem).area() as f64 * 1e-6;
-
-    let mut routing_problem = RoutingProblem::new();
-    let mut net_pins: Vec<(String, Vec<Point>)> = Vec::new();
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let pins: Vec<Point> = block_nets
-            .iter()
-            .enumerate()
-            .filter(|(_, nets)| nets.contains(&net))
-            .map(|(i, _)| placement.rect(&problem, i).center())
-            .collect();
-        if pins.len() >= 2 {
-            routing_problem.add_net(&net, pins.clone());
-            net_pins.push((net.clone(), pins));
-        }
-    }
-    let routing = GlobalRouter::new(tech).route(&routing_problem)?;
-    let rects: Vec<(String, prima_geom::Rect)> = index_of
-        .iter()
-        .map(|(inst, ix)| (inst.clone(), placement.rect(&problem, *ix)))
-        .collect();
-    let bbox = placement.bbox(&problem);
-    Ok(PlacedDesign {
-        area_um2: area,
-        routing,
-        chosen: HashMap::new(),
-        chosen_variant: HashMap::new(),
-        bbox,
-        rects,
-        pins: net_pins,
-    })
 }
 
 /// Deterministic small hash of a port name (FNV-1a) used to spread port
@@ -1495,134 +1584,22 @@ fn port_hash(name: &str) -> u64 {
 /// Everything placement + global routing hands back to a flow: the block
 /// geometry (for power-grid synthesis), the chosen layout variants, and
 /// the per-net routing pins (for the verification pass).
-struct PlacedDesign {
+pub(crate) struct PlacedDesign {
     /// Placement bounding-box area (µm²).
     area_um2: f64,
     /// Global routing of the signal nets.
-    routing: RoutingResult,
+    pub(crate) routing: RoutingResult,
     /// Chosen layout variant per instance (empty for the flat flow).
-    chosen: HashMap<String, PrimitiveLayout>,
-    /// Index of the chosen variant into the instance's option list (empty
-    /// for the flat flow) — the repair loop maps it back to the
-    /// aspect-ratio bin on trial after a gate failure.
-    chosen_variant: HashMap<String, usize>,
+    chosen: BTreeMap<String, PrimitiveLayout>,
+    /// The aspect-ratio bin each chosen cell came from (empty for the flat
+    /// flow): the bin on trial when a gate fails.
+    chosen_bin: HashMap<String, usize>,
     /// Placement bounding box.
     bbox: prima_geom::Rect,
     /// Placed outline per block, in placement order.
-    rects: Vec<(String, prima_geom::Rect)>,
+    pub(crate) rects: Vec<(String, prima_geom::Rect)>,
     /// Pin positions per routed net (only nets with ≥ 2 pins).
     pins: Vec<(String, Vec<Point>)>,
-}
-
-/// Places the blocks (choosing a variant per instance) and global-routes
-/// the signal nets. Returns the placement area (µm²), the routing result,
-/// the chosen layout per instance, and the placed geometry.
-fn place_and_route(
-    tech: &Technology,
-    spec: &CircuitSpec,
-    options: &HashMap<String, Vec<PrimitiveLayout>>,
-    seed: u64,
-) -> Result<PlacedDesign, FlowError> {
-    let mut problem = PlacementProblem::new();
-    let mut index_of: HashMap<String, usize> = HashMap::new();
-    for inst in &spec.instances {
-        let variants: Vec<(i64, i64)> = match options.get(&inst.name) {
-            Some(layouts) if !layouts.is_empty() => layouts
-                .iter()
-                .map(|l| (l.bbox.width(), l.bbox.height()))
-                .collect(),
-            // Passives / unoptimized: a nominal footprint.
-            _ => vec![(1000, 1000)],
-        };
-        let ix = problem.add_block(Block::new(&inst.name, variants));
-        index_of.insert(inst.name.clone(), ix);
-    }
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let mut pins: Vec<usize> = spec
-            .taps(&net)
-            .iter()
-            .map(|(inst, _)| index_of[&inst.name])
-            .collect();
-        pins.sort_unstable();
-        pins.dedup();
-        if pins.len() >= 2 {
-            problem.add_net(Net::new(&net, pins));
-        }
-    }
-    for (a, b) in &spec.symmetry {
-        if let (Some(&ia), Some(&ib)) = (index_of.get(a), index_of.get(b)) {
-            problem.add_symmetry(ia, ib);
-        }
-    }
-
-    let placement = Placer::new(seed).place(&problem)?;
-    let area = placement.bbox(&problem).area() as f64 * 1e-6;
-
-    // Chosen layout per instance = the variant the placer picked.
-    let mut chosen = HashMap::new();
-    let mut chosen_variant = HashMap::new();
-    for inst in &spec.instances {
-        if let Some(layouts) = options.get(&inst.name) {
-            if !layouts.is_empty() {
-                let v = placement.variants[index_of[&inst.name]].min(layouts.len() - 1);
-                chosen.insert(inst.name.clone(), layouts[v].clone());
-                chosen_variant.insert(inst.name.clone(), v);
-            }
-        }
-    }
-
-    // Routing: pins at per-net port positions inside each block. A cell's
-    // ports sit at distinct boundary locations, so each net gets a
-    // deterministic offset from the block center derived from its name —
-    // this is what lets the detailed router keep symmetric pairs apart.
-    let mut routing_problem = RoutingProblem::new();
-    let mut net_pins: Vec<(String, Vec<Point>)> = Vec::new();
-    for net in spec.nets() {
-        if is_power_net(&net) {
-            continue;
-        }
-        let mut pins: Vec<Point> = Vec::new();
-        let mut seen = Vec::new();
-        for (inst, port) in spec.taps(&net) {
-            if seen.contains(&inst.name) {
-                continue;
-            }
-            seen.push(inst.name.clone());
-            let ix = index_of[&inst.name];
-            let r = placement.rect(&problem, ix);
-            let c = r.center();
-            let h = port_hash(port);
-            let dx = (h % 1024) as i64 * (r.width() / 2) / 1024 - r.width() / 4;
-            let dy = ((h / 1024) % 1024) as i64 * (r.height() / 2) / 1024 - r.height() / 4;
-            pins.push(Point::new(c.x + dx, c.y + dy));
-        }
-        if pins.len() >= 2 {
-            routing_problem.add_net(&net, pins.clone());
-            net_pins.push((net.clone(), pins));
-        }
-    }
-    let routing = GlobalRouter::new(tech).route(&routing_problem)?;
-    let rects: Vec<(String, prima_geom::Rect)> = spec
-        .instances
-        .iter()
-        .map(|inst| {
-            let ix = index_of[&inst.name];
-            (inst.name.clone(), placement.rect(&problem, ix))
-        })
-        .collect();
-    let bbox = placement.bbox(&problem);
-    Ok(PlacedDesign {
-        area_um2: area,
-        routing,
-        chosen,
-        chosen_variant,
-        bbox,
-        rects,
-        pins: net_pins,
-    })
 }
 
 #[cfg(test)]
@@ -1677,6 +1654,24 @@ mod tests {
         // Port optimization may widen the route beyond one wire; either way
         // the wire exists and is consistent.
         assert!(out.realization.net_wires.contains_key("vout"));
+    }
+
+    #[test]
+    fn outcome_maps_print_the_same_in_every_run() {
+        // The realization's maps and the simulation counts are ordered, so
+        // their `Debug` does not depend on any hasher's per-map keys.
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let spec = CsAmp::spec();
+        let biases = CsAmp::biases(&tech, &lib).unwrap();
+        let print = || {
+            let out = optimized_flow(&tech, &lib, &spec, &biases, 7).unwrap();
+            format!("{:?} {:?}", out.realization, out.sims)
+        };
+        let first = print();
+        for _ in 1..9 {
+            assert_eq!(print(), first);
+        }
     }
 
     #[test]

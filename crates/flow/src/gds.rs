@@ -9,7 +9,7 @@
 //! track rectangles, the design outline, and one TEXT pin label per routed
 //! net so layout viewers show named pins.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use prima_gds::{stream_out, GdsArtifact, GdsCellDef, GdsDesign, GdsLabel, GdsPlacement};
 use prima_geom::{Point, Rect};
@@ -28,7 +28,7 @@ pub(crate) struct GdsCtx<'a> {
     pub lib: &'a Library,
     pub spec: &'a CircuitSpec,
     /// Chosen layout variant per instance (empty for the flat flow).
-    pub chosen: &'a HashMap<String, PrimitiveLayout>,
+    pub chosen: &'a BTreeMap<String, PrimitiveLayout>,
     /// Placed outline per block, in placement order.
     pub rects: &'a [(String, Rect)],
     /// Pin positions per routed net.

@@ -1596,6 +1596,26 @@ mod tests {
         }
     }
 
+    /// The three admittance helpers on an all-linear circuit, a unit-AC
+    /// drive into R ∥ C to ground. The AC solver also stamps its 1e-12 S
+    /// node conductance, so Y = 1/R + gmin + j·2πf·C at every frequency:
+    /// the output resistance is R ∥ 1/gmin (1.5e-9 below R here) and the
+    /// capacitance is C.
+    #[test]
+    fn admittance_helpers_read_a_parallel_rc() {
+        let (r_ohm, c_f, gmin) = (1.5e3, 4e-15, 1e-12);
+        let mut circuit = Circuit::new();
+        let n = circuit.node("n");
+        circuit.vsource_ac("VT", n, Circuit::GROUND, 0.0, 1.0);
+        circuit.resistor("R", n, Circuit::GROUND, r_ohm).unwrap();
+        circuit.capacitor("C", n, Circuit::GROUND, c_f).unwrap();
+        let r = output_resistance(&circuit, "VT").unwrap();
+        let r_want = 1.0 / (1.0 / r_ohm + gmin);
+        let c = capacitance(admittance(&circuit, "VT", F_CAP).unwrap(), F_CAP);
+        assert!((r - r_want).abs() / r_want < 1e-9, "R {r} vs {r_want}");
+        assert!((c - c_f).abs() / c_f < 1e-9, "C {c:e} vs {c_f:e}");
+    }
+
     #[test]
     fn passive_cap_measures_design_value() {
         let (_, lib) = setup();
