@@ -70,7 +70,7 @@ use prima_spice::{with_solve_ctrl, SolveCtrl};
 pub use accounting::{Phase, SimCounter};
 pub use cost::{cost_of, deviation_percent, quality_allowance, CostBreakdown};
 pub use diagnostics::{sort_dedupe, RuleKind, Severity, VerifyReport, Violation};
-pub use par::par_map;
+pub use par::{par_map, try_par_map};
 pub use ports::{
     clamp_to_em_floor, reconcile, route_wire, GlobalRoute, PortConstraint, ReconciledNet,
 };
@@ -268,10 +268,8 @@ impl<'t> Optimizer<'t> {
                 return Ok(values);
             }
         }
-        // The ambient scope makes every solver the testbench constructs on
-        // *this thread* honor our token; `with_solve_ctrl` must therefore be
-        // re-entered on each parallel candidate worker — which happens
-        // naturally because eval_values runs on the worker.
+        // Every solver the testbench builds honors our token, on whichever
+        // `par_map` worker this evaluation runs.
         let ctrl = SolveCtrl {
             cancel: self.cancel.clone(),
         };

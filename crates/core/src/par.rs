@@ -1,21 +1,28 @@
 //! Bounded parallel map over independent simulations.
 //!
 //! Every simulation within an optimization phase is independent (paper
-//! Table V), so selection candidates, tuning sweep points and port sweep
-//! points all fan out through [`par_map`]. It is the one place that
-//! decides how they are scheduled: a fixed pool of scoped workers sized to
-//! the machine, pulling item indices from a shared counter.
+//! Table V), so selection candidates, tuning and port sweep points, corner
+//! and Monte-Carlo evaluations and the RO-VCO's control points all fan out
+//! through [`par_map`]. It is the one place that decides how they are
+//! scheduled: a fixed pool of scoped workers sized to the machine, pulling
+//! item indices from a shared counter. A worker inherits the caller's
+//! ambient [`SolveCtrl`](prima_spice::SolveCtrl), so a cancel token the
+//! caller installed reaches every solver an item builds. [`try_par_map`]
+//! serves sweeps that need every item.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
+
+use prima_spice::{current_solve_ctrl, with_solve_ctrl};
 
 /// Applies `f` to every item and returns the results in input order.
 ///
 /// The pool is `available_parallelism().min(items.len())` scoped threads;
 /// each pulls the next unclaimed index from one shared counter until the
 /// items run out. With a width of 1 (one item, or one core) everything
-/// runs inline on the caller and no thread is started.
+/// runs inline on the caller and no thread is started. Every worker runs
+/// under the caller's ambient `SolveCtrl`, as the inline path does.
 ///
 /// Each call of `f` runs under `catch_unwind`: a panicking item yields its
 /// own `Err(payload)` and every other item still runs.
@@ -32,6 +39,7 @@ where
     if width <= 1 {
         return items.iter().map(call).collect();
     }
+    let ctrl = current_solve_ctrl();
     // Relaxed suffices: the counter only hands out indices, and results
     // travel back through the joins.
     let next = AtomicUsize::new(0);
@@ -39,13 +47,15 @@ where
         let workers: Vec<_> = (0..width)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        mine.push((i, call(item)));
-                    }
-                    mine
+                    with_solve_ctrl(ctrl.clone(), || {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break };
+                            mine.push((i, call(item)));
+                        }
+                        mine
+                    })
                 })
             })
             .collect();
@@ -58,6 +68,26 @@ where
     });
     done.sort_unstable_by_key(|(i, _)| *i);
     done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// [`par_map`] for a sweep with no use for a partial result: walking the
+/// results in input order, a panicking item re-raises its panic and an
+/// item's `Err` is returned; every item has run either way.
+///
+/// # Errors
+///
+/// The first item error in input order, unless a panic precedes it.
+pub fn try_par_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(&T) -> Result<R, E> + Sync,
+{
+    par_map(items, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -107,6 +137,51 @@ mod tests {
                 Ok(v) => assert_eq!(v, x + 1),
             }
         }
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_solve_ctrl() {
+        use prima_spice::SolveCtrl;
+        let token = crate::CancelToken::new();
+        let items: Vec<u32> = (0..(4 * width() as u32 + 3)).collect();
+        let ctrl = SolveCtrl {
+            cancel: Some(token.clone()),
+        };
+        let seen = with_solve_ctrl(ctrl, || par_map(&items, |_| current_solve_ctrl().cancel));
+        for cancel in seen {
+            assert_eq!(cancel.unwrap(), Some(token.clone()));
+        }
+        // The caller's own scope is back to the default afterwards.
+        assert!(current_solve_ctrl().cancel.is_none());
+    }
+
+    #[test]
+    fn try_par_map_returns_the_first_failure_in_input_order() {
+        let items: Vec<u32> = (0..12).collect();
+        let ok: Result<Vec<u32>, u32> = try_par_map(&items, |&x| Ok(x * 2));
+        assert_eq!(ok.unwrap(), items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        let err = try_par_map(&items, |&x| if x % 5 == 3 { Err(x) } else { Ok(x) });
+        assert_eq!(err, Err(3));
+        // An error before a panicking item wins; a panic before an error
+        // re-raises.
+        let first_err = try_par_map(&items, |&x| match x {
+            2 => Err(x),
+            7 => panic!("item {x} failed"),
+            _ => Ok(x),
+        });
+        assert_eq!(first_err, Err(2));
+        let raised = catch_unwind(|| {
+            try_par_map(&items, |&x| match x {
+                2 => panic!("item {x} failed"),
+                7 => Err(x),
+                _ => Ok(x),
+            })
+        });
+        let payload = raised.unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("item 2 failed")
+        );
     }
 
     #[test]

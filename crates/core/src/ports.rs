@@ -9,7 +9,6 @@
 //! cost over the gap range.
 
 use std::collections::HashMap;
-use std::panic::resume_unwind;
 
 use prima_geom::Nm;
 use prima_layout::PrimitiveLayout;
@@ -18,7 +17,7 @@ use prima_primitives::{Bias, ExternalWire, LayoutView, PrimitiveDef};
 
 use crate::accounting::Phase;
 use crate::cost::cost_of;
-use crate::par::par_map;
+use crate::par::try_par_map;
 use crate::tuning::choose_knee;
 use crate::{OptError, Optimizer};
 
@@ -98,7 +97,9 @@ impl<'t> Optimizer<'t> {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation failures.
+    /// Propagates evaluation failures, and returns
+    /// [`OptError::NoCandidates`] when a routed port has no route count to
+    /// try ([`Optimizer::max_port_routes`] is 0).
     pub fn port_constraints(
         &self,
         def: &PrimitiveDef,
@@ -135,9 +136,15 @@ impl<'t> Optimizer<'t> {
                 .find(|t| t.nets.contains(net))
                 .map(|t| t.nets.clone())
                 .unwrap_or_else(|| vec![net.clone()]);
-            // Parallel-route sweep points are independent simulations. A
-            // panicked sweep point has no result to salvage, so it re-raises.
-            let costs = par_map(&ks, |&k| -> Result<f64, OptError> {
+            if ks.is_empty() {
+                return Err(OptError::NoCandidates {
+                    stage: format!("port constraints: no route count to try for {}", def.name),
+                });
+            }
+            // Parallel-route sweep points are independent simulations, one
+            // fan-out per net: two nets of one group can carry equal routes
+            // and so share cache keys, which one fan-out would race.
+            let costs = try_par_map(&ks, |&k| -> Result<f64, OptError> {
                 let mut ext = HashMap::new();
                 for g in &group {
                     ext.insert(g.clone(), route_wire(self.tech(), route, k));
@@ -145,10 +152,7 @@ impl<'t> Optimizer<'t> {
                 let values = self.eval_values(def, view, bias, &ext, Phase::PortConstraints)?;
                 let (cost, _) = cost_of(&def.metrics, &sch, &values);
                 Ok(cost)
-            })
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect::<Result<Vec<f64>, OptError>>()?;
+            })?;
             let (w_min, w_max) = interval_from_costs(&costs);
             out.push(PortConstraint {
                 net: net.clone(),
@@ -423,6 +427,24 @@ mod tests {
         assert_eq!(cons, orig);
         clamp_to_em_floor(&mut cons, 0);
         assert_eq!(cons, orig);
+    }
+
+    #[test]
+    fn an_empty_port_sweep_has_no_candidates() {
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let dp = lib.get("dp").unwrap();
+        let bias = Bias::nominal(&tech, &dp.class);
+        let mut opt = Optimizer::new(&tech);
+        opt.max_port_routes = 0;
+        let route = GlobalRoute {
+            layer: 3,
+            len_nm: 2000,
+            via_ends: 2,
+        };
+        let routes = HashMap::from([("da".to_string(), route)]);
+        let got = opt.port_constraints(dp, &bias, None, 960, &routes);
+        assert!(matches!(got, Err(OptError::NoCandidates { .. })), "{got:?}");
     }
 
     #[test]

@@ -3,13 +3,11 @@
 //! or, on a monotonically decreasing curve, stop at the point of maximum
 //! curvature (diminishing returns).
 
-use std::panic::resume_unwind;
-
 use prima_layout::PrimitiveLayout;
-use prima_primitives::{Bias, PrimitiveDef, TuningTerminal};
+use prima_primitives::{Bias, MetricValues, PrimitiveDef, TuningTerminal};
 
 use crate::accounting::Phase;
-use crate::par::par_map;
+use crate::par::try_par_map;
 use crate::selection::Evaluated;
 use crate::{OptError, Optimizer};
 
@@ -45,16 +43,19 @@ pub(crate) fn choose_knee(costs: &[f64]) -> usize {
 }
 
 impl<'t> Optimizer<'t> {
-    /// Algorithm 1, step 2: tunes each terminal of `layout`, returning the
-    /// final evaluated (minimum-cost) configuration.
+    /// Algorithm 1, step 2: tunes each terminal group of `layout`, returning
+    /// the final evaluated (minimum-cost) configuration.
     ///
-    /// Uncorrelated terminals are optimized separately in library order;
-    /// correlated terminal groups are swept jointly over the Cartesian
-    /// product of wire counts (practically ≤ 2 terminals, per the paper).
+    /// Groups are swept in library order. A lone terminal tries `1..=`
+    /// [`Optimizer::max_tuning_wires`] wires and stops at the knee of its
+    /// cost curve; a correlated group (practically ≤ 2 terminals, per the
+    /// paper) tries the Cartesian product of `1..=min(max_tuning_wires, 4)`
+    /// per terminal and keeps the first lowest cost.
     ///
     /// # Errors
     ///
-    /// Propagates evaluation failures.
+    /// Propagates evaluation failures, and returns
+    /// [`OptError::NoCandidates`] when a group has no wire count to try.
     pub fn tune(
         &self,
         def: &PrimitiveDef,
@@ -85,99 +86,63 @@ impl<'t> Optimizer<'t> {
         }
 
         for group in groups {
-            if group.len() == 1 {
-                current = self.tune_single(def, bias, current, group[0], &sch)?;
-            } else {
-                current = self.tune_joint(def, bias, current, &group, &sch)?;
-            }
+            current = self.tune_group(def, bias, current, &group, &sch)?;
         }
         self.evaluate_layout(def, bias, current, &sch, Phase::Tuning)
     }
 
-    /// Sweeps one terminal independently and applies the knee point.
-    fn tune_single(
-        &self,
-        def: &PrimitiveDef,
-        bias: &Bias,
-        layout: PrimitiveLayout,
-        terminal: &TuningTerminal,
-        sch: &prima_primitives::MetricValues,
-    ) -> Result<PrimitiveLayout, OptError> {
-        // Every sweep point is an independent simulation (Table V). A
-        // panicked sweep point has no result to salvage, so it re-raises.
-        let ks: Vec<u32> = (1..=self.max_tuning_wires).collect();
-        let costs = par_map(&ks, |&k| -> Result<f64, OptError> {
-            let mut cand = layout.clone();
-            for net in &terminal.nets {
-                cand.set_parallel_wires(net, k)?;
-            }
-            Ok(self
-                .evaluate_layout(def, bias, cand, sch, Phase::Tuning)?
-                .cost)
-        })
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-        .collect::<Result<Vec<f64>, OptError>>()?;
-        let k_star = choose_knee(&costs) as u32 + 1;
-        let mut out = layout;
-        for net in &terminal.nets {
-            out.set_parallel_wires(net, k_star)?;
-        }
-        Ok(out)
-    }
-
-    /// Joint sweep over a correlated terminal group.
-    // `best` is seeded by the first combination before the odometer can
-    // terminate, so the `expect` states a loop invariant.
-    #[allow(clippy::expect_used)]
-    fn tune_joint(
+    /// Sweeps one terminal group's wire counts in one fan-out (every
+    /// combination is an independent simulation, Table V) and returns the
+    /// picked candidate.
+    fn tune_group(
         &self,
         def: &PrimitiveDef,
         bias: &Bias,
         layout: PrimitiveLayout,
         group: &[&TuningTerminal],
-        sch: &prima_primitives::MetricValues,
+        sch: &MetricValues,
     ) -> Result<PrimitiveLayout, OptError> {
-        // Enumerate the Cartesian product of wire counts (group.len() ≤ 2 in
-        // practice). The joint sweep is capped tighter than the independent
-        // one — the paper's CSI example explores ~9 combinations.
-        let kmax = self.max_tuning_wires.min(4);
-        let mut best: Option<(Vec<u32>, f64)> = None;
-        let mut combo = vec![1u32; group.len()];
-        loop {
-            let mut cand = layout.clone();
-            for (t, &k) in group.iter().zip(combo.iter()) {
-                for net in &t.nets {
-                    cand.set_parallel_wires(net, k)?;
-                }
-            }
-            let ev = self.evaluate_layout(def, bias, cand, sch, Phase::Tuning)?;
-            if best.as_ref().map(|(_, c)| ev.cost < *c).unwrap_or(true) {
-                best = Some((combo.clone(), ev.cost));
-            }
-            // Odometer increment.
-            let mut i = 0;
-            loop {
-                if i == combo.len() {
-                    let (ks, _) = best.expect("at least one combo evaluated");
-                    let mut out = layout;
-                    for (t, &k) in group.iter().zip(ks.iter()) {
-                        for net in &t.nets {
-                            out.set_parallel_wires(net, k)?;
-                        }
+        // The joint sweep is capped tighter than the independent one — the
+        // paper's CSI example explores ~9 combinations.
+        let kmax = match group.len() {
+            1 => self.max_tuning_wires,
+            _ => self.max_tuning_wires.min(4),
+        };
+        // Every combination in odometer order: the first terminal counts
+        // fastest.
+        let mut cands = vec![layout];
+        for t in group {
+            cands = (1..=kmax)
+                .flat_map(|k| cands.iter().map(move |c| (k, c.clone())))
+                .map(|(k, mut cand)| {
+                    for net in &t.nets {
+                        cand.set_parallel_wires(net, k)?;
                     }
-                    return Ok(out);
-                }
-                if combo[i] < kmax {
-                    combo[i] += 1;
-                    break;
-                }
-                combo[i] = 1;
-                i += 1;
-            }
+                    Ok(cand)
+                })
+                .collect::<Result<_, OptError>>()?;
         }
+        if cands.is_empty() {
+            return Err(OptError::NoCandidates {
+                stage: format!("tuning: no wire count to try for {}", def.name),
+            });
+        }
+        let costs = try_par_map(&cands, |cand| -> Result<f64, OptError> {
+            let ev = self.evaluate_layout(def, bias, cand.clone(), sch, Phase::Tuning)?;
+            Ok(ev.cost)
+        })?;
+        // A lone terminal stops at the knee of its curve; a group keeps the
+        // first strictly lower cost in odometer order.
+        let pick = match group.len() {
+            1 => choose_knee(&costs),
+            _ => (1..costs.len()).fold(0, |best, i| if costs[i] < costs[best] { i } else { best }),
+        };
+        Ok(cands.swap_remove(pick))
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -238,6 +203,29 @@ mod tests {
         // net of a DP is the classic win) unless the baseline was optimal.
         let sims = opt.counter().count(crate::Phase::Tuning);
         assert!(sims > 0);
+    }
+
+    #[test]
+    fn an_empty_tuning_sweep_has_no_candidates() {
+        // The DP's terminals sweep alone and the CSI's two as a group; with
+        // no wire count to try, neither has a candidate.
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        for (name, cfg) in [
+            ("dp", CellConfig::new(8, 12, 2, PlacementPattern::Abba)),
+            ("csi", CellConfig::new(4, 4, 1, PlacementPattern::Abab)),
+        ] {
+            let def = lib.get(name).unwrap();
+            let bias = prima_primitives::Bias::nominal(&tech, &def.class);
+            let mut opt = Optimizer::new(&tech);
+            opt.max_tuning_wires = 0;
+            let layout = generate(&tech, &def.spec, &cfg).unwrap();
+            let got = opt.tune(def, &bias, layout);
+            assert!(
+                matches!(got, Err(OptError::NoCandidates { .. })),
+                "{name}: {got:?}"
+            );
+        }
     }
 
     #[test]

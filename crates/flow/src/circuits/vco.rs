@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use prima_core::try_par_map;
 use prima_pdk::Technology;
 use prima_primitives::{Bias, Library};
 use prima_spice::analysis::tran::TranSolver;
@@ -234,23 +235,28 @@ impl RoVco {
         }
     }
 
-    /// Sweeps the control voltage and summarizes the tuning curve.
+    /// Sweeps the control voltage and summarizes the tuning curve. The
+    /// control points are independent transients and fan out through
+    /// [`try_par_map`].
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures; returns [`FlowError::Measurement`]
-    /// if the ring never oscillates anywhere in the range.
+    /// Propagates simulation failures (the lowest control point's, when
+    /// several fail); returns [`FlowError::Measurement`] if the ring never
+    /// oscillates anywhere in the range.
     pub fn measure(
         &self,
         tech: &Technology,
         lib: &Library,
         realization: &Realization,
     ) -> Result<VcoMetrics, FlowError> {
-        let mut curve = Vec::new();
-        for &vctrl in &self.vctrl_points {
-            let f = self.frequency_at(tech, lib, realization, vctrl)?;
-            curve.push((vctrl, f.unwrap_or(0.0)));
-        }
+        let points = &self.vctrl_points;
+        let freqs = try_par_map(points, |&v| self.frequency_at(tech, lib, realization, v))?;
+        let curve: Vec<(f64, f64)> = points
+            .iter()
+            .zip(freqs)
+            .map(|(&vctrl, f)| (vctrl, f.unwrap_or(0.0)))
+            .collect();
         let oscillating: Vec<&(f64, f64)> = curve.iter().filter(|(_, f)| *f > 0.0).collect();
         if oscillating.is_empty() {
             return Err(FlowError::Measurement {
@@ -320,5 +326,22 @@ mod tests {
         if let Some(slow) = slow {
             assert!(slow < fast, "tuning: slow {slow} < fast {fast}");
         }
+    }
+
+    #[test]
+    fn measure_honors_the_callers_cancel_scope() {
+        use prima_cache::CancelToken;
+        use prima_spice::{with_solve_ctrl, SolveCtrl};
+        let tech = Technology::finfet7();
+        let lib = Library::standard();
+        let token = CancelToken::new();
+        token.cancel();
+        let ctrl = SolveCtrl {
+            cancel: Some(token),
+        };
+        let got = with_solve_ctrl(ctrl, || {
+            RoVco::small().measure(&tech, &lib, &Realization::schematic())
+        });
+        assert!(matches!(got, Err(FlowError::Cancelled(_))), "{got:?}");
     }
 }

@@ -56,12 +56,12 @@ use std::sync::Arc;
 
 use prima_cache::{EvalCache, Fingerprint, FpHasher};
 use prima_core::{
-    quality_allowance, CancelToken, EvalLedger, OptError, Optimizer, Phase, ResilienceReport,
-    RuleKind, Severity, SimCounter, Violation,
+    quality_allowance, try_par_map, CancelToken, EvalLedger, OptError, Optimizer, Phase,
+    ResilienceReport, RuleKind, Severity, Violation,
 };
 use prima_layout::PrimitiveLayout;
 use prima_pdk::{CornerSpec, Technology};
-use prima_primitives::{Bias, MetricValues, PrimitiveDef};
+use prima_primitives::{Bias, PrimitiveDef};
 
 use crate::flows::{checkpoint, Fallback, InstState};
 use crate::FlowError;
@@ -371,7 +371,7 @@ pub(crate) struct CornerCtx<'a, 't> {
 impl CornerCtx<'_, '_> {
     /// An optimizer over a perturbed deck sharing this flow's cache,
     /// cancel token, and simulation counter.
-    fn perturbed_opt<'p>(&self, tech: &'p Technology, counter: &SimCounter) -> Optimizer<'p> {
+    fn perturbed_opt<'p>(&self, tech: &'p Technology) -> Optimizer<'p> {
         let mut o = Optimizer::new(tech);
         if let Some(cache) = &self.cache {
             o.set_cache(cache.clone());
@@ -379,41 +379,29 @@ impl CornerCtx<'_, '_> {
         if let Some(token) = self.cancel {
             o.set_cancel(token.clone());
         }
-        o.set_counter(counter.clone());
+        o.set_counter(self.opt.counter().clone());
         o
     }
 }
 
-/// Cost of one layout against the *corner's own* schematic reference.
-/// `Ok(f64::INFINITY)` is a corner failure (non-convergence or any other
-/// evaluation error at the corner); cancellation unwinds as an error.
-fn eval_at(
-    opt_c: &Optimizer,
+/// Cost of one layout against the perturbed deck's *own* schematic
+/// reference. `Ok(f64::INFINITY)` is a failure at that deck: the schematic
+/// or the layout does not evaluate there (non-convergence or any other
+/// error). Cancellation unwinds as an error.
+fn cost_at(
+    opt: &Optimizer,
     def: &PrimitiveDef,
-    bias_c: &Bias,
-    sch_c: &MetricValues,
+    bias: &Bias,
     layout: &PrimitiveLayout,
 ) -> Result<f64, FlowError> {
-    match opt_c.evaluate_layout(def, bias_c, layout.clone(), sch_c, Phase::Corners) {
+    let total_fins = layout.config.total_fins();
+    let evaluated = opt
+        .schematic_reference_at(def, bias, total_fins, Phase::Corners)
+        .and_then(|sch| opt.evaluate_layout(def, bias, layout.clone(), &sch, Phase::Corners));
+    match evaluated {
         Ok(e) => Ok(e.cost),
         Err(OptError::Cancelled(c)) => Err(FlowError::Cancelled(c)),
         Err(_) => Ok(f64::INFINITY),
-    }
-}
-
-/// The corner's schematic reference, or `None` when the corner itself
-/// fails to converge at the schematic level (every candidate then fails
-/// this corner). Cancellation unwinds as an error.
-fn schematic_at(
-    opt_c: &Optimizer,
-    def: &PrimitiveDef,
-    bias_c: &Bias,
-    total_fins: u64,
-) -> Result<Option<MetricValues>, FlowError> {
-    match opt_c.schematic_reference_at(def, bias_c, total_fins, Phase::Corners) {
-        Ok(v) => Ok(Some(v)),
-        Err(OptError::Cancelled(c)) => Err(FlowError::Cancelled(c)),
-        Err(_) => Ok(None),
     }
 }
 
@@ -421,6 +409,13 @@ fn schematic_at(
 struct CornerEnv {
     spec: CornerSpec,
     tech: Technology,
+}
+
+/// A corner as the sweep evaluates it: its spec, and one optimizer over
+/// its deck for the whole stage (`Optimizer::new` fingerprints the deck).
+struct Corner<'e> {
+    spec: &'e CornerSpec,
+    opt: Optimizer<'e>,
 }
 
 /// The measures of one candidate across the corner environments, plus the
@@ -442,7 +437,6 @@ pub(crate) fn corner_stage(
     resilience: &mut ResilienceReport,
 ) -> Result<CornerReport, FlowError> {
     let copts = ctx.copts;
-    let counter = ctx.opt.counter().clone();
     let mut diagnostics: Vec<Violation> = Vec::new();
 
     // Resolve the enabled corner list against the deck's table. Unknown
@@ -480,6 +474,13 @@ pub(crate) fn corner_stage(
     for v in &diagnostics {
         resilience.record("corners", &v.rule_id, v.message.clone());
     }
+    let corners: Vec<Corner<'_>> = envs
+        .iter()
+        .map(|env| Corner {
+            spec: &env.spec,
+            opt: ctx.perturbed_opt(&env.tech),
+        })
+        .collect();
 
     let mut instances: Vec<InstanceCorners> = Vec::new();
     let mut total_fallbacks = 0usize;
@@ -515,12 +516,6 @@ pub(crate) fn corner_stage(
             });
             continue;
         }
-        let total_fins = st
-            .active
-            .first()
-            .map(|(l, _)| l.config.total_fins())
-            .unwrap_or(0);
-
         let (_, st) = &mut states[si];
         let live: Vec<usize> = (0..st.active.len()).filter(|&i| !st.dead[i]).collect();
         let mut inst_fallbacks = 0usize;
@@ -536,16 +531,8 @@ pub(crate) fn corner_stage(
                 checkpoint(ctx.cancel)?;
                 let nominal_cost = st.active[bin].1;
                 let allowance = quality_allowance(nominal_cost);
-                let sweep = sweep_candidate(
-                    ctx,
-                    &counter,
-                    &envs,
-                    def,
-                    &st.bias,
-                    total_fins,
-                    &st.active[bin].0,
-                    allowance,
-                )?;
+                let sweep =
+                    sweep_candidate(ctx, &corners, def, &st.bias, &st.active[bin].0, allowance)?;
                 // The current candidate's verdict decides whether to keep
                 // repairing; `best` tracks the best worst-case margin seen
                 // for restoration on exhaustion. A passing candidate always
@@ -652,7 +639,7 @@ pub(crate) fn corner_stage(
 
     // ---- Seeded Monte-Carlo mismatch yield ------------------------------
     let mc = if copts.mc_samples > 0 {
-        Some(run_mc(ctx, &counter, states, &mut instances)?)
+        Some(run_mc(ctx, states, &mut instances)?)
     } else {
         None
     };
@@ -666,75 +653,65 @@ pub(crate) fn corner_stage(
         instances,
         worst_margin,
         mc,
-        sims: counter.count(Phase::Corners),
+        sims: ctx.opt.counter().count(Phase::Corners),
         diagnostics,
         fallbacks: total_fallbacks,
     })
 }
 
-/// Evaluates one candidate across all corner environments.
-#[allow(clippy::too_many_arguments)]
+/// Evaluates one candidate across all corners, one fan-out over the
+/// corners, and folds the measures in sweep order.
 fn sweep_candidate(
     ctx: &CornerCtx<'_, '_>,
-    counter: &SimCounter,
-    envs: &[CornerEnv],
+    corners: &[Corner<'_>],
     def: &PrimitiveDef,
     bias: &Bias,
-    total_fins: u64,
     layout: &PrimitiveLayout,
     allowance: f64,
 ) -> Result<SweepResult, FlowError> {
-    let mut measures = Vec::with_capacity(envs.len());
-    let mut worst_margin = f64::INFINITY;
-    let mut worst_corner = String::new();
-    let mut failed_at = None;
-    for env in envs {
+    let costs = try_par_map(corners, |c| {
         checkpoint(ctx.cancel)?;
-        let opt_c = ctx.perturbed_opt(&env.tech, counter);
-        let bias_c = corner_bias(ctx.tech, bias, &env.spec);
-        let cost = match schematic_at(&opt_c, def, &bias_c, total_fins)? {
-            Some(sch_c) => eval_at(&opt_c, def, &bias_c, &sch_c, layout)?,
-            None => f64::INFINITY,
-        };
+        cost_at(&c.opt, def, &corner_bias(ctx.tech, bias, c.spec), layout)
+    })?;
+    let mut sweep = SweepResult {
+        measures: Vec::with_capacity(corners.len()),
+        worst_margin: f64::INFINITY,
+        worst_corner: String::new(),
+        failed_at: None,
+    };
+    for (c, cost) in corners.iter().zip(costs) {
         let margin = allowance - cost;
         let pass = cost <= allowance;
-        if !pass && failed_at.is_none() {
-            failed_at = Some(env.spec.name.clone());
+        if !pass && sweep.failed_at.is_none() {
+            sweep.failed_at = Some(c.spec.name.clone());
         }
-        if margin < worst_margin {
-            worst_margin = margin;
-            worst_corner = env.spec.name.clone();
+        if margin < sweep.worst_margin {
+            sweep.worst_margin = margin;
+            sweep.worst_corner = c.spec.name.clone();
         }
-        measures.push(CornerMeasure {
-            corner: env.spec.name.clone(),
+        sweep.measures.push(CornerMeasure {
+            corner: c.spec.name.clone(),
             cost,
             margin,
             pass,
         });
     }
-    Ok(SweepResult {
-        measures,
-        worst_margin,
-        worst_corner,
-        failed_at,
-    })
+    Ok(sweep)
 }
 
-/// Runs the per-instance mismatch samples and folds them into a circuit
-/// yield: a sample passes when *every* instance passes its gate under its
-/// own draw.
+/// Runs the per-instance mismatch samples, one fan-out per instance, and
+/// folds them into a circuit yield: a sample passes when *every* instance
+/// passes its gate under its own draw.
 fn run_mc(
     ctx: &CornerCtx<'_, '_>,
-    counter: &SimCounter,
     states: &[(String, InstState)],
     instances: &mut [InstanceCorners],
 ) -> Result<McYield, FlowError> {
-    let copts = ctx.copts;
     let sampler = MismatchSampler::new(MC_SEED);
-    let mut sample_pass = vec![true; copts.mc_samples as usize];
+    let samples: Vec<u32> = (0..ctx.copts.mc_samples).collect();
+    let mut sample_pass = vec![true; samples.len()];
     for (name, st) in states {
         checkpoint(ctx.cancel)?;
-        let def = st.def;
         // The instance's best live candidate is the one gated.
         let Some((layout, nominal_cost)) = (0..st.active.len())
             .filter(|&i| !st.dead[i])
@@ -752,23 +729,21 @@ fn run_mc(
             ctx.tech.fin.gate_length as f64 * 1e-9,
         );
         let fp = instance_fingerprint(name, &st.def.name, total_fins);
-        let mut passed = 0u32;
-        for s in 0..copts.mc_samples {
+        let costs = try_par_map(&samples, |&s| {
             checkpoint(ctx.cancel)?;
             let draw = sampler.draw(fp, s);
             let mtech = ctx.tech.apply_mismatch(
                 draw.z_vth * sigma_vth,
                 (1.0 + SIGMA_MOBILITY * draw.z_mobility).clamp(0.5, 1.5),
             );
-            let opt_m = ctx.perturbed_opt(&mtech, counter);
-            let cost = match schematic_at(&opt_m, def, &st.bias, total_fins)? {
-                Some(sch_m) => eval_at(&opt_m, def, &st.bias, &sch_m, layout)?,
-                None => f64::INFINITY,
-            };
+            cost_at(&ctx.perturbed_opt(&mtech), st.def, &st.bias, layout)
+        })?;
+        let mut passed = 0u32;
+        for (sample_passes, cost) in sample_pass.iter_mut().zip(costs) {
             if cost <= allowance {
                 passed += 1;
             } else {
-                sample_pass[s as usize] = false;
+                *sample_passes = false;
             }
         }
         if let Some(inst) = instances.iter_mut().find(|i| i.instance == *name) {
@@ -777,7 +752,7 @@ fn run_mc(
     }
     Ok(McYield {
         seed: MC_SEED,
-        samples: copts.mc_samples,
+        samples: ctx.copts.mc_samples,
         passed: sample_pass.iter().filter(|p| **p).count() as u32,
     })
 }

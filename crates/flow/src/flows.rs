@@ -35,7 +35,7 @@ use crate::builder::{PrimitiveInst, Realization};
 use crate::circuits::CircuitSpec;
 use crate::corners::{corner_stage, CornerCtx, CornerPolicy, CornerReport};
 use crate::electrical::{self, block_current, erc};
-use crate::gds::{stream_out_stage, GdsCtx};
+use crate::gds::build_design;
 use crate::preflight::{schem_preflight, techlint_preflight};
 use crate::FlowError;
 
@@ -386,7 +386,7 @@ pub fn conventional_flow(
     let mut resilience = ResilienceReport::new();
     let router = detail_router(&run, &NoFaults);
     let detailed = detail_route(&run, &router, &placed, &wires.widths, &mut resilience)?;
-    let verify = gate(verify(&run, &placed, &detailed, LintInputs::default()))?;
+    let verify = gate(verify(&run, &placed, &detailed, LintInputs::default()).0)?;
     let erc = gate(erc(&run, &placed, &layouts, power.as_ref(), &wires))?;
     let reports = [techlint, schem, verify, erc];
     let realization = Realization {
@@ -524,7 +524,7 @@ fn run_flow(run: Run<'_>, injector: &dyn FaultInjector) -> Result<FlowOutcome, F
             n_bins: run.n_bins(),
             ports: port_intervals(&run, &wires),
         };
-        let verify = verify(&run, &placed, &detailed, lints);
+        let (verify, cells) = verify(&run, &placed, &detailed, lints);
         let erc = erc(&run, &placed, &placed.chosen, power.as_ref(), &wires);
         let failing = [("verify", &verify), ("erc", &erc)]
             .into_iter()
@@ -532,7 +532,7 @@ fn run_flow(run: Run<'_>, injector: &dyn FaultInjector) -> Result<FlowOutcome, F
         let Some((gate_name, report)) = failing else {
             resilience.absorb_ledger(&ledger);
             let (cache, cache_diagnostics) = finish_cache(opt.cache(), &mut resilience);
-            let gds = stream_out(&run, &placed, &detailed)?;
+            let gds = stream_out(&run, &placed, &cells, &detailed)?;
             let realization = Realization {
                 layouts: std::mem::take(&mut placed.chosen),
                 net_wires: wires.net_wires,
@@ -1131,15 +1131,16 @@ fn metric_weights(run: &Run<'_>) -> Vec<(String, f64)> {
 
 /// Stage (every flow): the static verification gate (DRC + LVS-lite +
 /// lints) over each placed block. A chosen cell's mask geometry is
-/// re-rendered, since the DRC pass checks the drawn rectangles, not the
+/// rendered, since the DRC pass checks the drawn rectangles, not the
 /// parasitic model; the flat flow's per-transistor blocks carry none, so
 /// its pass covers placement legality, routing DRC and connectivity.
+/// Returns the report and the checked cells, which stream-out draws.
 fn verify(
     run: &Run<'_>,
     placed: &PlacedDesign,
     detailed: &DetailedResult,
     lints: LintInputs,
-) -> VerifyReport {
+) -> (VerifyReport, Vec<CellArtifact>) {
     let mut artifacts = FlowArtifacts::new(&run.spec.name, run.tech);
     artifacts.cells = placed
         .rects
@@ -1158,30 +1159,31 @@ fn verify(
     artifacts.detailed = Some(detailed);
     artifacts.expected_nets = placed.pins.iter().map(|(n, _)| n.clone()).collect();
     artifacts.lints = lints;
-    check_flow(&artifacts)
+    (check_flow(&artifacts), artifacts.cells)
 }
 
 /// Stage (optimized and manual, under [`GdsPolicy::On`]): GDS-II
-/// stream-out, run only on the gate-clean geometry.
+/// stream-out of the gate-clean geometry, drawn from the cells the verify
+/// gate rendered and checked.
 fn stream_out(
     run: &Run<'_>,
     placed: &PlacedDesign,
+    cells: &[CellArtifact],
     detailed: &DetailedResult,
 ) -> Result<Option<GdsArtifact>, FlowError> {
     if !run.options.gds.enabled() {
         return Ok(None);
     }
-    let ctx = GdsCtx {
-        tech: run.tech,
-        lib: run.lib,
-        spec: run.spec,
-        chosen: &placed.chosen,
-        rects: &placed.rects,
-        pins: &placed.pins,
-        bbox: placed.bbox,
+    let design = build_design(
+        run.tech,
+        &run.spec.name,
+        cells,
+        &placed.pins,
+        placed.bbox,
         detailed,
-    };
-    Ok(Some(stream_out_stage(&ctx)?))
+    );
+    let artifact = prima_gds::stream_out(run.tech, &design).map_err(FlowError::Gds)?;
+    Ok(Some(artifact))
 }
 
 /// Simulation counts per optimization phase.

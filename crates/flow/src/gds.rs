@@ -1,43 +1,20 @@
 //! GDS-II stream-out stage: folding a finished flow's geometry into a
-//! [`prima_gds::GdsDesign`] and serializing it.
+//! [`prima_gds::GdsDesign`].
 //!
 //! Runs only under [`crate::GdsPolicy::On`], strictly after the verify and
 //! ERC gates pass — the stream a caller receives is always gate-clean. Each
-//! placed instance becomes its own GDS structure (re-rendered mask geometry
-//! via [`prima_layout::render()`], the same drawn rectangles the DRC pass
-//! checked), referenced from a top structure that also carries the routed
+//! placed instance becomes its own GDS structure, drawn from the mask
+//! geometry the verify gate rendered and checked (no cell is rendered
+//! twice), referenced from a top structure that also carries the routed
 //! track rectangles, the design outline, and one TEXT pin label per routed
 //! net so layout viewers show named pins.
 
-use std::collections::BTreeMap;
-
-use prima_gds::{stream_out, GdsArtifact, GdsCellDef, GdsDesign, GdsLabel, GdsPlacement};
+use prima_gds::{GdsCellDef, GdsDesign, GdsLabel, GdsPlacement};
 use prima_geom::{Point, Rect};
-use prima_layout::{render, MaskLayer, PrimitiveLayout};
+use prima_layout::MaskLayer;
 use prima_pdk::{RouteDir, Technology};
-use prima_primitives::Library;
 use prima_route::detail::DetailedResult;
-
-use crate::circuits::CircuitSpec;
-use crate::FlowError;
-
-/// Everything the stream-out stage reads, borrowed from the flow's
-/// success path just before the outcome is assembled.
-pub(crate) struct GdsCtx<'a> {
-    pub tech: &'a Technology,
-    pub lib: &'a Library,
-    pub spec: &'a CircuitSpec,
-    /// Chosen layout variant per instance (empty for the flat flow).
-    pub chosen: &'a BTreeMap<String, PrimitiveLayout>,
-    /// Placed outline per block, in placement order.
-    pub rects: &'a [(String, Rect)],
-    /// Pin positions per routed net.
-    pub pins: &'a [(String, Vec<Point>)],
-    /// Placement bounding box (the top-structure outline).
-    pub bbox: Rect,
-    /// Detailed-routing track assignment.
-    pub detailed: &'a DetailedResult,
-}
+use prima_verify::CellArtifact;
 
 /// Resolves a rendered [`MaskLayer`] to the stack-layer name the deck's
 /// layer map is keyed by. The cell renderer's M1/M2 are the two lowest
@@ -61,28 +38,29 @@ fn metal_name(tech: &Technology, index: usize) -> String {
         .unwrap_or_else(|| "boundary".to_string())
 }
 
-/// Builds the [`GdsDesign`] for a finished flow. Pure assembly — every
-/// name stays in prima vocabulary; the emitter resolves them through the
-/// deck's layer map.
-pub(crate) fn build_design(ctx: &GdsCtx<'_>) -> GdsDesign {
-    let mut cells = Vec::with_capacity(ctx.rects.len());
-    let mut placements = Vec::with_capacity(ctx.rects.len());
-    for (name, outline) in ctx.rects {
-        // Re-render the chosen variant's mask geometry (the verify gate's
-        // idiom). Flat-flow blocks and passives have none; they become
+/// Builds the [`GdsDesign`] of a finished flow named `circuit`: one
+/// structure per verified cell, in placement order, plus a top structure
+/// over `bbox` with the routed tracks and one label per net of `pins`.
+/// Pure assembly — every name stays in prima vocabulary; the emitter
+/// resolves them through the deck's layer map.
+pub(crate) fn build_design(
+    tech: &Technology,
+    circuit: &str,
+    verified: &[CellArtifact],
+    pins: &[(String, Vec<Point>)],
+    bbox: Rect,
+    detailed: &DetailedResult,
+) -> GdsDesign {
+    let mut cells = Vec::with_capacity(verified.len());
+    let mut placements = Vec::with_capacity(verified.len());
+    for CellArtifact {
+        instance: name,
+        outline,
+        geometry,
+    } in verified
+    {
+        // Flat-flow blocks and passives have no mask geometry; they become
         // outline-only structures so the hierarchy stays complete.
-        let geometry = ctx
-            .spec
-            .instances
-            .iter()
-            .find(|i| &i.name == name)
-            .and_then(|inst| {
-                ctx.chosen.get(name).and_then(|layout| {
-                    ctx.lib
-                        .get(&inst.def)
-                        .and_then(|def| render(ctx.tech, &def.spec, &layout.config).ok())
-                })
-            });
         match geometry {
             Some(geom) => {
                 cells.push(GdsCellDef {
@@ -90,7 +68,7 @@ pub(crate) fn build_design(ctx: &GdsCtx<'_>) -> GdsDesign {
                     rects: geom
                         .rects
                         .iter()
-                        .map(|(l, r)| (mask_layer_name(ctx.tech, *l), *r))
+                        .map(|(l, r)| (mask_layer_name(tech, *l), *r))
                         .collect(),
                 });
                 // SREF origin maps the rendered cell's lower-left corner
@@ -119,9 +97,9 @@ pub(crate) fn build_design(ctx: &GdsCtx<'_>) -> GdsDesign {
 
     // Routed tracks as drawn metal rectangles: one minimum-width wire per
     // occupied track, centred on the track grid, spanning the assignment.
-    let mut top_rects = vec![("boundary".to_string(), ctx.bbox)];
-    for a in &ctx.detailed.assignments {
-        let Some(metal) = a.layer.checked_sub(1).and_then(|i| ctx.tech.metals.get(i)) else {
+    let mut top_rects = vec![("boundary".to_string(), bbox)];
+    for a in &detailed.assignments {
+        let Some(metal) = a.layer.checked_sub(1).and_then(|i| tech.metals.get(i)) else {
             continue;
         };
         let (s0, s1) = (a.span.0.min(a.span.1), a.span.0.max(a.span.1));
@@ -138,9 +116,8 @@ pub(crate) fn build_design(ctx: &GdsCtx<'_>) -> GdsDesign {
 
     // One pin label per routed net, anchored at its first pin, on the
     // lowest routing metal — enough for KLayout to show named pins.
-    let label_layer = metal_name(ctx.tech, 0);
-    let labels = ctx
-        .pins
+    let label_layer = metal_name(tech, 0);
+    let labels = pins
         .iter()
         .filter_map(|(net, points)| {
             points.first().map(|p| GdsLabel {
@@ -152,16 +129,10 @@ pub(crate) fn build_design(ctx: &GdsCtx<'_>) -> GdsDesign {
         .collect();
 
     GdsDesign {
-        name: ctx.spec.name.clone(),
+        name: circuit.to_string(),
         cells,
         placements,
         top_rects,
         labels,
     }
-}
-
-/// Builds and serializes the design, wrapping emitter failures in
-/// [`FlowError::Gds`].
-pub(crate) fn stream_out_stage(ctx: &GdsCtx<'_>) -> Result<GdsArtifact, FlowError> {
-    stream_out(ctx.tech, &build_design(ctx)).map_err(FlowError::Gds)
 }

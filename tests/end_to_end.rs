@@ -209,6 +209,35 @@ fn strongarm_table6_shape_holds() {
     );
 }
 
+/// The correlated-tuning ablation: on the CSI's 4×4×1 ABAB finfet7 layout
+/// with up to four wires, sweeping its two coupled terminals jointly ends
+/// at a lower cost than sweeping each alone with the correlation stripped.
+#[test]
+fn correlated_tuning_beats_independent_on_the_csi() {
+    use prima_core::Optimizer;
+    use prima_layout::{generate, CellConfig, PlacementPattern};
+    use prima_primitives::Bias;
+    let (tech, lib) = env();
+    let csi = lib.get("csi").unwrap();
+    let bias = Bias::nominal(&tech, &csi.class);
+    let cfg = CellConfig::new(4, 4, 1, PlacementPattern::Abab);
+    let layout = generate(&tech, &csi.spec, &cfg).unwrap();
+    let mut opt = Optimizer::new(&tech);
+    opt.max_tuning_wires = 4;
+    let joint = opt.tune(csi, &bias, layout.clone()).unwrap();
+    let mut independent = csi.clone();
+    for t in &mut independent.tuning {
+        t.correlated_with = None;
+    }
+    let indep = opt.tune(&independent, &bias, layout).unwrap();
+    assert!(
+        joint.cost < indep.cost,
+        "joint cost {:.3} vs independent {:.3}",
+        joint.cost,
+        indep.cost
+    );
+}
+
 /// Detailed routing consumes the reconciled widths: a tuned net occupies
 /// that many adjacent tracks, and the assignment is conflict-free.
 #[test]
